@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .linalg import (eigh, logm_support, matrix_function, pinv_psd,
-                     sqrtm_psd, support_projector, frobenius)
+from .linalg import (eigh, frobenius, logm_support, matrix_function,
+                     pinv_psd, sqrtm_psd, support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      random_unitary)
 
@@ -42,12 +42,12 @@ class DivergenceReport:
 
 def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     """Classify supp(rho) vs supp(sigma) by projector residuals."""
-    proj_s = support_projector(sigma.matrix)
+    proj_s = support_projector(sigma.eigen)
     comp = np.eye(rho.dim) - proj_s
     leak = frobenius(comp @ rho.matrix @ comp)
     if leak > _SUPPORT_TOL:
         return SUPPORT_VIOLATED
-    proj_r = support_projector(rho.matrix)
+    proj_r = support_projector(rho.eigen)
     if frobenius(proj_r - proj_s) <= _SUPPORT_TOL:
         return SUPPORT_EQUAL
     return SUPPORT_CONTAINED
@@ -60,7 +60,10 @@ def kl(p: ClassicalDistribution, q: ClassicalDistribution) -> float:
     """
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    pv, qv = p.probs, q.probs
+    return _kl_sum(p.probs, q.probs)
+
+
+def _kl_sum(pv: np.ndarray, qv: np.ndarray) -> float:
     mask = pv > 0
     if np.any(qv[mask] <= 0):
         return math.inf
@@ -78,7 +81,7 @@ def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
     rel = support_relation(rho, sigma)
     if rel == SUPPORT_VIOLATED:
         return DivergenceReport(math.inf, rel, ("support of rho escapes support of sigma",))
-    val = np.trace(rho.matrix @ (logm_support(rho.matrix) - logm_support(sigma.matrix)))
+    val = np.trace(rho.matrix @ (logm_support(rho.eigen) - logm_support(sigma.eigen)))
     return DivergenceReport(float(val.real), rel)
 
 
@@ -88,8 +91,8 @@ def rld_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
     rel = support_relation(rho, sigma)
     if rel == SUPPORT_VIOLATED:
         return DivergenceReport(math.inf, rel, ("support of rho escapes support of sigma",))
-    sr = sqrtm_psd(rho.matrix)
-    inner = sr @ pinv_psd(sigma.matrix) @ sr
+    sr = sqrtm_psd(rho.eigen)
+    inner = sr @ pinv_psd(sigma.eigen) @ sr
     val = np.trace(rho.matrix @ logm_support((inner + inner.conj().T) / 2))
     return DivergenceReport(float(val.real), rel)
 
@@ -102,8 +105,7 @@ def fidelity_logdiv(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     with orthogonal supports.
     """
     _check_dims(rho, sigma)
-    prod = sqrtm_psd(rho.matrix) @ sqrtm_psd(sigma.matrix)
-    tn = float(np.linalg.svd(prod, compute_uv=False).sum())
+    tn = trace_norm(sqrtm_psd(rho.eigen) @ sqrtm_psd(sigma.eigen))
     if tn <= 0.0:
         return -math.inf
     return float(np.log(tn))
@@ -118,7 +120,7 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _check_dims(rho, sigma)
     if support_relation(rho, sigma) == SUPPORT_VIOLATED:
         return math.inf
-    isq = matrix_function(sigma.matrix, lambda x: x ** -0.5, support_only=True)
+    isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
     inner = isq @ rho.matrix @ isq
     w, _ = eigh((inner + inner.conj().T) / 2)
     top = float(w[-1])
@@ -139,12 +141,7 @@ def _basis_measurement(v: np.ndarray) -> Measurement:
 def _projective_kl(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
     p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
     q = np.einsum("ik,ij,jk->k", v.conj(), sigma, v).real
-    p = np.maximum(p, 0.0)
-    q = np.maximum(q, 0.0)
-    mask = p > 1e-300
-    if np.any(q[mask] <= 0):
-        return math.inf
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    return _kl_sum(np.maximum(p, 0.0), np.maximum(q, 0.0))
 
 
 def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
@@ -163,7 +160,7 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
     # Deterministic starts: eigenbases of rho, sigma, their difference, and a
     # generic combination (recovers a common eigenbasis on commuting pairs
     # even when one spectrum is degenerate).
-    starts = [eigh(r).eigenvectors, eigh(s).eigenvectors,
+    starts = [rho.eigen.eigenvectors, sigma.eigen.eigenvectors,
               eigh(r - s).eigenvectors, eigh(r + np.sqrt(2.0) * s).eigenvectors]
     evals = 0
     best_v, best = None, -math.inf

@@ -25,10 +25,6 @@ class RankError(QdivError):
     """Input is rank deficient where full rank (or full support) is required."""
 
 
-class FactorSolveError(QdivError):
-    """Preconditions of the Hermitian factor solve failed."""
-
-
 class DimensionCapError(QdivError):
     """A tensor power would exceed the configured dimension cap."""
 

@@ -15,9 +15,10 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .divergences import dmax, umegaki
 from .errors import InfeasibleRateError, QdivError
-from .linalg import eigh, matrix_function, positive_part, trace_norm
+from .linalg import (EigenSystem, eigh, matrix_function, positive_part,
+                     trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     Preparation, cq_apply, tensor_power)
+                     Preparation, cq_apply, measure, tensor_power)
 
 _GRID_WIDTH = DEFAULT_TOLERANCES["stein_grid_width"]
 
@@ -37,16 +38,24 @@ class TestCurvePoint:
 def np_projector(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
     """Projector onto the non-positive eigenspace of rho_n - e^{na} sigma_n,
     with the exact acceptance/error traces at threshold a."""
+    _, proj, pt = _ratio_test(rho_n, sigma_n, a, n)
+    return proj, pt
+
+
+def _ratio_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float,
+                n: int) -> tuple[EigenSystem, np.ndarray, TestCurvePoint]:
+    """np_projector's projector and traces, plus the eigensystem of
+    rho_n - e^{na} sigma_n they come from."""
     if rho_n.dim != sigma_n.dim:
         raise ValueError(f"dimension mismatch: {rho_n.dim} vs {sigma_n.dim}")
-    delta = rho_n.matrix - math.exp(n * a) * sigma_n.matrix
-    w, v = eigh(delta)
+    es = eigh(rho_n.matrix - math.exp(n * a) * sigma_n.matrix)
+    w, v = es
     tol = 1e-12 * max(float(np.abs(w).max()), 1e-300)
     cols = v[:, w <= tol]
     proj = cols @ cols.conj().T
     t1 = float(np.trace(rho_n.matrix @ proj).real)
     t2 = float(np.trace(sigma_n.matrix @ (np.eye(rho_n.dim) - proj)).real)
-    return proj, TestCurvePoint(a, t1, t2)
+    return es, proj, TestCurvePoint(a, t1, t2)
 
 
 class _AcceptCurve:
@@ -126,8 +135,8 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
     and is the only guarantee exported; the distance bound in sqrt(shortfall)
     is checked and reported, not assumed.
     """
-    delta = rho_n.matrix - math.exp(n * a) * sigma_n.matrix
-    cand = rho_n.matrix - positive_part(delta)
+    delta_eigen, _, point = _ratio_test(rho_n, sigma_n, a, n)
+    cand = rho_n.matrix - positive_part(delta_eigen)
     apos = positive_part((cand + cand.conj().T) / 2)
     tr = float(np.trace(apos).real)
     if tr < 1e-12:
@@ -135,7 +144,7 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
     state = DensityMatrix(apos / tr)
     epsilon = trace_norm(state.matrix - rho_n.matrix)
     cert = dmax(state, sigma_n) / n
-    shortfall = 1.0 - np_projector(rho_n, sigma_n, a, n)[1].type1_accept
+    shortfall = 1.0 - point.type1_accept
     bound = 4 * math.sqrt(2 * max(shortfall, 0.0)) + DEFAULT_TOLERANCES["datta1_slack"]
     witness = math.exp(n * cert) * sigma_n.matrix - state.matrix
     if float(np.linalg.eigvalsh(witness).min()) < -1e-9:
@@ -147,9 +156,11 @@ def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int
     """Largest-fidelity state obeying state <= e^{na} sigma_n by spectral
     capping in the sigma-weighted frame, trace deficit refilled from the
     remaining room e^{na} sigma_n - capped."""
-    m = math.exp(n * a) * sigma_n.matrix
-    msq = matrix_function(m, np.sqrt, support_only=True)
-    misq = matrix_function(m, lambda v: 1 / np.sqrt(v), support_only=True)
+    scale = math.exp(n * a)
+    m = scale * sigma_n.matrix
+    m_eigen = EigenSystem(scale * sigma_n.eigen.eigenvalues, sigma_n.eigen.eigenvectors)
+    msq = matrix_function(m_eigen, np.sqrt, support_only=True)
+    misq = matrix_function(m_eigen, lambda v: 1 / np.sqrt(v), support_only=True)
     c = misq @ rho_n.matrix @ misq
     w, v = eigh((c + c.conj().T) / 2)
     capped = (v * np.minimum(np.maximum(w, 0.0), 1.0)) @ v.conj().T
@@ -230,10 +241,8 @@ class ConversionChannel:
     preparation: Preparation
 
     def apply(self, state_n: DensityMatrix) -> DensityMatrix:
-        probs = np.array([float(np.trace(e @ state_n.matrix).real) for e in self.measurement.effects])
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
-        return cq_apply(self.preparation, ClassicalDistribution(probs))
+        probs = measure(self.measurement, state_n).probs
+        return cq_apply(self.preparation, ClassicalDistribution(probs / probs.sum()))
 
 
 @dataclass(frozen=True, eq=False)

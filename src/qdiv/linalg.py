@@ -1,8 +1,10 @@
 """Dense complex Hermitian linear algebra used by every other module.
 
-All functions accept and return plain complex ndarrays. Eigendecompositions
-are deterministic: ascending eigenvalues with each eigenvector's phase fixed
-so its largest-magnitude component is real positive.
+All functions accept and return plain complex ndarrays; the matrix functions
+and the support projector also accept an EigenSystem, so a matrix that is
+already decomposed is not decomposed again. Eigendecompositions are
+deterministic: ascending eigenvalues with each eigenvector's phase fixed so
+its largest-magnitude component is real positive.
 """
 
 from typing import Callable, NamedTuple
@@ -10,8 +12,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import HERMITICITY_RTOL, PSD_CLIP_RTOL, SUPPORT_RTOL
-from .errors import (EigenSolverError, FactorSolveError, MatrixDomainError,
-                     PSDViolationError, RankError)
+from .errors import (EigenSolverError, MatrixDomainError, PSDViolationError,
+                     RankError)
 
 
 class EigenSystem(NamedTuple):
@@ -47,7 +49,12 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
 
 def eigh(h: np.ndarray) -> EigenSystem:
     """Deterministic Hermitian eigendecomposition, eigenvalues ascending."""
-    h = check_hermitian(h, what="eigh input")
+    return eigh_hermitian(check_hermitian(h, what="eigh input"))
+
+
+def eigh_hermitian(h: np.ndarray) -> EigenSystem:
+    """eigh of a matrix that check_hermitian has already returned, without
+    checking it again."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -70,11 +77,15 @@ def clip_psd_eigenvalues(w: np.ndarray, what: str = "matrix") -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def matrix_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
+def _eigen(h: np.ndarray | EigenSystem) -> EigenSystem:
+    return h if isinstance(h, EigenSystem) else eigh(h)
+
+
+def matrix_function(h: np.ndarray | EigenSystem, fn: Callable[[np.ndarray], np.ndarray],
                     support_only: bool = False) -> np.ndarray:
     """V diag(fn(w)) V^dag; with support_only, fn acts on eigenvalues above
     the support cutoff and the rest map to zero."""
-    w, v = eigh(h)
+    w, v = _eigen(h)
     if support_only:
         cut = support_cutoff(w)
         keep = w > cut
@@ -94,34 +105,29 @@ def matrix_function(h: np.ndarray, fn: Callable[[np.ndarray], np.ndarray],
     return (v * fw) @ v.conj().T
 
 
-def sqrtm_psd(h: np.ndarray) -> np.ndarray:
+def sqrtm_psd(h: np.ndarray | EigenSystem) -> np.ndarray:
     return matrix_function(h, np.sqrt, support_only=True)
 
 
-def pinv_psd(h: np.ndarray) -> np.ndarray:
+def pinv_psd(h: np.ndarray | EigenSystem) -> np.ndarray:
     """Moore-Penrose inverse of a PSD matrix via its support."""
     return matrix_function(h, lambda x: 1.0 / x, support_only=True)
 
 
-def logm_support(h: np.ndarray) -> np.ndarray:
+def logm_support(h: np.ndarray | EigenSystem) -> np.ndarray:
     """Logarithm on the support of a PSD matrix, zero on the kernel."""
     return matrix_function(h, np.log, support_only=True)
 
 
-def positive_part(h: np.ndarray) -> np.ndarray:
+def positive_part(h: np.ndarray | EigenSystem) -> np.ndarray:
     return matrix_function(h, lambda x: np.maximum(x, 0.0))
 
 
-def support_projector(h: np.ndarray) -> np.ndarray:
-    w, v = eigh(h)
+def support_projector(h: np.ndarray | EigenSystem) -> np.ndarray:
+    w, v = _eigen(h)
     keep = w > support_cutoff(w)
     cols = v[:, keep]
     return cols @ cols.conj().T
-
-
-def support_rank(h: np.ndarray) -> int:
-    w, _ = eigh(h)
-    return int(np.sum(w > support_cutoff(w)))
 
 
 def polar_unitary(t: np.ndarray) -> np.ndarray:
@@ -153,49 +159,3 @@ def trace_norm(m: np.ndarray) -> float:
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
-
-def hermitian_factor_solve(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Hermitian L with B L = A, when A B^dag is Hermitian and im A <= im B.
-
-    Construction mirrors the existence proof: compact SVD B = U X V, a row
-    frame Vt for the complement of V's row space, a least-squares C with
-    A = B C, and
-        L = V^dag X^-1 U^dag A B^dag U X^-1 V
-            + Vt^dag Vt C^dag V^dag V + V^dag V C Vt^dag Vt.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: A {a.shape} vs B {b.shape}")
-    scale = max(float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)), 1.0)
-
-    ab = a @ b.conj().T
-    defect = hermitian_defect(ab)
-    if defect > tol * scale * scale:
-        raise FactorSolveError(f"A B^dag is not Hermitian: residual {defect:.3e}")
-
-    u_full, s, vh_full = np.linalg.svd(b)
-    rank = int(np.sum(s > SUPPORT_RTOL * s[0])) if s.size and s[0] > 0 else 0
-    if rank == 0:
-        raise FactorSolveError("B is zero; factor solve undefined")
-    u, x, v = u_full[:, :rank], s[:rank], vh_full[:rank, :]
-    vt = vh_full[rank:, :]
-
-    # image containment: (1 - P_B) A must vanish
-    pb = u @ u.conj().T
-    resid = frobenius(a - pb @ a)
-    if resid > tol * scale:
-        raise FactorSolveError(f"im A not contained in im B: projector residual {resid:.3e}")
-
-    c = np.linalg.lstsq(b, a, rcond=None)[0]
-    xinv = 1.0 / x
-    core = (v.conj().T * xinv) @ u.conj().T @ ab @ u @ (xinv[:, None] * v)
-    pv = v.conj().T @ v
-    pvt = vt.conj().T @ vt if vt.size else np.zeros_like(pv)
-    l = core + pvt @ c.conj().T @ pv + pv @ c @ pvt
-    l = (l + l.conj().T) / 2
-
-    err = frobenius(b @ l - a)
-    if err > tol * (1 + frobenius(a)):
-        raise FactorSolveError(f"factor solve residual {err:.3e} exceeds tolerance")
-    return l

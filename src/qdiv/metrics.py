@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, SUPPORT_RTOL
 from .errors import RankError, SupportViolationError
-from .linalg import (eigh, frobenius, matrix_function, pinv_psd,
+from .linalg import (EigenSystem, eigh, frobenius, matrix_function, pinv_psd,
                      support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      TangentDirection, measure, measure_tangent)
@@ -155,7 +155,7 @@ def classical_fisher_scalar(p: ClassicalDistribution, dp: np.ndarray) -> float:
 def sld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     """Symmetric logarithmic derivative: L_jk = 2 X_jk / (lam_j + lam_k) in
     rho's eigenbasis, zero-filled where the denominator vanishes."""
-    lam, v = rho.eigensystem()
+    lam, v = rho.eigen
     xt = v.conj().T @ x.matrix @ v
     den = lam[:, None] + lam[None, :]
     cut = SUPPORT_RTOL * max(float(lam.max()), 0.0)
@@ -172,13 +172,13 @@ def sld_defect(rho: DensityMatrix, x: TangentDirection, l: np.ndarray) -> float:
 def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     """Right logarithmic derivative L = X rho^-1; exists iff X lives on the
     support of rho."""
-    proj = support_projector(rho.matrix)
+    proj = support_projector(rho.eigen)
     comp = np.eye(rho.dim) - proj
     resid = frobenius(comp @ x.matrix @ comp)
     if resid > _OP_RESID:
         raise SupportViolationError(
             f"tangent leaks off the support of rho (residual {resid:.3e}): RLD does not exist")
-    l = proj @ x.matrix @ pinv_psd(rho.matrix)
+    l = proj @ x.matrix @ pinv_psd(rho.eigen)
     err = frobenius(l @ rho.matrix - proj @ x.matrix @ proj)
     if err > 1e-9 * (1 + frobenius(x.matrix)):
         raise SupportViolationError(f"RLD residual {err:.3e} exceeds tolerance")
@@ -189,18 +189,24 @@ def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
 # the metric family
 
 
+def _petz_form(spec: MetricSpec, lam: np.ndarray, xt: np.ndarray, yt: np.ndarray) -> complex:
+    """sum conj(X_jk) Y_jk / (lam_k f(lam_j / lam_k)), with X and Y written
+    in the eigenbasis of lam."""
+    ratio = lam[:, None] / lam[None, :]
+    kernel = 1.0 / (lam[None, :] * np.asarray(spec.f(ratio), dtype=float))
+    return np.sum(np.conj(xt) * yt * kernel)
+
+
 def petz_metric(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection,
                 y: TangentDirection | None = None) -> complex:
     """Metric value g^f_rho(X, Y); real for X = Y."""
     y = x if y is None else y
-    lam, v = rho.eigensystem()
+    lam, v = rho.eigen
     if lam[0] <= SUPPORT_RTOL * lam[-1]:
         raise RankError("petz_metric needs full-rank rho; restrict to the support first")
     xt = v.conj().T @ x.matrix @ v
     yt = v.conj().T @ y.matrix @ v
-    ratio = lam[:, None] / lam[None, :]
-    kernel = 1.0 / (lam[None, :] * np.asarray(spec.f(ratio), dtype=float))
-    return complex(np.sum(np.conj(xt) * yt * kernel))
+    return complex(_petz_form(spec, lam, xt, yt))
 
 
 def metric_scalar(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> float:
@@ -210,7 +216,7 @@ def metric_scalar(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> 
 def sld_optimal_measurement(rho: DensityMatrix, x: TangentDirection) -> tuple[Measurement, float]:
     """Projective measurement in the SLD eigenbasis; its classical Fisher
     information equals the SLD metric value."""
-    lam, _ = rho.eigensystem()
+    lam, _ = rho.eigen
     if lam[0] <= SUPPORT_RTOL * lam[-1]:
         raise RankError("sld_optimal_measurement needs full-rank rho")
     l = sld_operator(rho, x)
@@ -239,32 +245,32 @@ def rld_matrix(rho: DensityMatrix, tangents: Sequence[TangentDirection]) -> np.n
     return j
 
 
-def _check_weight(g: np.ndarray) -> np.ndarray:
+def _weighted_imag(g: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
+    """The weight G, checked real symmetric PSD, its eigensystem, and
+    K = sqrt(G) Im J sqrt(G)."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or np.abs(g - g.T).max() > 1e-10:
         raise ValueError("weight matrix must be real symmetric")
-    w = np.linalg.eigvalsh(g)
+    eg = eigh(g.astype(complex))
+    w = eg.eigenvalues
     if w.min() < -1e-12 * max(abs(w).max(), 1.0):
         raise ValueError(f"weight matrix must be PSD, min eigenvalue {w.min():.3e}")
-    return g
+    sg = matrix_function(eg, np.sqrt, support_only=True).real
+    return g, eg, sg @ np.imag(j) @ sg
 
 
 def holevo_rld_bound(g: np.ndarray, j: np.ndarray) -> float:
     """tr(G Re J) + trace norm of sqrt(G) Im J sqrt(G), the scalarized lower
     bound on any real Fisher matrix dominating J."""
-    g = _check_weight(g)
-    sg = matrix_function(g.astype(complex), np.sqrt, support_only=True).real
-    k = sg @ np.imag(j) @ sg
+    g, _, k = _weighted_imag(g, j)
     return float(np.trace(g @ np.real(j)) + trace_norm(k))
 
 
 def holevo_rld_minimizer(g: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Real symmetric J* >= J attaining the bound: Re J + G^-1/2 |K| G^-1/2
     with K = sqrt(G) Im J sqrt(G)."""
-    g = _check_weight(g)
-    sg = matrix_function(g.astype(complex), np.sqrt, support_only=True).real
-    isg = matrix_function(g.astype(complex), lambda v: 1 / np.sqrt(v), support_only=True).real
-    k = sg @ np.imag(j) @ sg
+    _, eg, k = _weighted_imag(g, j)
+    isg = matrix_function(eg, lambda v: 1 / np.sqrt(v), support_only=True).real
     k = (k - k.T) / 2   # antisymmetric by construction; drop roundoff dust
     absk = matrix_function((1j * k).astype(complex), np.abs)
     return np.real(np.real(j) + isg @ absk @ isg)
@@ -287,7 +293,7 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     for nm, state in (("rho", rho), ("sigma", sigma)):
-        lam, _ = state.eigensystem()
+        lam, _ = state.eigen
         if lam[0] <= SUPPORT_RTOL * lam[-1]:
             raise RankError(f"integral_divergence needs full-rank states; {nm} is singular")
     diff = rho.matrix - sigma.matrix
@@ -298,9 +304,7 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
         for xi, wi in zip(0.5 * (xs + 1), 0.5 * ws):
             lam, v = eigh(xi * rho.matrix + (1 - xi) * sigma.matrix)
             xt = v.conj().T @ diff @ v
-            ratio = lam[:, None] / lam[None, :]
-            kernel = 1.0 / (lam[None, :] * np.asarray(spec.f(ratio), dtype=float))
-            total += wi * (1 - xi) * float(np.sum(np.conj(xt) * xt * kernel).real)
+            total += wi * (1 - xi) * float(_petz_form(spec, lam, xt, xt).real)
         return total
 
     step_tol = DEFAULT_TOLERANCES["quadrature_step"]

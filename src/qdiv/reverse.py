@@ -14,8 +14,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .errors import SupportViolationError
 from .divergences import kl
-from .linalg import (eigh, frobenius, pinv_psd, polar_unitary, sqrtm_psd,
-                     support_cutoff)
+from .linalg import (eigh, frobenius, matrix_function, polar_unitary,
+                     sqrtm_psd, support_cutoff)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
                      QuantumChannel, TangentDirection, apply_channel)
@@ -57,8 +57,8 @@ class ReverseEstimation:
 
 
 def _common_support_isometry(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    wr, vr = rho.eigensystem()
-    ws, vs = sigma.eigensystem()
+    wr, vr = rho.eigen
+    ws, vs = sigma.eigen
     keep_r = wr > support_cutoff(wr)
     keep_s = ws > support_cutoff(ws)
     if keep_r.sum() != keep_s.sum():
@@ -86,8 +86,9 @@ def parallel_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> Parallel
     r = iso.conj().T @ rho.matrix @ iso
     s = iso.conj().T @ sigma.matrix @ iso
 
-    sr_r, sr_s = sqrtm_psd(r), sqrtm_psd(s)
-    t = pinv_psd(sr_s) @ sr_r
+    es = eigh(s)
+    sr_s = sqrtm_psd(es)
+    t = matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrtm_psd(r)
     u = polar_unitary(t)
     x = t @ u
     d, v = eigh((x + x.conj().T) / 2)
@@ -157,7 +158,7 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
     reverse derivative A with W A W^dag = X, rotate W so A is diagonal; the
     column norms give p, and dp = p * diag(A).
     """
-    lam, e = rho.eigensystem()
+    lam, e = rho.eigen
     keep = lam > support_cutoff(lam)
     lam, e = lam[keep], e[:, keep]
     comp = np.eye(rho.dim) - e @ e.conj().T

@@ -74,16 +74,6 @@ def load_state(path: str) -> DensityMatrix:
         return state_from_dict(json.load(fh))
 
 
-def load_channel(path: str) -> QuantumChannel:
-    with open(path) as fh:
-        return channel_from_dict(json.load(fh))
-
-
-def load_distribution(path: str) -> ClassicalDistribution:
-    with open(path) as fh:
-        return distribution_from_dict(json.load(fh))
-
-
 def load_hermitian(path: str) -> np.ndarray:
     """Tangent-direction file: same layout as a state, no trace constraint."""
     with open(path) as fh:

@@ -5,9 +5,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, derive_seed, dimension_cap
-from .errors import DimensionCapError, ValidationError
-from .linalg import check_hermitian, clip_psd_eigenvalues, eigh
+from .config import DEFAULT_TOLERANCES, dimension_cap
+from .errors import DimensionCapError, PSDViolationError, ValidationError
+from .linalg import (EigenSystem, check_hermitian, clip_psd_eigenvalues,
+                     eigh_hermitian)
 
 _TRACE_TOL = DEFAULT_TOLERANCES["trace"]
 _COMPLETE_TOL = DEFAULT_TOLERANCES["completeness"]
@@ -18,31 +19,32 @@ class DensityMatrix:
     """Positive semidefinite, unit-trace Hermitian matrix.
 
     Roundoff-negative eigenvalues are clipped at construction; genuinely
-    negative spectra are rejected.
+    negative spectra are rejected. `eigen` is the eigendecomposition that
+    validation computed, with the clipped eigenvalues, so that
+    (v * w) @ v^dag is `matrix`.
     """
 
     matrix: np.ndarray
+    eigen: EigenSystem = field(init=False, repr=False)
 
     def __post_init__(self):
         m = check_hermitian(self.matrix, what="density matrix")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
-        w, v = eigh(m)
+        w, v = eigh_hermitian(m)
         if w.min() < 0.0:
             try:
                 w = clip_psd_eigenvalues(w, what="density matrix")
-            except Exception as exc:
+            except PSDViolationError as exc:
                 raise ValidationError(str(exc)) from exc
             m = (v * w) @ v.conj().T
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigen", EigenSystem(w, v))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def eigensystem(self):
-        return eigh(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +182,22 @@ def cq_apply(prep: Preparation, p: ClassicalDistribution) -> DensityMatrix:
     return DensityMatrix(out)
 
 
+def _pushforward(m: Measurement, a: np.ndarray) -> np.ndarray:
+    """tr(E_k A) for each effect E_k."""
+    return np.array([float(np.trace(e @ a).real) for e in m.effects])
+
+
 def measure(m: Measurement, rho: DensityMatrix) -> ClassicalDistribution:
     if m.dim != rho.dim:
         raise ValueError(f"measurement dim {m.dim} != state dim {rho.dim}")
-    probs = np.array([float(np.trace(e @ rho.matrix).real) for e in m.effects])
-    return ClassicalDistribution(probs)
+    return ClassicalDistribution(_pushforward(m, rho.matrix))
 
 
 def measure_tangent(m: Measurement, x: TangentDirection) -> np.ndarray:
     """Pushforward of a tangent: d p_k = tr(E_k X)."""
     if m.dim != x.dim:
         raise ValueError(f"measurement dim {m.dim} != tangent dim {x.dim}")
-    return np.array([float(np.trace(e @ x.matrix).real) for e in m.effects])
+    return _pushforward(m, x.matrix)
 
 
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
@@ -204,13 +210,6 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     for _ in range(n - 1):
         out = np.kron(out, rho.matrix)
     return DensityMatrix(out)
-
-
-def kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +272,3 @@ def random_commuting_pair(dim: int, seed: int = 0) -> tuple[DensityMatrix, Densi
     rho = DensityMatrix(u @ np.diag(p).astype(complex) @ u.conj().T)
     sigma = DensityMatrix(u @ np.diag(q).astype(complex) @ u.conj().T)
     return rho, sigma, p, q
-
-
-def trial_seed(master: int, index: int) -> int:
-    """Per-trial seed stream; see config.derive_seed."""
-    return derive_seed(master, index)

@@ -1,13 +1,12 @@
 """Core dense linear algebra: eigendecomposition, matrix functions, polar
-direction, trace norm, and the Hermitian factor solve."""
+direction, and trace norm."""
 
 import numpy as np
 import pytest
 
-from qdiv.errors import FactorSolveError, MatrixDomainError, RankError
-from qdiv.linalg import (eigh, hermitian_factor_solve, logm_support,
-                         matrix_function, pinv_psd, polar_unitary,
-                         sqrtm_psd, trace_norm)
+from qdiv.errors import MatrixDomainError, RankError
+from qdiv.linalg import (eigh, logm_support, matrix_function, pinv_psd,
+                         polar_unitary, sqrtm_psd, trace_norm)
 from qdiv.states import ginibre
 
 from oracles import eig2_closed_form
@@ -140,61 +139,3 @@ class TestTraceNorm:
         prod = sqrtm_psd(half) @ sqrtm_psd(half)
         assert trace_norm(prod) == pytest.approx(1.0)
 
-
-class TestHermitianFactorSolve:
-    def test_identity_case(self):
-        rng = np.random.default_rng(23)
-        b = ginibre(3, 3, rng) + 3 * np.eye(3)
-        l = hermitian_factor_solve(b, b)
-        np.testing.assert_allclose(l, np.eye(3), atol=1e-9)
-
-    def test_scaling(self):
-        rng = np.random.default_rng(29)
-        b = ginibre(3, 3, rng) + 3 * np.eye(3)
-        l = hermitian_factor_solve(2 * b, b)
-        np.testing.assert_allclose(l, 2 * np.eye(3), atol=1e-9)
-
-    def test_tall_rectangular_roundtrip(self):
-        rng = np.random.default_rng(31)
-        b = ginibre(3, 2, rng)
-        g = ginibre(2, 2, rng)
-        l0 = (g + g.conj().T) / 2
-        a = b @ l0
-        l = hermitian_factor_solve(a, b)
-        assert np.abs(l - l.conj().T).max() <= 1e-10
-        assert np.linalg.norm(b @ l - a) <= 1e-9 * (1 + np.linalg.norm(a))
-
-    def test_200_random_roundtrips(self):
-        rng = np.random.default_rng(37)
-        for k in range(200):
-            d = int(rng.integers(2, 5))
-            dp = int(rng.integers(d, d + 3))
-            b = ginibre(d, dp, rng)
-            g = ginibre(dp, dp, rng)
-            l0 = (g + g.conj().T) / 2
-            a = b @ l0
-            l = hermitian_factor_solve(a, b)
-            assert np.abs(l - l.conj().T).max() <= 1e-9
-            assert np.linalg.norm(b @ l - a) <= 1e-9 * (1 + np.linalg.norm(a))
-
-    def test_rank_deficient_b(self):
-        rng = np.random.default_rng(41)
-        b = ginibre(4, 2, rng) @ ginibre(2, 5, rng)   # rank 2, 4x5
-        g = ginibre(5, 5, rng)
-        l0 = (g + g.conj().T) / 2
-        a = b @ l0
-        l = hermitian_factor_solve(a, b)
-        assert np.abs(l - l.conj().T).max() <= 1e-9
-        assert np.linalg.norm(b @ l - a) <= 1e-9 * (1 + np.linalg.norm(a))
-
-    def test_rejects_non_hermitian_product(self):
-        b = np.eye(2, dtype=complex)
-        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(FactorSolveError, match="Hermitian"):
-            hermitian_factor_solve(a, b)
-
-    def test_rejects_image_escape(self):
-        b = np.diag([1.0, 0.0]).astype(complex)
-        a = np.diag([0.0, 1.0]).astype(complex)
-        with pytest.raises(FactorSolveError, match="im A"):
-            hermitian_factor_solve(a, b)

@@ -1,11 +1,14 @@
 """Quantum object constructors, channel/measurement operations, tensor
 powers, and the seeded random generators."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from qdiv.config import derive_seed
 from qdiv.errors import DimensionCapError, ValidationError
+from qdiv.linalg import eigh
 from qdiv.states import (ClassicalDistribution, DensityMatrix, Measurement,
                          Preparation, QuantumChannel, TangentDirection,
                          apply_channel, apply_channel_tangent, cq_apply,
@@ -25,6 +28,23 @@ class TestConstructors:
     def test_density_clips_roundoff(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         assert np.linalg.eigvalsh(rho.matrix).min() >= 0.0
+
+    def test_density_keeps_validation_eigensystem(self):
+        rho = random_density(4, seed=17)
+        w, v = eigh(rho.matrix)
+        assert np.array_equal(rho.eigen.eigenvalues, w)
+        assert np.array_equal(rho.eigen.eigenvectors, v)
+
+    def test_density_eigensystem_after_clip(self):
+        rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
+        w, v = rho.eigen
+        assert w.min() >= 0.0
+        np.testing.assert_allclose((v * w) @ v.conj().T, rho.matrix, rtol=0, atol=1e-15)
+
+    def test_density_eigensystem_is_frozen(self):
+        rho = random_density(2, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            rho.eigen = eigh(np.eye(2, dtype=complex) / 2)
 
     def test_tangent_rejects_trace(self):
         with pytest.raises(ValidationError, match="trace"):
