@@ -34,11 +34,8 @@ def _emit(out: dict) -> None:
 def _cmd_divergence(args) -> int:
     rho = load_state(args.rho)
     sigma = load_state(args.sigma)
-    if args.kind == "umegaki":
-        rep = umegaki(rho, sigma)
-        out = {"kind": args.kind, "value": rep.value, "support_condition": rep.support_condition}
-    elif args.kind == "rld":
-        rep = rld_entropy(rho, sigma)
+    if args.kind in ("umegaki", "rld"):
+        rep = (umegaki if args.kind == "umegaki" else rld_entropy)(rho, sigma)
         out = {"kind": args.kind, "value": rep.value, "support_condition": rep.support_condition}
     elif args.kind == "dmax":
         out = {"kind": args.kind, "value": dmax(rho, sigma)}

@@ -14,7 +14,7 @@ from .config import DEFAULT_TOLERANCES
 from .linalg import (eigh, frobenius, logm_support, matrix_function,
                      pinv_psd, sqrtm_psd, support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     random_unitary)
+                     basis_measurement, random_unitary)
 
 SUPPORT_CONTAINED = "contained"
 SUPPORT_EQUAL = "equal"
@@ -42,6 +42,7 @@ class DivergenceReport:
 
 def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     """Classify supp(rho) vs supp(sigma) by projector residuals."""
+    _check_dims(rho, sigma)
     proj_s = support_projector(sigma.eigen)
     comp = np.eye(rho.dim) - proj_s
     leak = frobenius(comp @ rho.matrix @ comp)
@@ -77,7 +78,6 @@ def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 
 def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
     """tr rho (ln rho - ln sigma), logarithms restricted to supports."""
-    _check_dims(rho, sigma)
     rel = support_relation(rho, sigma)
     if rel == SUPPORT_VIOLATED:
         return DivergenceReport(math.inf, rel, ("support of rho escapes support of sigma",))
@@ -87,7 +87,6 @@ def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
 
 def rld_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
     """tr rho ln(sqrt(rho) sigma^-1 sqrt(rho)), the upper admissible divergence."""
-    _check_dims(rho, sigma)
     rel = support_relation(rho, sigma)
     if rel == SUPPORT_VIOLATED:
         return DivergenceReport(math.inf, rel, ("support of rho escapes support of sigma",))
@@ -117,7 +116,6 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     The smallest a with rho <= e^a sigma; +inf when sigma's support does not
     carry rho.
     """
-    _check_dims(rho, sigma)
     if support_relation(rho, sigma) == SUPPORT_VIOLATED:
         return math.inf
     isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
@@ -133,15 +131,10 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # measured divergence lower bound
 
 
-def _basis_measurement(v: np.ndarray) -> Measurement:
-    d = v.shape[0]
-    return Measurement(tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(d)))
-
-
 def _projective_kl(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
     p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
     q = np.einsum("ik,ij,jk->k", v.conj(), sigma, v).real
-    return _kl_sum(np.maximum(p, 0.0), np.maximum(q, 0.0))
+    return _kl_sum(np.where(p > 1e-300, p, 0.0), np.maximum(q, 0.0))
 
 
 def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
@@ -195,4 +188,4 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
             if stale >= 12:
                 step = max(step * 0.5, 1e-4)
                 stale = 0
-    return best, _basis_measurement(best_v)
+    return best, basis_measurement(best_v)

@@ -38,8 +38,7 @@ class TestCurvePoint:
 def np_projector(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
     """Projector onto the non-positive eigenspace of rho_n - e^{na} sigma_n,
     with the exact acceptance/error traces at threshold a."""
-    _, proj, pt = _ratio_test(rho_n, sigma_n, a, n)
-    return proj, pt
+    return _ratio_test(rho_n, sigma_n, a, n)[1:]
 
 
 def _ratio_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float,
@@ -72,9 +71,6 @@ class _AcceptCurve:
             self._cache[a] = np_projector(self.rho_n, self.sigma_n, a, self.n)[1]
         return self._cache[a]
 
-    def accept(self, a: float) -> float:
-        return self.point(a).type1_accept
-
 
 def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float,
                     width: float = _GRID_WIDTH) -> float:
@@ -89,7 +85,7 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
     target = 1 - eps
     while True:
         grid = np.linspace(lo, hi, 17)
-        hit = next((i for i, a in enumerate(grid) if curve.accept(float(a)) >= target), None)
+        hit = next((i for i, a in enumerate(grid) if curve.point(float(a)).type1_accept >= target), None)
         if hit is None:
             raise QdivError(f"acceptance never reaches {target} on [{lo}, {hi}] at n={n}")
         step = float(grid[1] - grid[0])

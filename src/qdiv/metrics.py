@@ -16,7 +16,8 @@ from .errors import RankError, SupportViolationError
 from .linalg import (EigenSystem, eigh, frobenius, matrix_function, pinv_psd,
                      support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     TangentDirection, measure, measure_tangent)
+                     TangentDirection, basis_measurement, measure,
+                     measure_tangent)
 
 _OP_RESID = DEFAULT_TOLERANCES["operator_residual"]
 
@@ -189,9 +190,12 @@ def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
 # the metric family
 
 
-def _petz_form(spec: MetricSpec, lam: np.ndarray, xt: np.ndarray, yt: np.ndarray) -> complex:
+def _petz_form(spec: MetricSpec, eigen: EigenSystem, x: np.ndarray, y: np.ndarray) -> complex:
     """sum conj(X_jk) Y_jk / (lam_k f(lam_j / lam_k)), with X and Y written
-    in the eigenbasis of lam."""
+    in the eigenbasis of `eigen`."""
+    lam, v = eigen
+    xt = v.conj().T @ x @ v
+    yt = xt if y is x else v.conj().T @ y @ v
     ratio = lam[:, None] / lam[None, :]
     kernel = 1.0 / (lam[None, :] * np.asarray(spec.f(ratio), dtype=float))
     return np.sum(np.conj(xt) * yt * kernel)
@@ -201,12 +205,10 @@ def petz_metric(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection,
                 y: TangentDirection | None = None) -> complex:
     """Metric value g^f_rho(X, Y); real for X = Y."""
     y = x if y is None else y
-    lam, v = rho.eigen
+    lam = rho.eigen.eigenvalues
     if lam[0] <= SUPPORT_RTOL * lam[-1]:
         raise RankError("petz_metric needs full-rank rho; restrict to the support first")
-    xt = v.conj().T @ x.matrix @ v
-    yt = v.conj().T @ y.matrix @ v
-    return complex(_petz_form(spec, lam, xt, yt))
+    return complex(_petz_form(spec, rho.eigen, x.matrix, y.matrix))
 
 
 def metric_scalar(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> float:
@@ -219,10 +221,7 @@ def sld_optimal_measurement(rho: DensityMatrix, x: TangentDirection) -> tuple[Me
     lam, _ = rho.eigen
     if lam[0] <= SUPPORT_RTOL * lam[-1]:
         raise RankError("sld_optimal_measurement needs full-rank rho")
-    l = sld_operator(rho, x)
-    _, basis = eigh(l)
-    effects = tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(rho.dim))
-    m = Measurement(effects)
+    m = basis_measurement(eigh(sld_operator(rho, x)).eigenvectors)
     p = measure(m, rho)
     dp = measure_tangent(m, x)
     achieved = classical_fisher_scalar(p, dp - dp.sum() / dp.size)
@@ -245,8 +244,8 @@ def rld_matrix(rho: DensityMatrix, tangents: Sequence[TangentDirection]) -> np.n
     return j
 
 
-def _weighted_imag(g: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, EigenSystem, np.ndarray]:
-    """The weight G, checked real symmetric PSD, its eigensystem, and
+def _weighted_imag(g: np.ndarray, j: np.ndarray) -> tuple[EigenSystem, np.ndarray]:
+    """The eigensystem of the weight G, checked real symmetric PSD, and
     K = sqrt(G) Im J sqrt(G)."""
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or np.abs(g - g.T).max() > 1e-10:
@@ -256,20 +255,20 @@ def _weighted_imag(g: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, EigenSyste
     if w.min() < -1e-12 * max(abs(w).max(), 1.0):
         raise ValueError(f"weight matrix must be PSD, min eigenvalue {w.min():.3e}")
     sg = matrix_function(eg, np.sqrt, support_only=True).real
-    return g, eg, sg @ np.imag(j) @ sg
+    return eg, sg @ np.imag(j) @ sg
 
 
 def holevo_rld_bound(g: np.ndarray, j: np.ndarray) -> float:
     """tr(G Re J) + trace norm of sqrt(G) Im J sqrt(G), the scalarized lower
     bound on any real Fisher matrix dominating J."""
-    g, _, k = _weighted_imag(g, j)
-    return float(np.trace(g @ np.real(j)) + trace_norm(k))
+    _, k = _weighted_imag(g, j)
+    return float(np.trace(np.asarray(g, dtype=float) @ np.real(j)) + trace_norm(k))
 
 
 def holevo_rld_minimizer(g: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Real symmetric J* >= J attaining the bound: Re J + G^-1/2 |K| G^-1/2
     with K = sqrt(G) Im J sqrt(G)."""
-    _, eg, k = _weighted_imag(g, j)
+    eg, k = _weighted_imag(g, j)
     isg = matrix_function(eg, lambda v: 1 / np.sqrt(v), support_only=True).real
     k = (k - k.T) / 2   # antisymmetric by construction; drop roundoff dust
     absk = matrix_function((1j * k).astype(complex), np.abs)
@@ -302,9 +301,8 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
         xs, ws = np.polynomial.legendre.leggauss(n_nodes)
         total = 0.0
         for xi, wi in zip(0.5 * (xs + 1), 0.5 * ws):
-            lam, v = eigh(xi * rho.matrix + (1 - xi) * sigma.matrix)
-            xt = v.conj().T @ diff @ v
-            total += wi * (1 - xi) * float(_petz_form(spec, lam, xt, xt).real)
+            node = eigh(xi * rho.matrix + (1 - xi) * sigma.matrix)
+            total += wi * (1 - xi) * float(_petz_form(spec, node, diff, diff).real)
         return total
 
     step_tol = DEFAULT_TOLERANCES["quadrature_step"]

@@ -24,10 +24,6 @@ def _matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _vector_to_json(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
 def state_to_dict(rho: DensityMatrix) -> dict:
     return {"dim": rho.dim, "matrix": _matrix_to_json(rho.matrix)}
 
@@ -63,7 +59,7 @@ def distribution_from_dict(data: dict) -> ClassicalDistribution:
 
 
 def reverse_test_to_dict(rt) -> dict:
-    return {"frame": [_vector_to_json(rt.frame[:, x]) for x in range(rt.frame.shape[1])],
+    return {"frame": _matrix_to_json(rt.frame.T),   # one row per frame vector
             "p": [float(v) for v in rt.p.probs],
             "q": [float(v) for v in rt.q.probs],
             "input_kl": float(rt.input_kl)}

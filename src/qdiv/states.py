@@ -182,22 +182,20 @@ def cq_apply(prep: Preparation, p: ClassicalDistribution) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def _pushforward(m: Measurement, a: np.ndarray) -> np.ndarray:
-    """tr(E_k A) for each effect E_k."""
-    return np.array([float(np.trace(e @ a).real) for e in m.effects])
-
-
 def measure(m: Measurement, rho: DensityMatrix) -> ClassicalDistribution:
-    if m.dim != rho.dim:
-        raise ValueError(f"measurement dim {m.dim} != state dim {rho.dim}")
-    return ClassicalDistribution(_pushforward(m, rho.matrix))
+    return ClassicalDistribution(measure_tangent(m, rho))
 
 
-def measure_tangent(m: Measurement, x: TangentDirection) -> np.ndarray:
-    """Pushforward of a tangent: d p_k = tr(E_k X)."""
+def measure_tangent(m: Measurement, x: TangentDirection | DensityMatrix) -> np.ndarray:
+    """Pushforward of a tangent, d p_k = tr(E_k X); of a state, p_k."""
     if m.dim != x.dim:
-        raise ValueError(f"measurement dim {m.dim} != tangent dim {x.dim}")
-    return _pushforward(m, x.matrix)
+        raise ValueError(f"measurement dim {m.dim} != input dim {x.dim}")
+    return np.array([float(np.trace(e @ x.matrix).real) for e in m.effects])
+
+
+def basis_measurement(v: np.ndarray) -> Measurement:
+    """Rank-1 projective measurement onto the columns of the unitary v."""
+    return Measurement(tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])))
 
 
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:

@@ -135,6 +135,13 @@ def _record(records, name, seed, digest, measured, bound, lower_is_pass=True, sl
                                float(margin), bool(margin >= 0)))
 
 
+def _trials(cfg: SuiteConfig, count: int | None = None, offset: int = 0):
+    """(seed, dim) of each trial: the seed derived from cfg.seed and
+    offset + t, the dimension cycling through cfg.dims."""
+    for t in range(cfg.trials if count is None else count):
+        yield derive_seed(cfg.seed, offset + t), cfg.dims[t % len(cfg.dims)]
+
+
 def _random_pair(dim, rng_seed):
     rho = random_density(dim, seed=derive_seed(rng_seed, 1))
     sigma = random_density(dim, seed=derive_seed(rng_seed, 2))
@@ -151,9 +158,7 @@ _METRIC_SPECS = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_me
 def _suite_monotonicity(cfg: SuiteConfig):
     records = []
     slack = cfg.tol("monotonicity_slack")
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         ch = random_cptp(dim, dim, seed=derive_seed(seed, 3))
         lr, ls = apply_channel(ch, rho), apply_channel(ch, sigma)
@@ -175,9 +180,7 @@ def _suite_monotonicity(cfg: SuiteConfig):
 def _suite_sandwich(cfg: SuiteConfig):
     records = []
     slack = cfg.tol("sandwich_slack")
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
         low, _ = measured_div_lower(rho, sigma, budget=cfg.budget, seed=derive_seed(seed, 5))
@@ -188,9 +191,7 @@ def _suite_sandwich(cfg: SuiteConfig):
     # normalization: the admissible divergences collapse to their classical
     # values on commuting pairs
     ntol = cfg.tol("normalization_match")
-    for t in range(max(cfg.trials // 4, 2)):
-        seed = derive_seed(cfg.seed, 10_000 + t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg, max(cfg.trials // 4, 2), 10_000):
         rho, sigma, p, q = random_commuting_pair(dim, seed=seed)
         dig = _digest(rho.matrix, sigma.matrix)
         classical = kl(ClassicalDistribution(p), ClassicalDistribution(q))
@@ -205,9 +206,7 @@ def _suite_sandwich(cfg: SuiteConfig):
 def _suite_joint_convexity(cfg: SuiteConfig):
     records = []
     slack = cfg.tol("joint_convexity_slack")
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         r0, s0 = _random_pair(dim, derive_seed(seed, 1))
         r1, s1 = _random_pair(dim, derive_seed(seed, 2))
         lam = np.random.default_rng(derive_seed(seed, 3)).uniform(0.05, 0.95)
@@ -226,9 +225,7 @@ def _suite_reverse_test(cfg: SuiteConfig):
     tol = cfg.tol("reverse_test_match")
     est_tol = cfg.tol("reverse_estimation_match")
     recon = cfg.tol("reconstruction")
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
         rt = optimal_reverse_test(rho, sigma)
@@ -276,9 +273,7 @@ def _suite_reverse_test(cfg: SuiteConfig):
 def _suite_integral_identities(cfg: SuiteConfig):
     records = []
     tol = cfg.tol("integral_identity")
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
         _record(records, "bkm-integral-is-umegaki", seed, dig,
@@ -287,9 +282,7 @@ def _suite_integral_identities(cfg: SuiteConfig):
         _record(records, "rld-integral-is-rld-divergence", seed, dig,
                 abs(integral_divergence(rld_metric(), rho, sigma) - rld_entropy(rho, sigma).value),
                 0.0, slack=tol)
-    for t in range(max(cfg.trials // 4, 2)):
-        seed = derive_seed(cfg.seed, 20_000 + t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg, max(cfg.trials // 4, 2), 20_000):
         rho, sigma, p, q = random_commuting_pair(dim, seed=seed)
         classical = kl(ClassicalDistribution(p), ClassicalDistribution(q))
         dig = _digest(rho.matrix, sigma.matrix)
@@ -306,9 +299,7 @@ def _suite_metric_ordering(cfg: SuiteConfig):
     hol = cfg.tol("holevo_bound_slack")
     imj = cfg.tol("imj_identity")
     chain = (sld_metric(), wy_metric(), bkm_metric(), rld_metric())
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         rho = random_density(dim, seed=derive_seed(seed, 1))
         x = random_tangent(dim, seed=derive_seed(seed, 2))
         dig = _digest(rho.matrix, x.matrix)
@@ -496,9 +487,7 @@ def _suite_fidelity_counterexample(cfg: SuiteConfig):
                (DensityMatrix(np.diag([0.999, 0.001]).astype(complex)),
                 DensityMatrix(np.diag([0.001, 0.999]).astype(complex)))]
     samples = [(fidelity_logdiv(r, s), umegaki(r, s).value) for r, s in anchors]
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, t)
-        dim = cfg.dims[t % len(cfg.dims)]
+    for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
         df = fidelity_logdiv(rho, sigma)

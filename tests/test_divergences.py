@@ -9,8 +9,9 @@ import pytest
 from qdiv import fixtures
 from qdiv.config import derive_seed
 from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL,
-                              SUPPORT_VIOLATED, dmax, fidelity_logdiv, kl,
-                              measured_div_lower, rld_entropy, umegaki)
+                              SUPPORT_VIOLATED, _projective_kl, dmax,
+                              fidelity_logdiv, kl, measured_div_lower,
+                              rld_entropy, umegaki)
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
                          random_commuting_pair, random_density)
 
@@ -200,6 +201,13 @@ class TestMeasuredLowerBound:
             val, m = measured_div_lower(rho, sigma, budget=120, seed=k)
             assert val <= umegaki(rho, sigma).value + 1e-8
             assert len(m.effects) == 3
+
+    def test_subnormal_outcome_weight_counts_as_zero(self):
+        # rho's weight 1e-310 on sigma's kernel is roundoff: the basis stays
+        # a finite candidate instead of scoring +inf
+        r = np.diag([1.0, 1e-310]).astype(complex)
+        s = np.diag([1.0, 0.0]).astype(complex)
+        assert _projective_kl(np.eye(2, dtype=complex), r, s) == 0.0
 
     def test_deterministic(self):
         rho = random_density(2, seed=90)
