@@ -37,5 +37,9 @@ class InfeasibleRateError(QdivError):
         self.min_rate = min_rate
 
 
+class ConvergenceError(QdivError):
+    """An iterative routine did not reach its tolerance."""
+
+
 class ValidationError(QdivError):
     """A value violates its type invariants (parsers and constructors)."""

@@ -197,9 +197,13 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     meets the rate by construction) substitutes. If neither certifies, the
     rate is infeasible at this n and the minimal feasible rate is raised.
     """
+    return _binary_reverse_test(tensor_power(rho, n), tensor_power(sigma, n), n, rate)
+
+
+def _binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, n: int, rate: float) -> BinaryReverseTest:
+    """asymptotic_reverse_test on the tensor powers rho_n and sigma_n."""
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
     sm = smooth_state(rho_n, sigma_n, rate, n)
     if sm.rate_certificate <= rate + 1e-12:
         state, cert, mode = sm.state, sm.rate_certificate, "plain"
@@ -281,8 +285,9 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
         return None, ConversionReport(n, False, math.inf, accept, math.nan, math.nan,
                                       "type-2 error vanished; rate unbounded")
     rate = -math.log(q0) / n
+    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
     try:
-        brt = asymptotic_reverse_test(rho, sigma, n, rate)
+        brt = _binary_reverse_test(rho_n, sigma_n, n, rate)
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
@@ -290,7 +295,6 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     channel = ConversionChannel(Measurement((eye - proj, proj)), brt.preparation)
     out_r = channel.apply(rho0_n)
     out_s = channel.apply(sigma0_n)
-    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
     report = ConversionReport(n, True, rate, accept,
                               trace_norm(out_r.matrix - rho_n.matrix),
                               trace_norm(out_s.matrix - sigma_n.matrix),

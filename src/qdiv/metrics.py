@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, SUPPORT_RTOL
-from .errors import RankError, SupportViolationError
+from .errors import ConvergenceError, RankError, SupportViolationError
 from .linalg import (EigenSystem, eigh, frobenius, matrix_function, pinv_psd,
                      support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
@@ -190,15 +190,16 @@ def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
 # the metric family
 
 
-def _petz_form(spec: MetricSpec, eigen: EigenSystem, x: np.ndarray, y: np.ndarray) -> complex:
+def _petz_form(spec: MetricSpec, eigen: EigenSystem, x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
     """sum conj(X_jk) Y_jk / (lam_k f(lam_j / lam_k)), with X and Y written
-    in the eigenbasis of `eigen`."""
+    in the eigenbasis of `eigen`; one value per matrix if `eigen` is a stack."""
     lam, v = eigen
-    xt = v.conj().T @ x @ v
-    yt = xt if y is x else v.conj().T @ y @ v
-    ratio = lam[:, None] / lam[None, :]
-    kernel = 1.0 / (lam[None, :] * np.asarray(spec.f(ratio), dtype=float))
-    return np.sum(np.conj(xt) * yt * kernel)
+    vh = v.swapaxes(-1, -2).conj()
+    xt = vh @ x @ v
+    yt = xt if y is x else vh @ y @ v
+    ratio = lam[..., :, None] / lam[..., None, :]
+    kernel = 1.0 / (lam[..., None, :] * np.asarray(spec.f(ratio), dtype=float))
+    return np.sum(np.conj(xt) * yt * kernel, axis=(-2, -1))
 
 
 def petz_metric(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection,
@@ -279,16 +280,16 @@ def holevo_rld_minimizer(g: np.ndarray, j: np.ndarray) -> np.ndarray:
 # divergences induced by integrating a metric along the mixture path
 
 
-def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatrix,
-                        nodes: int = 64) -> float:
-    """Divergence from the double integral of the metric along the segment
-    s rho + (1 - s) sigma, reduced to int_0^1 (1 - s) g(s) ds.
+_TS_SPAN = 4                # tanh-sinh nodes t in [-4, 4], step 1 halved at
+_TS_HALVINGS = 10           # most 10 times; node matrices decomposed in stacks
+_STACK_ENTRIES = 1 << 18    # of at most 2^18 entries
 
-    Gauss-Legendre, node count doubling from `nodes` until successive
-    estimates differ by less than the quadrature tolerance or 1024 nodes.
-    """
-    if nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
+
+def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Divergence from the double integral of the metric along the segment
+    s rho + (1 - s) sigma, reduced to int_0^1 (1 - s) g(s) ds, by tanh-sinh
+    quadrature (Takahasi-Mori); each halving of the step adds only new nodes.
+    Raises ConvergenceError if successive estimates never meet the tolerance."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     for nm, state in (("rho", rho), ("sigma", sigma)):
@@ -296,22 +297,23 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
         if lam[0] <= SUPPORT_RTOL * lam[-1]:
             raise RankError(f"integral_divergence needs full-rank states; {nm} is singular")
     diff = rho.matrix - sigma.matrix
+    chunk = max(1, _STACK_ENTRIES // rho.dim ** 2)
 
-    def estimate(n_nodes: int) -> float:
-        xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+    def node_sum(t: np.ndarray) -> float:
         total = 0.0
-        for xi, wi in zip(0.5 * (xs + 1), 0.5 * ws):
-            node = eigh(xi * rho.matrix + (1 - xi) * sigma.matrix)
-            total += wi * (1 - xi) * float(_petz_form(spec, node, diff, diff).real)
+        for tc in np.split(t, range(chunk, t.size, chunk)):
+            e = np.exp(np.pi * np.sinh(tc))
+            s, sc = 1 / (1 + 1 / e), 1 / (1 + e)   # s and 1 - s, neither by cancellation
+            nodes = np.linalg.eigh(s[:, None, None] * rho.matrix + sc[:, None, None] * sigma.matrix)
+            # (1 - s) g(s) ds, with ds = pi cosh(t) s (1 - s) dt
+            total += np.sum(np.pi * np.cosh(tc) * s * sc * sc * _petz_form(spec, nodes, diff, diff).real)
         return total
 
     step_tol = DEFAULT_TOLERANCES["quadrature_step"]
-    prev = estimate(nodes)
-    n = nodes
-    while n < 1024:
-        n *= 2
-        cur = estimate(n)
-        if abs(cur - prev) < step_tol:
-            return cur
-        prev = cur
-    return prev
+    est = node_sum(np.arange(-_TS_SPAN, _TS_SPAN + 1.0))
+    for h in 0.5 ** np.arange(1, _TS_HALVINGS + 1):
+        prev, est = est, est / 2 + h * node_sum(h * np.arange(1 - _TS_SPAN / h, _TS_SPAN / h, 2))
+        if abs(est - prev) < step_tol:
+            return float(est)
+    raise ConvergenceError(f"integral_divergence did not converge: step {abs(est - prev):.3e} "
+                           f"at {round(2 * _TS_SPAN / h) + 1} nodes exceeds {step_tol:.0e}")

@@ -157,3 +157,9 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "--config", str(cfg_path))
         assert code == 1
         assert "FAIL" in out
+
+    def test_default_run_passes(self, capsys):
+        # seed 20240, 40 trials, all nine suites
+        code, out = run_cli(capsys, "verify")
+        assert out.splitlines()[-1] == "total: 1712 passed, 0 failed"
+        assert code == 0

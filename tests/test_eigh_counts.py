@@ -1,22 +1,26 @@
 """Exact numpy.linalg.eigh call counts of the functionals, once their inputs
 are built. A validated DensityMatrix carries its eigendecomposition, so a
 functional decomposes only the matrices it makes itself; a count that rises
-means some matrix is decomposed again."""
+means some matrix is decomposed again. A stacked call counts each matrix of
+the stack."""
 
 import numpy as np
 import pytest
 
 from qdiv.divergences import dmax, fidelity_logdiv, rld_entropy, umegaki
-from qdiv.fixtures import QUBIT_A, QUTRIT
-from qdiv.hypotest import asymptotic_reverse_test, stein_threshold
-from qdiv.metrics import (bkm_metric, petz_metric, rld_operator,
-                          sld_optimal_measurement)
+from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
+from qdiv.hypotest import (asymptotic_reverse_test, state_conversion,
+                           stein_threshold)
+from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
+                          rld_operator, sld_optimal_measurement)
 from qdiv.reverse import optimal_reverse_test, reverse_estimation_1param
 from qdiv.states import random_tangent
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
 BKM = bkm_metric()
+# the gap c that the conversion suite uses for QUBIT_A
+C = 0.45 * (umegaki(*CONVERSION_SOURCE).value - umegaki(*QUBIT_A).value)
 
 CASES = {
     "umegaki": (0, lambda: umegaki(RHO, SIGMA)),
@@ -33,6 +37,11 @@ CASES = {
     # 2 tensor powers, 2 dmax bounds, 32 grid points
     "stein_threshold": (36, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
     "asymptotic_reverse_test": (11, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
+    "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
+    # 4 tensor powers, 2 likelihood-ratio tests, 1 positive part, 1 dmax
+    # and 5 states built (smoothed, complement, reverse-test check, 2 outputs)
+    "state_conversion": (13, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -42,10 +51,10 @@ def test_eigh_count(name, monkeypatch):
     calls = []
     original = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(len(a) if np.ndim(a) == 3 else 1)
+        return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     call()
-    assert len(calls) == expected
+    assert sum(calls) == expected

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qdiv import fixtures
-from qdiv.config import derive_seed
-from qdiv.errors import RankError, SupportViolationError
+from qdiv.config import DEFAULT_TOLERANCES, derive_seed
+from qdiv.divergences import rld_entropy, umegaki
+from qdiv.errors import ConvergenceError, RankError, SupportViolationError
 from qdiv.metrics import (alpha_metric, bkm_metric, classical_fisher,
                           classical_fisher_scalar, custom_metric, f_alpha,
                           holevo_rld_bound, holevo_rld_minimizer,
@@ -18,6 +19,7 @@ from qdiv.metrics import (alpha_metric, bkm_metric, classical_fisher,
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
                          TangentDirection, random_commuting_pair,
                          random_density, random_tangent)
+from qdiv.suites import _random_pair
 
 import oracles
 
@@ -267,6 +269,13 @@ class TestRLDMatrixAndBound:
         assert np.imag(j[0, 1]) == pytest.approx(np.real(1j * comm), abs=1e-9)
 
 
+def _conditioned(rng, d: int, ratio: float) -> DensityMatrix:
+    """Random unitary eigenbasis, eigenvalues geometric from ratio up to 1."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    lam = np.geomspace(ratio, 1.0, d)
+    return DensityMatrix((q * (lam / lam.sum())) @ q.conj().T)
+
+
 class TestIntegralDivergence:
     def test_equal_pair_zero(self):
         rho = random_density(2, seed=19)
@@ -276,28 +285,53 @@ class TestIntegralDivergence:
         rho, sigma, p, q = random_commuting_pair(3, seed=20)
         expect = oracles.kl_direct(p, q)
         for spec in ALL_SPECS:
-            assert integral_divergence(spec, rho, sigma, nodes=64) == pytest.approx(expect, abs=1e-8)
+            assert integral_divergence(spec, rho, sigma) == pytest.approx(expect, abs=1e-8)
 
     def test_bkm_gives_umegaki_on_fixture(self):
         rho, sigma = fixtures.QUBIT_A
-        val = integral_divergence(bkm_metric(), rho, sigma, nodes=64)
+        val = integral_divergence(bkm_metric(), rho, sigma)
         assert val == pytest.approx(fixtures.VALUES["qubit_a"]["umegaki"], abs=1e-6)
 
     def test_rld_gives_rld_divergence_on_fixture(self):
         rho, sigma = fixtures.QUTRIT
-        val = integral_divergence(rld_metric(), rho, sigma, nodes=64)
+        val = integral_divergence(rld_metric(), rho, sigma)
         assert val == pytest.approx(fixtures.VALUES["qutrit"]["rld"], abs=1e-6)
 
     def test_single_integral_matches_double_quadrature(self):
         rho, sigma = fixtures.QUBIT_B
         ref = oracles.double_integral_divergence(bkm_metric().f, rho.matrix, sigma.matrix, nodes=48)
-        val = integral_divergence(bkm_metric(), rho, sigma, nodes=64)
+        val = integral_divergence(bkm_metric(), rho, sigma)
         assert val == pytest.approx(ref, abs=1e-7)
 
-    def test_node_floor(self):
+    @pytest.mark.parametrize("rho,sigma", [
+        _random_pair(3, 18394453892175749232),
+        (random_density(64, seed=1), random_density(64, seed=2)),
+    ], ids=["verify-seed-pair", "ginibre-d64"])
+    def test_identities_on_small_eigenvalues(self, rho, sigma):
+        # sigma's smallest eigenvalue is 2.4e-6 and 4.8e-8: the integrand
+        # has a boundary layer that wide at s = 0
+        bkm = integral_divergence(bkm_metric(), rho, sigma)
+        assert bkm == pytest.approx(umegaki(rho, sigma).value, abs=1e-6)
+        rld = integral_divergence(rld_metric(), rho, sigma)
+        assert rld == pytest.approx(rld_entropy(rho, sigma).value, abs=1e-6)
+
+    def test_conditioning_sweep_against_mpmath(self):
+        rng = np.random.default_rng(22)
+        for d in (2, 3):
+            for ratio in (1e-3, 1e-6, 1e-9):
+                rho, sigma = (_conditioned(rng, d, ratio) for _ in range(2))
+                bkm = integral_divergence(bkm_metric(), rho, sigma)
+                rld = integral_divergence(rld_metric(), rho, sigma)
+                ref_bkm = oracles.umegaki_mp(rho.matrix, sigma.matrix)
+                ref_rld = oracles.rld_mp(rho.matrix, sigma.matrix)
+                assert bkm == pytest.approx(ref_bkm, abs=1e-6), (d, ratio)
+                assert rld == pytest.approx(ref_rld, abs=1e-6), (d, ratio)
+
+    def test_unconverged_rule_raises(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "quadrature_step", 0.0)
         rho, sigma = fixtures.QUBIT_A
-        with pytest.raises(ValueError, match="nodes"):
-            integral_divergence(bkm_metric(), rho, sigma, nodes=1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            integral_divergence(bkm_metric(), rho, sigma)
 
     def test_singular_rejected(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
