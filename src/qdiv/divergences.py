@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
+from .errors import ConvergenceError
 from .linalg import (eigh, frobenius, logm_support, matrix_function,
                      pinv_psd, sqrtm_psd, support_projector, trace_norm)
-from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     basis_measurement, random_unitary)
+from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
+                     random_unitary)
 
 SUPPORT_CONTAINED = "contained"
 SUPPORT_EQUAL = "equal"
@@ -132,20 +133,25 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _projective_kl(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
-    p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
-    q = np.einsum("ik,ij,jk->k", v.conj(), sigma, v).real
+    p = basis_weights(v, rho)
+    q = basis_weights(v, sigma)
     return _kl_sum(np.where(p > 1e-300, p, 0.0), np.maximum(q, 0.0))
 
 
 def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
-                       budget: int = 500, seed: int = 0) -> tuple[float, Measurement]:
-    """Best KL found over rank-1 projective measurements.
+                       budget: int = 500, seed: int = 0) -> tuple[float, np.ndarray]:
+    """Best KL found over rank-1 projective measurements, and the unitary
+    whose columns are the best basis found.
 
     Seeded random restarts plus a local unitary perturbation search, spending
     at most `budget` KL evaluations. A heuristic lower bound for the measured
-    divergence, not a certified optimum.
+    divergence, not a certified optimum. Bases scoring +inf are skipped,
+    since roundoff on sigma's kernel can produce them; raises ConvergenceError
+    if no evaluated basis scores finite.
     """
     _check_dims(rho, sigma)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)
     d = rho.dim
     r, s = rho.matrix, sigma.matrix
@@ -170,6 +176,8 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
         evals += 1
         if val > best and math.isfinite(val):
             best, best_v = val, v
+    if best_v is None:
+        raise ConvergenceError(f"no basis of the {evals} evaluated gave a finite KL")
 
     step, stale = 0.3, 0
     while evals < budget:
@@ -188,4 +196,4 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
             if stale >= 12:
                 step = max(step * 0.5, 1e-4)
                 stale = 0
-    return best, basis_measurement(best_v)
+    return best, best_v

@@ -15,9 +15,8 @@ from .config import DEFAULT_TOLERANCES, SUPPORT_RTOL
 from .errors import ConvergenceError, RankError, SupportViolationError
 from .linalg import (EigenSystem, eigh, frobenius, matrix_function, pinv_psd,
                      support_projector, trace_norm)
-from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     TangentDirection, basis_measurement, measure,
-                     measure_tangent)
+from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
+                     basis_weights)
 
 _OP_RESID = DEFAULT_TOLERANCES["operator_residual"]
 
@@ -42,13 +41,11 @@ def _h_ratio(x: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def f_alpha(x, alpha: float, normalized: bool = True):
+def f_alpha(x, alpha: float):
     """Two-parameter operator monotone family, |alpha| <= 3.
 
     Normalized so f(1) = 1, which makes alpha = +-3 coincide with the RLD
     function 2x/(x+1) and alpha = +-1 with the BKM function (x-1)/ln x.
-    With normalized=False the raw product form is returned (its value at 1
-    is (4 - alpha^2)/(1 - alpha^2), divergent at alpha = +-1).
     """
     if abs(alpha) > 3:
         raise ValueError(f"alpha must lie in [-3, 3], got {alpha}")
@@ -56,11 +53,6 @@ def f_alpha(x, alpha: float, normalized: bool = True):
     if np.any(arr <= 0):
         raise ValueError("f_alpha needs positive arguments")
     val = _h_ratio(arr, (1 - alpha) / 2) * _h_ratio(arr, (1 + alpha) / 2)
-    if not normalized:
-        denom = (1 - alpha * alpha)
-        if denom == 0:
-            raise ValueError("unnormalized form diverges at alpha = +-1")
-        val = val * (4 - alpha * alpha) / denom
     return val if isinstance(x, np.ndarray) else float(val)
 
 
@@ -216,17 +208,18 @@ def metric_scalar(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> 
     return float(petz_metric(spec, rho, x).real)
 
 
-def sld_optimal_measurement(rho: DensityMatrix, x: TangentDirection) -> tuple[Measurement, float]:
-    """Projective measurement in the SLD eigenbasis; its classical Fisher
-    information equals the SLD metric value."""
+def sld_optimal_measurement(rho: DensityMatrix, x: TangentDirection) -> tuple[np.ndarray, float]:
+    """The SLD eigenbasis, as the unitary whose columns it is, and the
+    classical Fisher information of measuring in it, which equals the SLD
+    metric value."""
     lam, _ = rho.eigen
     if lam[0] <= SUPPORT_RTOL * lam[-1]:
         raise RankError("sld_optimal_measurement needs full-rank rho")
-    m = basis_measurement(eigh(sld_operator(rho, x)).eigenvectors)
-    p = measure(m, rho)
-    dp = measure_tangent(m, x)
+    v = eigh(sld_operator(rho, x)).eigenvectors
+    p = ClassicalDistribution(basis_weights(v, rho.matrix))
+    dp = basis_weights(v, x.matrix)
     achieved = classical_fisher_scalar(p, dp - dp.sum() / dp.size)
-    return m, achieved
+    return v, achieved
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,9 @@ class ReverseTest:
 
 @dataclass(frozen=True, eq=False)
 class ReverseEstimation:
-    preparation: Preparation
+    """The preparation x -> |phi_x><phi_x| over the columns of `frame`, with
+    p and its derivative dp."""
+
     p: ClassicalDistribution
     dp: np.ndarray
     input_fisher: float
@@ -100,27 +102,22 @@ def parallel_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> Parallel
     pv = qv * d ** 2
     pv, qv = pv / pv.sum(), qv / qv.sum()
 
-    dec = ParallelDecomposition(frame, ClassicalDistribution(pv), ClassicalDistribution(qv), d)
-    for target, got in ((rho, dec.state_at(1.0)), (sigma, dec.state_at(0.0))):
-        err = frobenius(got.matrix - target.matrix)
+    for target, weights in ((rho, pv), (sigma, qv)):
+        err = frobenius((frame * weights) @ frame.conj().T - target.matrix)
         if err > _RECON_TOL:
             raise SupportViolationError(f"parallel decomposition reconstruction residual {err:.3e}")
     gram_min = float(np.linalg.eigvalsh(frame.conj().T @ frame).min())
     if gram_min <= 1e-10:
         raise SupportViolationError(f"frame not linearly independent: Gram minimum {gram_min:.3e}")
-    return dec
-
-
-def _pure_preparation(frame: np.ndarray) -> Preparation:
-    return Preparation(tuple(DensityMatrix(np.outer(frame[:, x], frame[:, x].conj()))
-                             for x in range(frame.shape[1])))
+    return ParallelDecomposition(frame, ClassicalDistribution(pv), ClassicalDistribution(qv), d)
 
 
 def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
     """Reverse test whose input KL equals the RLD divergence of (rho, sigma)."""
     dec = parallel_decomposition(rho, sigma)
-    return ReverseTest(_pure_preparation(dec.frame), dec.p, dec.q,
-                       kl(dec.p, dec.q), dec.frame)
+    f = dec.frame
+    prep = Preparation(tuple(DensityMatrix(np.outer(f[:, x], f[:, x].conj())) for x in range(f.shape[1])))
+    return ReverseTest(prep, dec.p, dec.q, kl(dec.p, dec.q), f)
 
 
 def pushforward_reverse_test(rt: ReverseTest, channel: QuantumChannel) -> ReverseTest:
@@ -175,7 +172,6 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
     pv = np.sum(np.abs(w) ** 2, axis=0)
     dpv = pv * avals
     frame = w / np.sqrt(pv)
-    prep = _pure_preparation(frame)
 
     recon_x = (frame * dpv) @ frame.conj().T
     if frobenius(recon_x - x.matrix) > 1e-9 * (1 + frobenius(x.matrix)):
@@ -183,7 +179,7 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
 
     p = ClassicalDistribution(pv / pv.sum())
     fisher = classical_fisher_scalar(p, dpv - dpv.sum() / dpv.size)
-    return ReverseEstimation(prep, p, dpv, fisher, frame)
+    return ReverseEstimation(p, dpv, fisher, frame)
 
 
 def refine_reverse_estimation(est: ReverseEstimation, seed: int = 0) -> tuple[ClassicalDistribution, np.ndarray]:

@@ -183,19 +183,15 @@ def cq_apply(prep: Preparation, p: ClassicalDistribution) -> DensityMatrix:
 
 
 def measure(m: Measurement, rho: DensityMatrix) -> ClassicalDistribution:
-    return ClassicalDistribution(measure_tangent(m, rho))
+    if m.dim != rho.dim:
+        raise ValueError(f"measurement dim {m.dim} != state dim {rho.dim}")
+    return ClassicalDistribution(np.array([float(np.trace(e @ rho.matrix).real) for e in m.effects]))
 
 
-def measure_tangent(m: Measurement, x: TangentDirection | DensityMatrix) -> np.ndarray:
-    """Pushforward of a tangent, d p_k = tr(E_k X); of a state, p_k."""
-    if m.dim != x.dim:
-        raise ValueError(f"measurement dim {m.dim} != input dim {x.dim}")
-    return np.array([float(np.trace(e @ x.matrix).real) for e in m.effects])
-
-
-def basis_measurement(v: np.ndarray) -> Measurement:
-    """Rank-1 projective measurement onto the columns of the unitary v."""
-    return Measurement(tuple(np.outer(v[:, k], v[:, k].conj()) for k in range(v.shape[1])))
+def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """diag(v^dag m v): the outcome weights tr(|v_k><v_k| m) of the basis
+    that the columns of v form, for a state or a tangent matrix m."""
+    return np.sum(v.conj() * (m @ v), axis=0).real
 
 
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:

@@ -54,6 +54,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if self.budget < 1:
+            raise ValidationError("budget must be >= 1")
         if not set(self.dims) <= set(range(2, 7)):
             raise ValidationError(f"dims must lie in 2..6, got {self.dims}")
         lo, hi = self.n_range

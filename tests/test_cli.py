@@ -55,6 +55,12 @@ class TestDivergenceCommand:
         data = json.loads(out)
         assert data["value"] <= fixtures.VALUES["qubit_a"]["umegaki"] + 1e-8
 
+    def test_measured_rejects_empty_budget(self, capsys, files):
+        code = main(["divergence", "--kind", "measured", "--budget", "0",
+                     "--rho", files["rho"], "--sigma", files["sigma"]])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_file_errors(self, capsys, files):
         code = main(["divergence", "--kind", "umegaki", "--rho", files["rho"],
                      "--sigma", str(files["dir"] / "nonexistent.json")])

@@ -8,6 +8,7 @@ import pytest
 
 from qdiv import fixtures
 from qdiv.config import derive_seed
+from qdiv.errors import ConvergenceError
 from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL,
                               SUPPORT_VIOLATED, _projective_kl, dmax,
                               fidelity_logdiv, kl, measured_div_lower,
@@ -198,9 +199,24 @@ class TestMeasuredLowerBound:
         for k in range(20):
             rho = random_density(3, seed=derive_seed(80, k))
             sigma = random_density(3, seed=derive_seed(81, k))
-            val, m = measured_div_lower(rho, sigma, budget=120, seed=k)
+            val, v = measured_div_lower(rho, sigma, budget=120, seed=k)
             assert val <= umegaki(rho, sigma).value + 1e-8
-            assert len(m.effects) == 3
+            assert v.shape == (3, 3)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
+
+    def test_empty_budget_rejected(self):
+        rho = random_density(2, seed=92)
+        with pytest.raises(ValueError, match="budget"):
+            measured_div_lower(rho, rho, budget=0)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4])
+    def test_no_finite_basis_raises(self, budget):
+        # every deterministic start puts half of rho's weight on sigma's
+        # kernel, and budget <= 4 leaves no room for random bases
+        rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        with pytest.raises(ConvergenceError, match="finite"):
+            measured_div_lower(rho, sigma, budget=budget)
 
     def test_subnormal_outcome_weight_counts_as_zero(self):
         # rho's weight 1e-310 on sigma's kernel is roundoff: the basis stays

@@ -1,13 +1,14 @@
-"""Exact numpy.linalg.eigh call counts of the functionals, once their inputs
-are built. A validated DensityMatrix carries its eigendecomposition, so a
-functional decomposes only the matrices it makes itself; a count that rises
-means some matrix is decomposed again. A stacked call counts each matrix of
-the stack."""
+"""Exact numpy.linalg.eigh and eigvalsh call counts of the functionals, once
+their inputs are built. A validated DensityMatrix carries its
+eigendecomposition, so a functional decomposes only the matrices it makes
+itself; a count that rises means some matrix is decomposed again. A stacked
+call counts each matrix of the stack."""
 
 import numpy as np
 import pytest
 
-from qdiv.divergences import dmax, fidelity_logdiv, rld_entropy, umegaki
+from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
+                              rld_entropy, umegaki)
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
 from qdiv.hypotest import (asymptotic_reverse_test, state_conversion,
                            stein_threshold)
@@ -30,10 +31,11 @@ CASES = {
     "petz_metric": (0, lambda: petz_metric(BKM, RHO, X)),
     "rld_operator": (0, lambda: rld_operator(RHO, X)),
     "sld_optimal_measurement": (1, lambda: sld_optimal_measurement(RHO, X)),
-    # 2 square roots and 1 polar eigenbasis, then 2 reconstructions and 3
-    # preparation states validated
-    "optimal_reverse_test": (8, lambda: optimal_reverse_test(RHO, SIGMA)),
-    "reverse_estimation_1param": (4, lambda: reverse_estimation_1param(RHO, X)),
+    # 2 square roots and 1 polar eigenbasis, then 3 preparation states
+    # validated
+    "optimal_reverse_test": (6, lambda: optimal_reverse_test(RHO, SIGMA)),
+    # the reverse derivative's eigenbasis; the frame is not re-validated
+    "reverse_estimation_1param": (1, lambda: reverse_estimation_1param(RHO, X)),
     # 2 tensor powers, 2 dmax bounds, 32 grid points
     "stein_threshold": (36, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
     "asymptotic_reverse_test": (11, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
@@ -45,16 +47,40 @@ CASES = {
 }
 
 
+# a basis is kept as its unitary, so no rank-1 effect is validated
+EIGVALSH_CASES = {
+    "sld_optimal_measurement": (0, lambda: sld_optimal_measurement(RHO, X)),
+    "measured_div_lower": (0, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
+}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Matrices decomposed so far, by numpy.linalg function name."""
+    tally = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            tally[name] += len(a) if np.ndim(a) == 3 else 1
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in tally:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return tally
+
+
 @pytest.mark.parametrize("name", list(CASES))
-def test_eigh_count(name, monkeypatch):
+def test_eigh_count(name, counts):
     expected, call = CASES[name]
-    calls = []
-    original = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        calls.append(len(a) if np.ndim(a) == 3 else 1)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
     call()
-    assert sum(calls) == expected
+    assert counts["eigh"] == expected
+
+
+@pytest.mark.parametrize("name", list(EIGVALSH_CASES))
+def test_eigvalsh_count(name, counts):
+    expected, call = EIGVALSH_CASES[name]
+    call()
+    assert counts["eigvalsh"] == expected

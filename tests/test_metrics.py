@@ -60,14 +60,6 @@ class TestFAlpha:
         with pytest.raises(ValueError, match="alpha"):
             f_alpha(2.0, 3.2)
 
-    def test_unnormalized_flag(self):
-        # raw printed form carries the (4 - a^2)/(1 - a^2) factor
-        a, x = 2.0, 3.0
-        raw = (1 - a * a / 4) * (x - 1) ** 2 / ((x ** ((1 - a) / 2) - 1) * (x ** ((1 + a) / 2) - 1))
-        assert f_alpha(x, a, normalized=False) == pytest.approx(raw, abs=1e-12)
-        with pytest.raises(ValueError, match="diverges"):
-            f_alpha(2.0, 1.0, normalized=False)
-
     def test_operator_monotone_spot_check(self):
         rng = np.random.default_rng(11)
         for spec in ALL_SPECS:
@@ -208,7 +200,7 @@ class TestSLDAchievability:
     def test_diagonal_instance(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         x = TangentDirection(np.diag([0.1, -0.1]).astype(complex))
-        m, achieved = sld_optimal_measurement(rho, x)
+        _, achieved = sld_optimal_measurement(rho, x)
         assert achieved == pytest.approx(metric_scalar(sld_metric(), rho, x), abs=1e-12)
 
     def test_zero_tangent(self):
@@ -221,8 +213,10 @@ class TestSLDAchievability:
             d = 2 + k % 2
             rho = random_density(d, seed=derive_seed(90, k))
             x = random_tangent(d, seed=derive_seed(91, k))
-            _, achieved = sld_optimal_measurement(rho, x)
+            v, achieved = sld_optimal_measurement(rho, x)
             assert achieved == pytest.approx(metric_scalar(sld_metric(), rho, x), abs=1e-8)
+            assert v.shape == (d, d)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
 
 
 class TestRLDMatrixAndBound:

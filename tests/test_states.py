@@ -11,9 +11,10 @@ from qdiv.errors import DimensionCapError, ValidationError
 from qdiv.linalg import eigh
 from qdiv.states import (ClassicalDistribution, DensityMatrix, Measurement,
                          Preparation, QuantumChannel, TangentDirection,
-                         apply_channel, apply_channel_tangent, cq_apply,
-                         measure, random_commuting_pair, random_cptp,
-                         random_density, random_tangent, tensor_power)
+                         apply_channel, apply_channel_tangent, basis_weights,
+                         cq_apply, measure, random_commuting_pair,
+                         random_cptp, random_density, random_tangent,
+                         random_unitary, tensor_power)
 
 
 class TestConstructors:
@@ -166,6 +167,22 @@ class TestClassicalQuantum:
             out = measure(m, random_density(3, seed=derive_seed(12, k)))
             assert out.probs.min() >= -1e-12
             assert abs(out.probs.sum() - 1.0) <= 1e-10
+
+    def test_basis_weights_match_povm_pushforward(self):
+        rng = np.random.default_rng(34)
+        for k in range(40):
+            d = 2 + k % 4
+            v = random_unitary(d, rng)
+            m = Measurement(tuple(np.outer(v[:, j], v[:, j].conj()) for j in range(d)))
+            rho = random_density(d, seed=derive_seed(13, k))
+            x = random_tangent(d, seed=derive_seed(14, k))
+            np.testing.assert_allclose(basis_weights(v, rho.matrix), measure(m, rho).probs,
+                                       rtol=0, atol=1e-14)
+            # a tangent has no distribution to measure into: its pushforward
+            # is the same trace tr(E_k X) that measure takes of a state
+            np.testing.assert_allclose(basis_weights(v, x.matrix),
+                                       [np.trace(e @ x.matrix).real for e in m.effects],
+                                       rtol=0, atol=1e-14)
 
 
 class TestTensorPower:

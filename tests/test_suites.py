@@ -26,6 +26,10 @@ class TestConfig:
         with pytest.raises(ValidationError, match="trials"):
             SuiteConfig(trials=0)
 
+    def test_rejects_zero_budget(self):
+        with pytest.raises(ValidationError, match="budget"):
+            SuiteConfig(budget=0)
+
     def test_rejects_large_dim(self):
         with pytest.raises(ValidationError, match="dims"):
             SuiteConfig(dims=(2, 9))
