@@ -13,8 +13,7 @@ from .metrics import (MetricSpec, alpha_metric, bkm_metric, classical_fisher,
                       integral_divergence, petz_metric, rld_matrix,
                       rld_metric, rld_operator, sld_metric,
                       sld_operator, sld_optimal_measurement, wy_metric)
-from .reverse import (ParallelDecomposition, ReverseTest,
-                      optimal_reverse_test, parallel_decomposition,
+from .reverse import (ReverseTest, optimal_reverse_test,
                       reverse_estimation_1param)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, QuantumChannel, TangentDirection,

@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -122,13 +123,8 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.trials is not None:
-        data["trials"] = args.trials
-    if args.suite:
-        data["suites"] = args.suite
-    config = SuiteConfig.from_dict(data)
+    flags = {"seed": args.seed, "trials": args.trials, "suites": tuple(args.suite) if args.suite else None}
+    config = replace(SuiteConfig.from_dict(data), **{k: v for k, v in flags.items() if v is not None})
     reports = run_suite(config)
     payload = report_to_dict(config, reports)
     if args.report:

@@ -1,5 +1,5 @@
-"""Parallel decompositions of state pairs, the optimal reverse test, and
-optimal one-parameter reverse estimation.
+"""The optimal reverse test of a state pair, kept as its parallel
+decomposition over one frame, and optimal one-parameter reverse estimation.
 
 A reverse test of (rho, sigma) is a preparation Phi and a classical pair
 (p, q) with Phi(p) = rho, Phi(q) = sigma; the minimal achievable KL input
@@ -24,27 +24,26 @@ _RECON_TOL = DEFAULT_TOLERANCES["reconstruction"]
 
 
 @dataclass(frozen=True, eq=False)
-class ParallelDecomposition:
-    """Joint decomposition rho = sum p(x) |phi_x><phi_x|, sigma likewise with
-    q, over one frame; the whole mixture segment decomposes over it too."""
+class ReverseTest:
+    """Reverse test over a frame of pure states: symbol x prepares
+    |phi_x><phi_x|, column x of `frame`, so rho = sum p(x) |phi_x><phi_x|,
+    sigma likewise with q, and input_kl = KL(p||q). The whole mixture
+    segment decomposes over the frame too."""
 
     frame: np.ndarray                  # columns are unit vectors |phi_x>
     p: ClassicalDistribution
     q: ClassicalDistribution
-    scale: np.ndarray                  # d_x >= 0 with p(x) = q(x) d_x^2
+    input_kl: float
+
+    @property
+    def preparation(self) -> Preparation:
+        """The frame's pure states, validated, built on each read."""
+        f = self.frame
+        return Preparation(tuple(DensityMatrix(np.outer(f[:, x], f[:, x].conj())) for x in range(f.shape[1])))
 
     def state_at(self, t: float) -> DensityMatrix:
         w = t * self.p.probs + (1 - t) * self.q.probs
         return DensityMatrix((self.frame * w) @ self.frame.conj().T)
-
-
-@dataclass(frozen=True, eq=False)
-class ReverseTest:
-    preparation: Preparation
-    p: ClassicalDistribution
-    q: ClassicalDistribution
-    input_kl: float
-    frame: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +73,9 @@ def _common_support_isometry(rho: DensityMatrix, sigma: DensityMatrix) -> np.nda
     return vs[:, keep_s]
 
 
-def parallel_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> ParallelDecomposition:
-    """Frame and weights decomposing rho and sigma jointly.
+def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
+    """Reverse test whose input KL equals the RLD divergence of (rho, sigma):
+    one frame and two weight vectors decomposing rho and sigma jointly.
 
     On the common support: T = sqrt(sigma)^-1 sqrt(rho), U the polar unitary
     making X = T U Hermitian PSD, X = V diag(d) V^dag; the frame columns are
@@ -109,43 +109,27 @@ def parallel_decomposition(rho: DensityMatrix, sigma: DensityMatrix) -> Parallel
     gram_min = float(np.linalg.eigvalsh(frame.conj().T @ frame).min())
     if gram_min <= 1e-10:
         raise SupportViolationError(f"frame not linearly independent: Gram minimum {gram_min:.3e}")
-    return ParallelDecomposition(frame, ClassicalDistribution(pv), ClassicalDistribution(qv), d)
+    p, q = ClassicalDistribution(pv), ClassicalDistribution(qv)
+    return ReverseTest(frame, p, q, kl(p, q))
 
 
-def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
-    """Reverse test whose input KL equals the RLD divergence of (rho, sigma)."""
-    dec = parallel_decomposition(rho, sigma)
-    f = dec.frame
-    prep = Preparation(tuple(DensityMatrix(np.outer(f[:, x], f[:, x].conj())) for x in range(f.shape[1])))
-    return ReverseTest(prep, dec.p, dec.q, kl(dec.p, dec.q), f)
-
-
-def pushforward_reverse_test(rt: ReverseTest, channel: QuantumChannel) -> ReverseTest:
-    """Post-compose the preparation with a channel: a reverse test of the
-    image pair, witnessing monotonicity of the RLD divergence."""
-    states = tuple(apply_channel(channel, s) for s in rt.preparation.states)
-    prep = Preparation(states)
-    return ReverseTest(prep, rt.p, rt.q, rt.input_kl, rt.frame)
+def pushforward_reverse_test(rt: ReverseTest, channel: QuantumChannel) -> Preparation:
+    """The preparation post-composed with a channel. With rt.p and rt.q it
+    is a reverse test of the image pair at input KL rt.input_kl, witnessing
+    monotonicity of the RLD divergence."""
+    return Preparation(tuple(apply_channel(channel, s) for s in rt.preparation.states))
 
 
 def refine_reverse_test(rt: ReverseTest, splits: int = 2, seed: int = 0) -> ReverseTest:
     """Competitor reverse test: split every symbol into `splits` copies with
     different random conditionals for p and q. Reconstructions stay exact and
     the input KL can only grow."""
-    rng = np.random.default_rng(seed)
-    states, pv, qv = [], [], []
-    for x in range(len(rt.p)):
-        u = rng.dirichlet(np.ones(splits) * 5.0)
-        v = rng.dirichlet(np.ones(splits) * 5.0)
-        u, v = np.maximum(u, 1e-4), np.maximum(v, 1e-4)
-        u, v = u / u.sum(), v / v.sum()
-        for i in range(splits):
-            states.append(rt.preparation.states[x])
-            pv.append(rt.p.probs[x] * u[i])
-            qv.append(rt.q.probs[x] * v[i])
-    p = ClassicalDistribution(np.array(pv))
-    q = ClassicalDistribution(np.array(qv))
-    return ReverseTest(Preparation(tuple(states)), p, q, kl(p, q), rt.frame)
+    # per symbol, the conditionals of p then of q, in one draw
+    uv = np.maximum(np.random.default_rng(seed).dirichlet(np.full(splits, 5.0), size=(len(rt.p), 2)), 1e-4)
+    uv /= uv.sum(axis=2, keepdims=True)
+    p = ClassicalDistribution((rt.p.probs[:, None] * uv[:, 0]).ravel())
+    q = ClassicalDistribution((rt.q.probs[:, None] * uv[:, 1]).ravel())
+    return ReverseTest(np.repeat(rt.frame, splits, axis=1), p, q, kl(p, q))
 
 
 def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> ReverseEstimation:

@@ -28,11 +28,17 @@ def state_to_dict(rho: DensityMatrix) -> dict:
     return {"dim": rho.dim, "matrix": _matrix_to_json(rho.matrix)}
 
 
+def _matrix_field(data, what: str) -> np.ndarray:
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise ValidationError(f'malformed {what}: expected a JSON object with a "matrix" field')
+    return _matrix_from_json(data["matrix"], f"{what} matrix")
+
+
 def state_from_dict(data: dict) -> DensityMatrix:
-    m = _matrix_from_json(data["matrix"], "state matrix")
-    dim = int(data.get("dim", m.shape[0]))
+    m = _matrix_field(data, "state")
+    dim = data.get("dim", len(m))
     if m.shape != (dim, dim):
-        raise ValidationError(f"declared dim {dim} does not match matrix shape {m.shape}")
+        raise ValidationError(f"declared dim {dim!r} does not match matrix shape {m.shape}")
     return DensityMatrix(m)
 
 
@@ -73,8 +79,7 @@ def load_state(path: str) -> DensityMatrix:
 def load_hermitian(path: str) -> np.ndarray:
     """Tangent-direction file: same layout as a state, no trace constraint."""
     with open(path) as fh:
-        data = json.load(fh)
-    return _matrix_from_json(data["matrix"], "tangent matrix")
+        return _matrix_field(json.load(fh), "tangent")
 
 
 def dump(obj: dict, path: str) -> None:

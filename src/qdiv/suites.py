@@ -28,9 +28,9 @@ from .metrics import (alpha_metric, bkm_metric, classical_fisher_scalar,
                       integral_divergence, metric_scalar, rld_matrix,
                       rld_metric, rld_operator, sld_metric,
                       sld_optimal_measurement, wy_metric)
-from .reverse import (optimal_reverse_test, parallel_decomposition,
-                      pushforward_reverse_test, refine_reverse_estimation,
-                      refine_reverse_test, reverse_estimation_1param)
+from .reverse import (optimal_reverse_test, pushforward_reverse_test,
+                      refine_reverse_estimation, refine_reverse_test,
+                      reverse_estimation_1param)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      apply_channel, apply_channel_tangent, cq_apply,
                      random_commuting_pair, random_cptp, random_density,
@@ -56,34 +56,40 @@ class SuiteConfig:
             raise ValidationError("trials must be >= 1")
         if self.budget < 1:
             raise ValidationError("budget must be >= 1")
-        if not set(self.dims) <= set(range(2, 7)):
-            raise ValidationError(f"dims must lie in 2..6, got {self.dims}")
-        lo, hi = self.n_range
-        if lo < 1 or hi < lo:
+        if not self.dims or not set(self.dims) <= set(range(2, 7)):
+            raise ValidationError(f"dims must be a nonempty subset of 2..6, got {self.dims}")
+        if len(self.n_range) != 2 or not 1 <= self.n_range[0] <= self.n_range[1]:
             raise ValidationError(f"bad n_range {self.n_range}")
-        if 2 ** hi > dimension_cap():
+        if 2 ** self.n_range[1] > dimension_cap():
             raise ValidationError(f"n_range {self.n_range} exceeds the dimension cap")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValidationError(f"unknown suites: {sorted(unknown)}")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ValidationError(f"unknown tolerances: {sorted(unknown)}")
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
-        kwargs = {}
-        for key in ("seed", "trials", "budget"):
-            if key in data:
-                kwargs[key] = int(data[key])
-        if "dims" in data:
-            kwargs["dims"] = tuple(int(d) for d in data["dims"])
-        if "n_range" in data:
-            kwargs["n_range"] = tuple(int(v) for v in data["n_range"])
-        if "suites" in data:
-            kwargs["suites"] = tuple(data["suites"])
-        if "tolerances" in data:
-            kwargs["tolerances"] = dict(data["tolerances"])
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object")
+        convert = {"seed": int, "trials": int, "budget": int,
+                   "dims": lambda v: tuple(int(d) for d in v), "n_range": lambda v: tuple(int(n) for n in v),
+                   "suites": lambda v: tuple(str(name) for name in v),
+                   "tolerances": lambda v: {name: float(t) for name, t in v.items()}}
+        unknown = set(data) - set(convert)
+        if unknown:
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, shape in (("dims", list), ("n_range", list), ("suites", list), ("tolerances", dict)):
+            if key in data and not isinstance(data[key], shape):
+                raise ValidationError(f"config {key} must be a JSON {'object' if shape is dict else 'array'}")
+        try:
+            kwargs = {key: convert[key](value) for key, value in data.items()}
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed config: {exc}") from exc
         return SuiteConfig(**kwargs)
 
 
@@ -231,12 +237,13 @@ def _suite_reverse_test(cfg: SuiteConfig):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
         rt = optimal_reverse_test(rho, sigma)
+        prep = rt.preparation
         dr = rld_entropy(rho, sigma).value
         _record(records, "input-kl-matches-rld", seed, dig, abs(rt.input_kl - dr), 0.0, slack=tol)
         _record(records, "reconstruction-rho", seed, dig,
-                frobenius(cq_apply(rt.preparation, rt.p).matrix - rho.matrix), 0.0, slack=recon)
+                frobenius(cq_apply(prep, rt.p).matrix - rho.matrix), 0.0, slack=recon)
         _record(records, "reconstruction-sigma", seed, dig,
-                frobenius(cq_apply(rt.preparation, rt.q).matrix - sigma.matrix), 0.0, slack=recon)
+                frobenius(cq_apply(prep, rt.q).matrix - sigma.matrix), 0.0, slack=recon)
         for k in range(3):
             comp = refine_reverse_test(rt, splits=2 + k % 2, seed=derive_seed(seed, 20 + k))
             _record(records, "competitor-kl", seed, dig, rt.input_kl,
@@ -246,11 +253,11 @@ def _suite_reverse_test(cfg: SuiteConfig):
         wit = pushforward_reverse_test(rt, ch)
         lr, ls = apply_channel(ch, rho), apply_channel(ch, sigma)
         _record(records, "witness-reconstruction", seed, dig,
-                max(frobenius(cq_apply(wit.preparation, wit.p).matrix - lr.matrix),
-                    frobenius(cq_apply(wit.preparation, wit.q).matrix - ls.matrix)),
+                max(frobenius(cq_apply(wit, rt.p).matrix - lr.matrix),
+                    frobenius(cq_apply(wit, rt.q).matrix - ls.matrix)),
                 0.0, slack=recon)
         _record(records, "witness-dominates-rld", seed, dig,
-                rld_entropy(lr, ls).value, wit.input_kl, slack=tol)
+                rld_entropy(lr, ls).value, rt.input_kl, slack=tol)
         # reverse estimation against the RLD metric
         x = random_tangent(dim, seed=derive_seed(seed, 7))
         est = reverse_estimation_1param(rho, x)
@@ -262,11 +269,10 @@ def _suite_reverse_test(cfg: SuiteConfig):
             _record(records, "competitor-fisher", seed, dig, jr,
                     classical_fisher_scalar(cp, cdp), slack=est_tol)
         # classical Fisher along the mixture path equals the RLD metric there
-        dec = parallel_decomposition(rho, sigma)
         for tt in (0.25, 0.75):
-            pt = ClassicalDistribution(tt * dec.p.probs + (1 - tt) * dec.q.probs)
-            jcl = classical_fisher_scalar(pt, dec.p.probs - dec.q.probs)
-            jq = metric_scalar(rld_metric(), dec.state_at(tt),
+            pt = ClassicalDistribution(tt * rt.p.probs + (1 - tt) * rt.q.probs)
+            jcl = classical_fisher_scalar(pt, rt.p.probs - rt.q.probs)
+            jq = metric_scalar(rld_metric(), rt.state_at(tt),
                               TangentDirection(rho.matrix - sigma.matrix))
             _record(records, f"path-fisher-t={tt}", seed, dig, abs(jcl - jq), 0.0, slack=est_tol)
     return records

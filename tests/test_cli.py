@@ -66,6 +66,13 @@ class TestDivergenceCommand:
                      "--sigma", str(files["dir"] / "nonexistent.json")])
         assert code == 2
 
+    def test_malformed_state_file_errors(self, capsys, files):
+        bad = files["dir"] / "bad.json"
+        bad.write_text(json.dumps({"dim": 2}))
+        code = main(["divergence", "--kind", "umegaki", "--rho", str(bad), "--sigma", files["sigma"]])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_support_violation_stays_strict_json(self, capsys, files):
         a = files["dir"] / "pure0.json"
         b = files["dir"] / "pure1.json"

@@ -9,9 +9,9 @@ from qdiv.config import derive_seed
 from qdiv.divergences import kl, rld_entropy
 from qdiv.errors import SupportViolationError
 from qdiv.metrics import classical_fisher_scalar, metric_scalar, rld_metric
-from qdiv.reverse import (optimal_reverse_test, parallel_decomposition,
-                          pushforward_reverse_test, refine_reverse_estimation,
-                          refine_reverse_test, reverse_estimation_1param)
+from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
+                          refine_reverse_estimation, refine_reverse_test,
+                          reverse_estimation_1param)
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
                          TangentDirection, apply_channel, cq_apply,
                          random_cptp, random_density, random_tangent,
@@ -35,7 +35,7 @@ class TestParallelDecomposition:
     def test_commuting_diagonal_pair(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         sigma = DensityMatrix(np.diag([0.35, 0.65]).astype(complex))
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         # standard basis up to the deterministic symbol ordering
         perm = np.abs(dec.frame) @ np.abs(dec.frame).T
         np.testing.assert_allclose(perm, np.eye(2), atol=1e-10)
@@ -45,13 +45,12 @@ class TestParallelDecomposition:
 
     def test_equal_pair(self):
         rho = random_density(3, seed=1)
-        dec = parallel_decomposition(rho, rho)
-        np.testing.assert_allclose(dec.scale, 1.0, atol=1e-10)
+        dec = optimal_reverse_test(rho, rho)
         np.testing.assert_allclose(dec.p.probs, dec.q.probs, atol=1e-10)
 
     def test_fixture_reconstruction_and_kl(self):
         rho, sigma = fixtures.QUBIT_A
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         np.testing.assert_allclose(dec.state_at(1.0).matrix, rho.matrix, atol=1e-10)
         np.testing.assert_allclose(dec.state_at(0.0).matrix, sigma.matrix, atol=1e-10)
         assert kl(dec.p, dec.q) == pytest.approx(
@@ -59,20 +58,20 @@ class TestParallelDecomposition:
 
     def test_mixture_path_is_covered(self):
         rho, sigma = fixtures.QUTRIT
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         for t in (0.15, 0.5, 0.85):
             target = t * rho.matrix + (1 - t) * sigma.matrix
             np.testing.assert_allclose(dec.state_at(t).matrix, target, atol=1e-10)
 
     def test_frame_linearly_independent(self):
         rho, sigma = fixtures.QUTRIT
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         gram = dec.frame.conj().T @ dec.frame
         assert np.linalg.eigvalsh(gram).min() > 1e-10
 
     def test_shared_rank_deficient_support(self):
         rho, sigma = _rank_deficient_pair(5)
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         assert dec.frame.shape == (3, 2)
         np.testing.assert_allclose(dec.state_at(1.0).matrix, rho.matrix, atol=1e-9)
         assert kl(dec.p, dec.q) == pytest.approx(rld_entropy(rho, sigma).value, abs=1e-8)
@@ -81,7 +80,7 @@ class TestParallelDecomposition:
         rho = random_density(3, seed=7)
         sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
         with pytest.raises(SupportViolationError, match="rank"):
-            parallel_decomposition(rho, sigma)
+            optimal_reverse_test(rho, sigma)
 
 
 class TestOptimalReverseTest:
@@ -121,13 +120,14 @@ class TestOptimalReverseTest:
     def test_pushforward_witnesses_monotonicity(self):
         rho, sigma = fixtures.QUBIT_A
         rt = optimal_reverse_test(rho, sigma)
-        for k in range(10):
-            ch = random_cptp(2, 2, seed=derive_seed(110, k))
+        channels = [random_cptp(2, 2, seed=derive_seed(110, k)) for k in range(10)]
+        for ch in channels + [random_cptp(2, 3, seed=1)]:
             wit = pushforward_reverse_test(rt, ch)
             lr, ls = apply_channel(ch, rho), apply_channel(ch, sigma)
-            np.testing.assert_allclose(cq_apply(wit.preparation, wit.p).matrix, lr.matrix, atol=1e-9)
-            np.testing.assert_allclose(cq_apply(wit.preparation, wit.q).matrix, ls.matrix, atol=1e-9)
-            assert rld_entropy(lr, ls).value <= wit.input_kl + 1e-8
+            assert wit.dim == ch.dim_out
+            np.testing.assert_allclose(cq_apply(wit, rt.p).matrix, lr.matrix, atol=1e-9)
+            np.testing.assert_allclose(cq_apply(wit, rt.q).matrix, ls.matrix, atol=1e-9)
+            assert rld_entropy(lr, ls).value <= rt.input_kl + 1e-8
 
 
 class TestReverseEstimation:
@@ -189,7 +189,7 @@ class TestReverseEstimation:
 class TestPathFisherIdentity:
     def test_classical_fisher_equals_rld_along_path(self):
         rho, sigma = fixtures.QUBIT_A
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         diff = TangentDirection(rho.matrix - sigma.matrix)
         for t in (0.2, 0.5, 0.8):
             pt = ClassicalDistribution(t * dec.p.probs + (1 - t) * dec.q.probs)
@@ -199,7 +199,7 @@ class TestPathFisherIdentity:
 
     def test_integrated_path_fisher_equals_input_kl(self):
         rho, sigma = fixtures.QUBIT_B
-        dec = parallel_decomposition(rho, sigma)
+        dec = optimal_reverse_test(rho, sigma)
         diff = TangentDirection(rho.matrix - sigma.matrix)
         xs, ws = np.polynomial.legendre.leggauss(96)
         total = sum(wi * (1 - si) * metric_scalar(rld_metric(), dec.state_at(si), diff)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from qdiv.errors import ValidationError
-from qdiv.reverse import optimal_reverse_test
+from qdiv.reverse import optimal_reverse_test, refine_reverse_test
 from qdiv.serialize import (channel_from_dict, channel_to_dict,
                             distribution_from_dict, distribution_to_dict,
-                            load_state, reverse_test_to_dict, state_from_dict,
-                            state_to_dict, dump)
+                            load_hermitian, load_state, reverse_test_to_dict,
+                            state_from_dict, state_to_dict, dump)
 from qdiv.states import (ClassicalDistribution, random_cptp, random_density)
 from qdiv import fixtures
 
@@ -36,9 +36,18 @@ class TestStateFormat:
     def test_rejects_dim_mismatch(self):
         rho = random_density(2, seed=3)
         data = state_to_dict(rho)
-        data["dim"] = 3
-        with pytest.raises(ValidationError, match="dim"):
-            state_from_dict(data)
+        for dim in (3, [2]):
+            data["dim"] = dim
+            with pytest.raises(ValidationError, match="dim"):
+                state_from_dict(data)
+
+    @pytest.mark.parametrize("data", [{"dim": 2}, [1, 2]])
+    def test_rejects_file_without_matrix(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for load in (load_state, load_hermitian):
+            with pytest.raises(ValidationError, match="matrix"):
+                load(str(path))
 
     def test_rejects_non_hermitian(self):
         data = {"dim": 2, "matrix": [[[0.5, 0.0], [0.4, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
@@ -94,6 +103,14 @@ class TestReverseTestFormat:
         assert len(data["frame"]) == len(data["p"]) == len(data["q"]) == 2
         assert json.loads(json.dumps(data)) == data
         # frame vectors reconstruct the committed weights
+        frame = np.array([[complex(re, im) for re, im in vec] for vec in data["frame"]]).T
+        rec = (frame * np.array(data["p"])) @ frame.conj().T
+        np.testing.assert_allclose(rec, rho.matrix, atol=1e-9)
+
+    def test_refined_test_has_one_frame_vector_per_symbol(self):
+        rho, sigma = fixtures.QUBIT_A
+        data = reverse_test_to_dict(refine_reverse_test(optimal_reverse_test(rho, sigma), splits=3))
+        assert len(data["frame"]) == len(data["p"]) == len(data["q"]) == 6
         frame = np.array([[complex(re, im) for re, im in vec] for vec in data["frame"]]).T
         rec = (frame * np.array(data["p"])) @ frame.conj().T
         np.testing.assert_allclose(rec, rho.matrix, atol=1e-9)

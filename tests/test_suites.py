@@ -42,6 +42,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match="cap"):
             SuiteConfig(n_range=(2, 20))
 
+    @pytest.mark.parametrize("data,match", [
+        ([1], "object"),
+        ({"dims": 3}, "dims"),
+        ({"n_range": [2, 3, 4]}, "n_range"),
+        ({"suites": "sandwich"}, "suites must"),
+        ({"tolerances": [1e-6]}, "tolerances"),
+        ({"seed": None}, "malformed"),
+        ({"trails": 3}, "trails"),
+        ({"tolerances": {"sandwich_slak": 1e-6}}, "sandwich_slak"),
+    ])
+    def test_from_dict_rejects_malformed(self, data, match):
+        with pytest.raises(ValidationError, match=match):
+            SuiteConfig.from_dict(data)
+
     def test_from_dict(self):
         cfg = SuiteConfig.from_dict({"seed": 5, "trials": 3, "dims": [2],
                                      "suites": ["sandwich"], "tolerances": {"sandwich_slack": 1e-6}})
