@@ -1,8 +1,9 @@
 """Tolerance table, dimension cap, and deterministic seed derivation.
 
-Suites and operations never inline tolerance constants; everything numeric
-that a check depends on lives in DEFAULT_TOLERANCES so a single table can be
-overridden from a verification config.
+The library's own validation tolerances are the named constants below; they
+are fixed. DEFAULT_TOLERANCES holds the slacks the verification suites read
+through `SuiteConfig.tol`, and only those can be overridden from a
+verification config.
 """
 
 import os
@@ -16,13 +17,20 @@ PSD_CLIP_RTOL = 1e-10
 
 HERMITICITY_RTOL = 1e-12
 
+# Fixed validation tolerances: unit trace or sum, Kraus and POVM completeness,
+# support and off-support residuals, the tanh-sinh stopping step, and the
+# slack added to the smoothing distance bound.
+TRACE_TOL = 1e-10
+COMPLETENESS_TOL = 1e-9
+SUPPORT_TOL = 1e-10
+OPERATOR_RESIDUAL_TOL = 1e-10
+QUADRATURE_STEP_TOL = 1e-8
+DATTA1_SLACK = 1e-6
+
 _DEFAULT_DIM_CAP = 4096
 
 DEFAULT_TOLERANCES = {
-    "trace": 1e-10,
-    "completeness": 1e-9,
     "reconstruction": 1e-9,
-    "support": 1e-10,
     "monotonicity_slack": 1e-8,
     "sandwich_slack": 1e-8,
     "joint_convexity_slack": 1e-8,
@@ -32,13 +40,10 @@ DEFAULT_TOLERANCES = {
     "metric_order_slack": 1e-10,
     "normalization_match": 1e-10,
     "integral_identity": 1e-6,
-    "quadrature_step": 1e-8,
     "holevo_bound_slack": 1e-8,
     "imj_identity": 1e-9,
-    "operator_residual": 1e-10,
     "additivity": 1e-9,
     "sigma_exact": 1e-9,
-    "datta1_slack": 1e-6,
     "type2_slack": 1e-9,
     "stein_grid_width": 1e-3,
     "converse_witness_slack": 1e-9,

@@ -10,18 +10,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import SUPPORT_TOL
 from .errors import ConvergenceError
-from .linalg import (eigh, frobenius, logm_support, matrix_function,
-                     pinv_psd, sqrtm_psd, support_projector, trace_norm)
+from .linalg import (eigh, eigh_hermitian, frobenius, logm_support,
+                     matrix_function, pinv_psd, sqrtm_psd, support_projector,
+                     trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
                      random_unitary)
 
 SUPPORT_CONTAINED = "contained"
 SUPPORT_EQUAL = "equal"
 SUPPORT_VIOLATED = "violated"
-
-_SUPPORT_TOL = DEFAULT_TOLERANCES["support"]
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,10 @@ def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     proj_s = support_projector(sigma.eigen)
     comp = np.eye(rho.dim) - proj_s
     leak = frobenius(comp @ rho.matrix @ comp)
-    if leak > _SUPPORT_TOL:
+    if leak > SUPPORT_TOL:
         return SUPPORT_VIOLATED
     proj_r = support_projector(rho.eigen)
-    if frobenius(proj_r - proj_s) <= _SUPPORT_TOL:
+    if frobenius(proj_r - proj_s) <= SUPPORT_TOL:
         return SUPPORT_EQUAL
     return SUPPORT_CONTAINED
 
@@ -121,7 +120,7 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return math.inf
     isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
     inner = isq @ rho.matrix @ isq
-    w, _ = eigh((inner + inner.conj().T) / 2)
+    w, _ = eigh_hermitian((inner + inner.conj().T) / 2)
     top = float(w[-1])
     if top <= 0.0:
         return -math.inf

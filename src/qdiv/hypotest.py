@@ -7,16 +7,18 @@ trusted from a printed constant.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DATTA1_SLACK, DEFAULT_TOLERANCES
 from .divergences import dmax, umegaki
-from .errors import InfeasibleRateError, QdivError
-from .linalg import (EigenSystem, eigh, matrix_function, positive_part,
-                     trace_norm)
+from .errors import InfeasibleRateError, QdivError, SupportViolationError
+from .linalg import (EigenSystem, eigh, eigh_hermitian, matrix_function,
+                     positive_part, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, cq_apply, measure, tensor_power)
 
@@ -57,35 +59,26 @@ def _ratio_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float,
     return es, proj, TestCurvePoint(a, t1, t2)
 
 
-class _AcceptCurve:
-    """Cached type-1 acceptance curve a -> tr rho_n P_a for one (pair, n)."""
+def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: int, eps: float,
+                   width: float) -> float:
+    """Smallest rate a (grid resolution `width`) whose acceptance accept(a)
+    reaches 1 - eps: a 17-point grid over [lo, hi], refined around its first
+    hit, with each rate evaluated once. No monotonicity in a is assumed.
 
-    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix, n: int):
-        self.rho_n = tensor_power(rho, n)
-        self.sigma_n = tensor_power(sigma, n)
-        self.n = n
-        self._cache: dict[float, TestCurvePoint] = {}
-
-    def point(self, a: float) -> TestCurvePoint:
-        if a not in self._cache:
-            self._cache[a] = np_projector(self.rho_n, self.sigma_n, a, self.n)[1]
-        return self._cache[a]
-
-
-def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float,
-                    width: float = _GRID_WIDTH) -> float:
-    """Smallest rate a (grid resolution `width`) whose acceptance reaches
-    1 - eps. A full grid scan with recursive refinement; no monotonicity of
-    the curve in a is assumed."""
+    An infinite lo becomes ln(1 - eps)/n - 0.5, below every hit, since an
+    acceptance tr rho_n P_a never exceeds e^{na}. An infinite hi means the
+    support of rho escapes that of sigma, and raises."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lo = -dmax(sigma, rho) - 0.5
-    hi = dmax(rho, sigma) + 0.5
-    curve = _AcceptCurve(rho, sigma, n)
+    if math.isinf(hi):
+        raise SupportViolationError("supp rho escapes supp sigma: the acceptance threshold is infinite")
+    if math.isinf(lo):
+        lo = math.log(1 - eps) / n - 0.5
+    accept = functools.cache(accept)
     target = 1 - eps
     while True:
         grid = np.linspace(lo, hi, 17)
-        hit = next((i for i, a in enumerate(grid) if curve.point(float(a)).type1_accept >= target), None)
+        hit = next((i for i, a in enumerate(grid) if accept(float(a)) >= target), None)
         if hit is None:
             raise QdivError(f"acceptance never reaches {target} on [{lo}, {hi}] at n={n}")
         step = float(grid[1] - grid[0])
@@ -95,9 +88,18 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
         lo = float(grid[hit - 1]) if hit > 0 else hi - step
 
 
+def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float,
+                    width: float = _GRID_WIDTH) -> float:
+    """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
+    the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5."""
+    lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
+    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
+    return threshold_scan(lambda a: np_projector(rho_n, sigma_n, a, n)[1].type1_accept, lo, hi, n, eps, width)
+
+
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
-    curve = _AcceptCurve(rho, sigma, n)
-    return [curve.point(float(a)) for a in rates]
+    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
+    return [np_projector(rho_n, sigma_n, float(a), n)[1] for a in rates]
 
 
 def write_curve_csv(path: str, rows) -> None:
@@ -129,7 +131,8 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
 
     The certificate a' = dmax(state, sigma_n)/n is recomputed from the output
     and is the only guarantee exported; the distance bound in sqrt(shortfall)
-    is checked and reported, not assumed.
+    is checked and reported, not assumed. Raises SupportViolationError when
+    the support of rho_n escapes that of sigma_n.
     """
     delta_eigen, _, point = _ratio_test(rho_n, sigma_n, a, n)
     cand = rho_n.matrix - positive_part(delta_eigen)
@@ -140,8 +143,10 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
     state = DensityMatrix(apos / tr)
     epsilon = trace_norm(state.matrix - rho_n.matrix)
     cert = dmax(state, sigma_n) / n
+    if math.isinf(cert):
+        raise SupportViolationError("supp rho escapes supp sigma: the smoothed state has no rate certificate")
     shortfall = 1.0 - point.type1_accept
-    bound = 4 * math.sqrt(2 * max(shortfall, 0.0)) + DEFAULT_TOLERANCES["datta1_slack"]
+    bound = 4 * math.sqrt(2 * max(shortfall, 0.0)) + DATTA1_SLACK
     witness = math.exp(n * cert) * sigma_n.matrix - state.matrix
     if float(np.linalg.eigvalsh(witness).min()) < -1e-9:
         raise QdivError("rate certificate failed its own PSD check")
@@ -158,7 +163,7 @@ def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int
     msq = matrix_function(m_eigen, np.sqrt, support_only=True)
     misq = matrix_function(m_eigen, lambda v: 1 / np.sqrt(v), support_only=True)
     c = misq @ rho_n.matrix @ misq
-    w, v = eigh((c + c.conj().T) / 2)
+    w, v = eigh_hermitian((c + c.conj().T) / 2)
     capped = (v * np.minimum(np.maximum(w, 0.0), 1.0)) @ v.conj().T
     rhat = msq @ capped @ msq
     rhat = (rhat + rhat.conj().T) / 2

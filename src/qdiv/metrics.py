@@ -11,14 +11,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, SUPPORT_RTOL
+from .config import OPERATOR_RESIDUAL_TOL, QUADRATURE_STEP_TOL, SUPPORT_RTOL
 from .errors import ConvergenceError, RankError, SupportViolationError
 from .linalg import (EigenSystem, eigh, frobenius, matrix_function, pinv_psd,
                      support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      basis_weights)
-
-_OP_RESID = DEFAULT_TOLERANCES["operator_residual"]
 
 
 def _h_ratio(x: np.ndarray, beta: float) -> np.ndarray:
@@ -86,19 +84,6 @@ def alpha_metric(alpha: float) -> MetricSpec:
     return MetricSpec(f"alpha={alpha:g}", lambda x, a=alpha: f_alpha(x, a))
 
 
-def custom_metric(f: Callable[[np.ndarray], np.ndarray], name: str = "custom") -> MetricSpec:
-    """Wrap a user-supplied operator monotone f; checks normalization and the
-    symmetry f(x) = x f(1/x) on a grid (not operator monotonicity itself)."""
-    grid = np.linspace(0.05, 20.0, 97)
-    fx = np.asarray(f(grid), dtype=float)
-    if abs(float(f(np.array([1.0]))[0]) - 1.0) > 1e-10:
-        raise ValueError("custom metric function must satisfy f(1) = 1")
-    sym = np.abs(grid * np.asarray(f(1.0 / grid), dtype=float) - fx).max()
-    if sym > 1e-10:
-        raise ValueError(f"custom metric function breaks f(x) = x f(1/x): defect {sym:.3e}")
-    return MetricSpec(name, f)
-
-
 def named_metric(name: str) -> MetricSpec:
     """Resolve 'sld' | 'rld' | 'bkm' | 'wy' | 'alpha=A'."""
     key = name.lower()
@@ -157,18 +142,13 @@ def sld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
-def sld_defect(rho: DensityMatrix, x: TangentDirection, l: np.ndarray) -> float:
-    """Residual of the defining equation, ||(L rho + rho L)/2 - X||_F."""
-    return frobenius((l @ rho.matrix + rho.matrix @ l) / 2 - x.matrix)
-
-
 def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     """Right logarithmic derivative L = X rho^-1; exists iff X lives on the
     support of rho."""
     proj = support_projector(rho.eigen)
     comp = np.eye(rho.dim) - proj
     resid = frobenius(comp @ x.matrix @ comp)
-    if resid > _OP_RESID:
+    if resid > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support of rho (residual {resid:.3e}): RLD does not exist")
     l = proj @ x.matrix @ pinv_psd(rho.eigen)
@@ -302,11 +282,10 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
             total += np.sum(np.pi * np.cosh(tc) * s * sc * sc * _petz_form(spec, nodes, diff, diff).real)
         return total
 
-    step_tol = DEFAULT_TOLERANCES["quadrature_step"]
     est = node_sum(np.arange(-_TS_SPAN, _TS_SPAN + 1.0))
     for h in 0.5 ** np.arange(1, _TS_HALVINGS + 1):
         prev, est = est, est / 2 + h * node_sum(h * np.arange(1 - _TS_SPAN / h, _TS_SPAN / h, 2))
-        if abs(est - prev) < step_tol:
+        if abs(est - prev) < QUADRATURE_STEP_TOL:
             return float(est)
     raise ConvergenceError(f"integral_divergence did not converge: step {abs(est - prev):.3e} "
-                           f"at {round(2 * _TS_SPAN / h) + 1} nodes exceeds {step_tol:.0e}")
+                           f"at {round(2 * _TS_SPAN / h) + 1} nodes exceeds {QUADRATURE_STEP_TOL:.0e}")

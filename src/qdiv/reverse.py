@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL, SUPPORT_TOL
 from .errors import SupportViolationError
 from .divergences import kl
-from .linalg import (eigh, frobenius, matrix_function, polar_unitary,
-                     sqrtm_psd, support_cutoff)
+from .linalg import (eigh, eigh_hermitian, frobenius, matrix_function,
+                     polar_unitary, sqrtm_psd, support_cutoff)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
-                     QuantumChannel, TangentDirection, apply_channel)
+                     QuantumChannel, TangentDirection)
 
 _RECON_TOL = DEFAULT_TOLERANCES["reconstruction"]
 
@@ -67,7 +67,7 @@ def _common_support_isometry(rho: DensityMatrix, sigma: DensityMatrix) -> np.nda
             f"supports differ: rank(rho) = {int(keep_r.sum())}, rank(sigma) = {int(keep_s.sum())}")
     pr = vr[:, keep_r] @ vr[:, keep_r].conj().T
     ps = vs[:, keep_s] @ vs[:, keep_s].conj().T
-    if frobenius(pr - ps) > DEFAULT_TOLERANCES["support"] * 10:
+    if frobenius(pr - ps) > SUPPORT_TOL * 10:
         raise SupportViolationError(
             f"support projectors differ by {frobenius(pr - ps):.3e}; equal supports required")
     return vs[:, keep_s]
@@ -93,7 +93,7 @@ def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
     t = matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrtm_psd(r)
     u = polar_unitary(t)
     x = t @ u
-    d, v = eigh((x + x.conj().T) / 2)
+    d, v = eigh_hermitian((x + x.conj().T) / 2)
     d = np.maximum(d, 0.0)
 
     w = sr_s @ v
@@ -114,10 +114,15 @@ def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
 
 
 def pushforward_reverse_test(rt: ReverseTest, channel: QuantumChannel) -> Preparation:
-    """The preparation post-composed with a channel. With rt.p and rt.q it
-    is a reverse test of the image pair at input KL rt.input_kl, witnessing
-    monotonicity of the RLD divergence."""
-    return Preparation(tuple(apply_channel(channel, s) for s in rt.preparation.states))
+    """The preparation post-composed with a channel, symbol x preparing
+    sum_k K_k |phi_x><phi_x| K_k^dag. With rt.p and rt.q it is a reverse test
+    of the image pair at input KL rt.input_kl, witnessing monotonicity of the
+    RLD divergence."""
+    if channel.dim_in != rt.frame.shape[0]:
+        raise ValueError(f"channel input dim {channel.dim_in} != frame dim {rt.frame.shape[0]}")
+    images = np.stack(channel.kraus) @ rt.frame     # images[k][:, x] = K_k |phi_x>
+    return Preparation(tuple(DensityMatrix(images[:, :, x].T @ images[:, :, x].conj())
+                             for x in range(rt.frame.shape[1])))
 
 
 def refine_reverse_test(rt: ReverseTest, splits: int = 2, seed: int = 0) -> ReverseTest:
@@ -144,13 +149,13 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
     lam, e = lam[keep], e[:, keep]
     comp = np.eye(rho.dim) - e @ e.conj().T
     leak = frobenius(comp @ x.matrix @ comp)
-    if leak > DEFAULT_TOLERANCES["operator_residual"]:
+    if leak > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support (residual {leak:.3e}): no reverse derivative exists")
 
     scale = 1.0 / np.sqrt(lam)
     a = (e.conj().T @ x.matrix @ e) * np.outer(scale, scale)
-    avals, rot = eigh((a + a.conj().T) / 2)
+    avals, rot = eigh_hermitian((a + a.conj().T) / 2)
     w = (e * np.sqrt(lam)) @ rot
 
     pv = np.sum(np.abs(w) ** 2, axis=0)

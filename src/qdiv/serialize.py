@@ -1,4 +1,4 @@
-"""JSON wire formats for states, channels, distributions, and reverse tests.
+"""JSON wire formats for states, tangents, and reverse tests.
 
 Complex entries are encoded as [re, im] pairs; matrices as row-major nested
 lists. Parsers re-validate every invariant and report residuals on rejection.
@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .states import ClassicalDistribution, DensityMatrix, QuantumChannel
+from .states import DensityMatrix
 
 
 def _matrix_to_json(m: np.ndarray) -> list:
@@ -40,28 +40,6 @@ def state_from_dict(data: dict) -> DensityMatrix:
     if m.shape != (dim, dim):
         raise ValidationError(f"declared dim {dim!r} does not match matrix shape {m.shape}")
     return DensityMatrix(m)
-
-
-def channel_to_dict(ch: QuantumChannel) -> dict:
-    return {"dim_in": ch.dim_in, "dim_out": ch.dim_out,
-            "kraus": [_matrix_to_json(k) for k in ch.kraus]}
-
-
-def channel_from_dict(data: dict) -> QuantumChannel:
-    kraus = tuple(_matrix_from_json(k, "Kraus operator") for k in data["kraus"])
-    ch = QuantumChannel(kraus)
-    for key, got in (("dim_in", ch.dim_in), ("dim_out", ch.dim_out)):
-        if key in data and int(data[key]) != got:
-            raise ValidationError(f"declared {key} {data[key]} does not match Kraus shape {got}")
-    return ch
-
-
-def distribution_to_dict(p: ClassicalDistribution) -> dict:
-    return {"probs": [float(x) for x in p.probs]}
-
-
-def distribution_from_dict(data: dict) -> ClassicalDistribution:
-    return ClassicalDistribution(np.asarray(data["probs"], dtype=float))
 
 
 def reverse_test_to_dict(rt) -> dict:

@@ -5,13 +5,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, dimension_cap
+from .config import COMPLETENESS_TOL, TRACE_TOL, dimension_cap
 from .errors import DimensionCapError, PSDViolationError, ValidationError
 from .linalg import (EigenSystem, check_hermitian, clip_psd_eigenvalues,
                      eigh_hermitian)
-
-_TRACE_TOL = DEFAULT_TOLERANCES["trace"]
-_COMPLETE_TOL = DEFAULT_TOLERANCES["completeness"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +27,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = check_hermitian(self.matrix, what="density matrix")
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace {tr!r} differs from 1 by {abs(tr - 1.0):.3e}")
         w, v = eigh_hermitian(m)
         if w.min() < 0.0:
@@ -56,8 +53,8 @@ class TangentDirection:
     def __post_init__(self):
         m = check_hermitian(self.matrix, what="tangent direction")
         tr = abs(complex(np.trace(m)))
-        if tr > _TRACE_TOL:
-            raise ValidationError(f"tangent direction trace magnitude {tr:.3e} exceeds {_TRACE_TOL:.0e}")
+        if tr > TRACE_TOL:
+            raise ValidationError(f"tangent direction trace magnitude {tr:.3e} exceeds {TRACE_TOL:.0e}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -82,8 +79,8 @@ class QuantumChannel:
             raise ValidationError("all Kraus operators must share one shape")
         comp = sum(k.conj().T @ k for k in ops)
         resid = float(np.abs(comp - np.eye(din)).max())
-        if resid > _COMPLETE_TOL:
-            raise ValidationError(f"channel completeness residual {resid:.3e} exceeds {_COMPLETE_TOL:.0e}")
+        if resid > COMPLETENESS_TOL:
+            raise ValidationError(f"channel completeness residual {resid:.3e} exceeds {COMPLETENESS_TOL:.0e}")
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "dim_in", din)
         object.__setattr__(self, "dim_out", dout)
@@ -103,8 +100,8 @@ class Measurement:
         for e in effs:
             clip_psd_eigenvalues(np.linalg.eigvalsh(e), what="effect")
         resid = float(np.abs(sum(effs) - np.eye(d)).max())
-        if resid > _COMPLETE_TOL:
-            raise ValidationError(f"measurement completeness residual {resid:.3e} exceeds {_COMPLETE_TOL:.0e}")
+        if resid > COMPLETENESS_TOL:
+            raise ValidationError(f"measurement completeness residual {resid:.3e} exceeds {COMPLETENESS_TOL:.0e}")
         object.__setattr__(self, "effects", effs)
 
     @property
@@ -126,7 +123,7 @@ class ClassicalDistribution:
             raise ValidationError(f"negative probability {p.min():.3e}")
         p = np.maximum(p, 0.0)
         s = float(p.sum())
-        if abs(s - 1.0) > _TRACE_TOL:
+        if abs(s - 1.0) > TRACE_TOL:
             raise ValidationError(f"probabilities sum to {s!r}, off by {abs(s - 1.0):.3e}")
         object.__setattr__(self, "probs", p)
 

@@ -21,7 +21,7 @@ from .divergences import (dmax, fidelity_logdiv, kl, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import ValidationError
 from .hypotest import (asymptotic_reverse_test, curve_points, smooth_state,
-                       state_conversion, stein_threshold)
+                       state_conversion, stein_threshold, threshold_scan)
 from .linalg import frobenius
 from .metrics import (alpha_metric, bkm_metric, classical_fisher_scalar,
                       holevo_rld_bound, holevo_rld_minimizer,
@@ -429,8 +429,8 @@ def _suite_stein_trend(cfg: SuiteConfig):
 
 def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float,
                                width: float | None = None) -> float:
-    """Brute-force classical threshold: enumerate all |p|^n outcomes and scan
-    the same grid schedule as the quantum path."""
+    """Brute-force classical threshold: enumerate all |p|^n outcomes and run
+    the quantum path's threshold_scan on their likelihood-ratio acceptance."""
     width = DEFAULT_TOLERANCES["stein_grid_width"] if width is None else width
     outs = list(itertools.product(range(p.size), repeat=n))
     pn = np.array([float(np.prod([p[i] for i in o])) for o in outs])
@@ -441,19 +441,11 @@ def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float,
         tol = 1e-12 * max(float(np.abs(diff).max()), 1e-300)
         return float(pn[diff <= tol].sum())
 
-    lo = -float(np.max(np.log(q) - np.log(p))) - 0.5
-    hi = float(np.max(np.log(p) - np.log(q))) + 0.5
-    target = 1 - eps
-    while True:
-        grid = np.linspace(lo, hi, 17)
-        hit = next((i for i, a in enumerate(grid) if accept(float(a)) >= target), None)
-        if hit is None:
-            raise RuntimeError(f"classical scan exhausted on [{lo}, {hi}]")
-        step = float(grid[1] - grid[0])
-        if step <= width:
-            return float(grid[hit])
-        hi = float(grid[hit])
-        lo = float(grid[hit - 1]) if hit > 0 else hi - step
+    # classical dmax bounds, each a maximum over the support of its first argument
+    with np.errstate(divide="ignore"):
+        lo = -float(np.max(np.log(q[q > 0]) - np.log(p[q > 0]))) - 0.5
+        hi = float(np.max(np.log(p[p > 0]) - np.log(q[p > 0]))) + 0.5
+    return threshold_scan(accept, lo, hi, n, eps, width)
 
 
 def _suite_conversion(cfg: SuiteConfig):

@@ -14,13 +14,14 @@ from qdiv.hypotest import (asymptotic_reverse_test, state_conversion,
                            stein_threshold)
 from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
                           rld_operator, sld_optimal_measurement)
-from qdiv.reverse import (optimal_reverse_test, refine_reverse_test,
-                          reverse_estimation_1param)
-from qdiv.states import random_tangent
+from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
+                          refine_reverse_test, reverse_estimation_1param)
+from qdiv.states import random_cptp, random_tangent
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
 RT = optimal_reverse_test(RHO, SIGMA)
+CHANNEL = random_cptp(3, 3, seed=1)
 BKM = bkm_metric()
 # the gap c that the conversion suite uses for QUBIT_A
 C = 0.45 * (umegaki(*CONVERSION_SOURCE).value - umegaki(*QUBIT_A).value)
@@ -37,6 +38,8 @@ CASES = {
     # built only when the preparation is read
     "optimal_reverse_test": (3, lambda: optimal_reverse_test(RHO, SIGMA)),
     "refine_reverse_test": (0, lambda: refine_reverse_test(RT, splits=3)),
+    # the 3 image states only; the frame's pure states are not built
+    "pushforward_reverse_test": (3, lambda: pushforward_reverse_test(RT, CHANNEL)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
     "reverse_estimation_1param": (1, lambda: reverse_estimation_1param(RHO, X)),
     # 2 tensor powers, 2 dmax bounds, 32 grid points

@@ -9,10 +9,12 @@ import pytest
 
 from qdiv import fixtures
 from qdiv.divergences import dmax, umegaki
+from qdiv.errors import SupportViolationError
 from qdiv.hypotest import (asymptotic_reverse_test, np_projector, smooth_state,
                            state_conversion, stein_threshold, curve_points,
                            write_curve_csv)
 from qdiv.states import DensityMatrix, cq_apply, random_density, tensor_power
+from qdiv.suites import classical_threshold_oracle
 
 import oracles
 
@@ -61,7 +63,6 @@ class TestSteinThreshold:
         rho, sigma = fixtures.COMMUTING
         p = np.diag(rho.matrix).real
         q = np.diag(sigma.matrix).real
-        from qdiv.suites import classical_threshold_oracle
         a_q = stein_threshold(rho, sigma, n, 0.5)
         a_c = classical_threshold_oracle(p, q, n, 0.5)
         assert a_q == pytest.approx(a_c, abs=1e-9)
@@ -70,6 +71,29 @@ class TestSteinThreshold:
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="eps"):
             stein_threshold(rho, sigma, 2, 1.5)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rank_deficient_rho_matches_bruteforce(self, n):
+        # dmax(sigma, rho) is infinite, so the scan's lower end is not
+        p, q = np.array([1.0, 0.0]), np.array([0.3, 0.7])
+        rho, sigma = (DensityMatrix(np.diag(v).astype(complex)) for v in (p, q))
+        a_q = stein_threshold(rho, sigma, n, 0.5)
+        assert a_q == pytest.approx(classical_threshold_oracle(p, q, n, 0.5), abs=1e-9)
+        assert a_q == pytest.approx(-math.log(0.3), abs=2e-3)
+
+    def test_shared_kernel_matches_bruteforce(self):
+        p, q = np.array([0.5, 0.5, 0.0]), np.array([0.3, 0.7, 0.0])
+        rho, sigma = (DensityMatrix(np.diag(v).astype(complex)) for v in (p, q))
+        assert stein_threshold(rho, sigma, 2, 0.5) == pytest.approx(
+            classical_threshold_oracle(p, q, 2, 0.5), abs=1e-9)
+
+    def test_support_violation_raises(self):
+        p, q = np.array([0.3, 0.7]), np.array([1.0, 0.0])
+        rho, sigma = (DensityMatrix(np.diag(v).astype(complex)) for v in (p, q))
+        with pytest.raises(SupportViolationError):
+            stein_threshold(rho, sigma, 2, 0.5)
+        with pytest.raises(SupportViolationError):
+            classical_threshold_oracle(p, q, 2, 0.5)
 
 
 class TestSmoothState:
@@ -126,6 +150,18 @@ class TestSmoothState:
         assert sm.rate_certificate <= bound + 1e-6
 
 
+    def test_support_violation_raises(self):
+        rho, sigma = _escaping_pair()
+        with pytest.raises(SupportViolationError):
+            smooth_state(tensor_power(rho, 2), tensor_power(sigma, 2), 0.5, 2)
+
+
+def _escaping_pair():
+    """A full-rank rho against a rank-1 sigma: supp rho escapes supp sigma."""
+    return (DensityMatrix(np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)),
+            DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
+
+
 class TestAsymptoticReverseTest:
     def test_rate_above_dmax_exact(self):
         rho, sigma = fixtures.QUBIT_A
@@ -164,6 +200,10 @@ class TestAsymptoticReverseTest:
         rate = umegaki(rho, sigma).value + 0.15
         brt = asymptotic_reverse_test(rho, sigma, 4, rate)
         assert brt.certificate <= rate + 1e-9
+
+    def test_support_violation_raises(self):
+        with pytest.raises(SupportViolationError):
+            asymptotic_reverse_test(*_escaping_pair(), 2, 0.5)
 
     def test_rejects_nonpositive_rate(self):
         rho, sigma = fixtures.QUBIT_A

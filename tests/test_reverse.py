@@ -129,6 +129,11 @@ class TestOptimalReverseTest:
             np.testing.assert_allclose(cq_apply(wit, rt.q).matrix, ls.matrix, atol=1e-9)
             assert rld_entropy(lr, ls).value <= rt.input_kl + 1e-8
 
+    def test_pushforward_rejects_input_dim_mismatch(self):
+        rt = optimal_reverse_test(*fixtures.QUBIT_A)
+        with pytest.raises(ValueError, match="input dim"):
+            pushforward_reverse_test(rt, random_cptp(3, 3, seed=1))
+
 
 class TestReverseEstimation:
     def test_maximally_mixed_hand_value(self):

@@ -7,11 +7,9 @@ import pytest
 
 from qdiv.errors import ValidationError
 from qdiv.reverse import optimal_reverse_test, refine_reverse_test
-from qdiv.serialize import (channel_from_dict, channel_to_dict,
-                            distribution_from_dict, distribution_to_dict,
-                            load_hermitian, load_state, reverse_test_to_dict,
+from qdiv.serialize import (load_hermitian, load_state, reverse_test_to_dict,
                             state_from_dict, state_to_dict, dump)
-from qdiv.states import (ClassicalDistribution, random_cptp, random_density)
+from qdiv.states import random_density
 from qdiv import fixtures
 
 
@@ -60,38 +58,6 @@ class TestStateFormat:
         dump(state_to_dict(rho), str(path))
         again = load_state(str(path))
         np.testing.assert_allclose(again.matrix, rho.matrix, atol=1e-15)
-
-
-class TestChannelFormat:
-    def test_roundtrip(self):
-        ch = random_cptp(2, 3, kraus_count=2, seed=5)
-        again = channel_from_dict(channel_to_dict(ch))
-        assert again.dim_in == 2 and again.dim_out == 3
-        for a, b in zip(again.kraus, ch.kraus):
-            np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_rejects_incomplete_kraus(self):
-        data = {"kraus": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}
-        with pytest.raises(ValidationError, match="residual"):
-            channel_from_dict(data)
-
-    def test_rejects_declared_dim_mismatch(self):
-        ch = random_cptp(2, 2, seed=6)
-        data = channel_to_dict(ch)
-        data["dim_in"] = 5
-        with pytest.raises(ValidationError, match="dim_in"):
-            channel_from_dict(data)
-
-
-class TestDistributionFormat:
-    def test_roundtrip(self):
-        p = ClassicalDistribution(np.array([0.25, 0.75]))
-        again = distribution_from_dict(distribution_to_dict(p))
-        np.testing.assert_allclose(again.probs, p.probs)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValidationError, match="sum"):
-            distribution_from_dict({"probs": [0.5, 0.6]})
 
 
 class TestReverseTestFormat:

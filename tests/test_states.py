@@ -63,6 +63,10 @@ class TestConstructors:
         with pytest.raises(ValidationError):
             ClassicalDistribution(np.array([1.1, -0.1]))
 
+    def test_distribution_rejects_bad_sum(self):
+        with pytest.raises(ValidationError, match="sum"):
+            ClassicalDistribution(np.array([0.5, 0.6]))
+
     def test_preparation_rejects_mixed_dims(self):
         a = DensityMatrix(np.eye(2, dtype=complex) / 2)
         b = DensityMatrix(np.eye(3, dtype=complex) / 3)

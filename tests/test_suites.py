@@ -51,6 +51,7 @@ class TestConfig:
         ({"seed": None}, "malformed"),
         ({"trails": 3}, "trails"),
         ({"tolerances": {"sandwich_slak": 1e-6}}, "sandwich_slak"),
+        ({"tolerances": {"trace": 1e-3}}, "trace"),
     ])
     def test_from_dict_rejects_malformed(self, data, match):
         with pytest.raises(ValidationError, match=match):
@@ -61,7 +62,7 @@ class TestConfig:
                                      "suites": ["sandwich"], "tolerances": {"sandwich_slack": 1e-6}})
         assert cfg.seed == 5 and cfg.trials == 3
         assert cfg.tol("sandwich_slack") == 1e-6
-        assert cfg.tol("trace") == 1e-10
+        assert cfg.tol("reconstruction") == 1e-9
 
 
 class TestRunSuite:
