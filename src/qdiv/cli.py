@@ -96,8 +96,7 @@ def _cmd_asym_reverse_test(args) -> int:
         return 1
     out = {"n": args.n, "rate": brt.rate, "feasible": True,
            "certificate": brt.certificate, "rho_error": brt.rho_error,
-           "sigma_error": brt.sigma_error, "smoothing": brt.smoothing,
-           "q0": brt.q.probs[0]}
+           "sigma_error": brt.sigma_error, "q0": brt.q.probs[0]}
     if args.json:
         dump(out, args.json)
     print(json.dumps(out))

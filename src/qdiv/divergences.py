@@ -13,8 +13,8 @@ import numpy as np
 from .config import SUPPORT_TOL
 from .errors import ConvergenceError
 from .linalg import (eigh, eigh_hermitian, frobenius, logm_support,
-                     matrix_function, pinv_psd, sqrtm_psd, support_projector,
-                     trace_norm)
+                     matrix_function, off_support_residual, pinv_psd,
+                     sqrtm_psd, support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
                      random_unitary)
 
@@ -44,9 +44,7 @@ def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     """Classify supp(rho) vs supp(sigma) by projector residuals."""
     _check_dims(rho, sigma)
     proj_s = support_projector(sigma.eigen)
-    comp = np.eye(rho.dim) - proj_s
-    leak = frobenius(comp @ rho.matrix @ comp)
-    if leak > SUPPORT_TOL:
+    if off_support_residual(proj_s, rho.matrix) > SUPPORT_TOL:
         return SUPPORT_VIOLATED
     proj_r = support_projector(rho.eigen)
     if frobenius(proj_r - proj_s) <= SUPPORT_TOL:

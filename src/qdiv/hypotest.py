@@ -14,11 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DATTA1_SLACK, DEFAULT_TOLERANCES
+from .config import DATTA1_SLACK, DEFAULT_TOLERANCES, SUPPORT_TOL
 from .divergences import dmax, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
 from .linalg import (EigenSystem, eigh, eigh_hermitian, matrix_function,
-                     positive_part, trace_norm)
+                     off_support_residual, positive_part, support_projector,
+                     trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, cq_apply, measure, tensor_power)
 
@@ -70,6 +71,8 @@ def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: in
     support of rho escapes that of sigma, and raises."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be finite and positive, got {width}")
     if math.isinf(hi):
         raise SupportViolationError("supp rho escapes supp sigma: the acceptance threshold is infinite")
     if math.isinf(lo):
@@ -93,8 +96,9 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
     """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
     the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5."""
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
-    return threshold_scan(lambda a: np_projector(rho_n, sigma_n, a, n)[1].type1_accept, lo, hi, n, eps, width)
+    # built at the first rate, once threshold_scan has checked its arguments
+    powers = functools.cache(lambda: (tensor_power(rho, n), tensor_power(sigma, n)))
+    return threshold_scan(lambda a: np_projector(*powers(), a, n)[1].type1_accept, lo, hi, n, eps, width)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
@@ -182,54 +186,51 @@ def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int
 
 @dataclass(frozen=True, eq=False)
 class BinaryReverseTest:
-    preparation: Preparation    # two states: smoothed rho-like, complement
+    preparation: Preparation    # two states: capped rho-like, complement
     p: ClassicalDistribution    # (1, 0)
     q: ClassicalDistribution    # (e^{-n rate}, 1 - e^{-n rate})
     rate: float
     certificate: float
     rho_error: float            # || prep(p) - rho^{x n} ||_1
     sigma_error: float          # || prep(q) - sigma^{x n} ||_1, ~0 by design
-    smoothing: str              # "plain" or "capped"
+
+
+def _complement_weight(rate: float, n: int) -> float:
+    """q(0) = e^{-n rate}, checked to leave weight for the complement state."""
+    q0 = math.exp(-n * rate) if rate > 0 else 1.0
+    if q0 >= 1 - 1e-12:
+        raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
+    return q0
 
 
 def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
                             rate: float) -> BinaryReverseTest:
-    """Binary-input preparation with prep(q) = sigma^{x n} exactly and
-    prep(p) near rho^{x n}, at input weight q(0) = e^{-n rate}.
-
-    The plain cut-and-renormalize smoothing is used when its certificate
-    meets the rate; otherwise the sigma-frame capped state (whose certificate
-    meets the rate by construction) substitutes. If neither certifies, the
-    rate is infeasible at this n and the minimal feasible rate is raised.
-    """
-    return _binary_reverse_test(tensor_power(rho, n), tensor_power(sigma, n), n, rate)
+    """binary_reverse_test on the n-th tensor powers, built once the rate is checked."""
+    _complement_weight(rate, n)
+    return binary_reverse_test(tensor_power(rho, n), tensor_power(sigma, n), rate, n)
 
 
-def _binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, n: int, rate: float) -> BinaryReverseTest:
-    """asymptotic_reverse_test on the tensor powers rho_n and sigma_n."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    sm = smooth_state(rho_n, sigma_n, rate, n)
-    if sm.rate_certificate <= rate + 1e-12:
-        state, cert, mode = sm.state, sm.rate_certificate, "plain"
-    else:
-        state = _capped_state(rho_n, sigma_n, rate, n)
-        cert, mode = dmax(state, sigma_n) / n, "capped"
-        if cert > rate + 1e-9:
-            raise InfeasibleRateError(
-                f"rate {rate} infeasible at n={n}: minimal certified rate "
-                f"{min(cert, sm.rate_certificate)}",
-                min_rate=min(cert, sm.rate_certificate))
-    q0 = math.exp(-n * rate)
-    if q0 >= 1 - 1e-12:
-        raise ValueError(f"n * rate = {n * rate} too small: q(0) = {q0} leaves no complement weight")
+def binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, rate: float,
+                        n: int) -> BinaryReverseTest:
+    """Binary-input preparation with prep(q) = sigma_n exactly and prep(p) the
+    sigma-frame capped state near rho_n, at input weight q(0) = e^{-n rate}.
+    Raises SupportViolationError if supp rho_n escapes supp sigma_n, and
+    InfeasibleRateError with the minimal certified rate if the rate is not met."""
+    q0 = _complement_weight(rate, n)
+    if off_support_residual(support_projector(sigma_n.eigen), rho_n.matrix) > SUPPORT_TOL:
+        raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
+    state = _capped_state(rho_n, sigma_n, rate, n)
+    cert = dmax(state, sigma_n) / n
+    if cert > rate + 1e-9:
+        raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
+                                  min_rate=cert)
     complement = DensityMatrix((sigma_n.matrix - q0 * state.matrix) / (1 - q0))
     prep = Preparation((state, complement))
     p = ClassicalDistribution(np.array([1.0, 0.0]))
     q = ClassicalDistribution(np.array([q0, 1 - q0]))
     sigma_err = trace_norm(cq_apply(prep, q).matrix - sigma_n.matrix)
     rho_err = trace_norm(state.matrix - rho_n.matrix)
-    return BinaryReverseTest(prep, p, q, rate, cert, rho_err, sigma_err, mode)
+    return BinaryReverseTest(prep, p, q, rate, cert, rho_err, sigma_err)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     reverse test at the measured type-2 exponent.
 
     Requires the strict gap umegaki(rho0, sigma0) > umegaki(rho, sigma) + 2c;
-    an infeasible smoothing rate at small n is reported, not raised.
+    a reverse-test rate that is infeasible at small n is reported, not raised.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
@@ -292,7 +293,7 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     rate = -math.log(q0) / n
     rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
     try:
-        brt = _binary_reverse_test(rho_n, sigma_n, n, rate)
+        brt = binary_reverse_test(rho_n, sigma_n, rate, n)
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
@@ -302,6 +303,5 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     out_s = channel.apply(sigma0_n)
     report = ConversionReport(n, True, rate, accept,
                               trace_norm(out_r.matrix - rho_n.matrix),
-                              trace_norm(out_s.matrix - sigma_n.matrix),
-                              f"smoothing={brt.smoothing}")
+                              trace_norm(out_s.matrix - sigma_n.matrix))
     return channel, report

@@ -130,6 +130,13 @@ def support_projector(h: np.ndarray | EigenSystem) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def off_support_residual(proj: np.ndarray, m: np.ndarray) -> float:
+    """Frobenius norm of (I - P) M (I - P): the part of m outside the range
+    of the projector P."""
+    comp = np.eye(proj.shape[0]) - proj
+    return frobenius(comp @ m @ comp)
+
+
 def polar_unitary(t: np.ndarray) -> np.ndarray:
     """Unitary U such that T @ U is Hermitian positive semidefinite.
 

@@ -13,8 +13,9 @@ import numpy as np
 
 from .config import OPERATOR_RESIDUAL_TOL, QUADRATURE_STEP_TOL, SUPPORT_RTOL
 from .errors import ConvergenceError, RankError, SupportViolationError
-from .linalg import (EigenSystem, eigh, frobenius, matrix_function, pinv_psd,
-                     support_projector, trace_norm)
+from .linalg import (EigenSystem, eigh, frobenius, matrix_function,
+                     off_support_residual, pinv_psd, support_projector,
+                     trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      basis_weights)
 
@@ -146,8 +147,7 @@ def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     """Right logarithmic derivative L = X rho^-1; exists iff X lives on the
     support of rho."""
     proj = support_projector(rho.eigen)
-    comp = np.eye(rho.dim) - proj
-    resid = frobenius(comp @ x.matrix @ comp)
+    resid = off_support_residual(proj, x.matrix)
     if resid > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support of rho (residual {resid:.3e}): RLD does not exist")

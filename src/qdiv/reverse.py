@@ -15,7 +15,8 @@ from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL, SUPPORT_TOL
 from .errors import SupportViolationError
 from .divergences import kl
 from .linalg import (eigh, eigh_hermitian, frobenius, matrix_function,
-                     polar_unitary, sqrtm_psd, support_cutoff)
+                     off_support_residual, polar_unitary, sqrtm_psd,
+                     support_cutoff, support_projector)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
                      QuantumChannel, TangentDirection)
@@ -58,19 +59,14 @@ class ReverseEstimation:
 
 
 def _common_support_isometry(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    wr, vr = rho.eigen
+    pr, ps = support_projector(rho.eigen), support_projector(sigma.eigen)
+    gap = frobenius(pr - ps)
+    if gap > SUPPORT_TOL * 10:
+        raise SupportViolationError(
+            f"supports differ: rank(rho) = {round(np.trace(pr).real)}, rank(sigma) = "
+            f"{round(np.trace(ps).real)}, projector distance {gap:.3e}; equal supports required")
     ws, vs = sigma.eigen
-    keep_r = wr > support_cutoff(wr)
-    keep_s = ws > support_cutoff(ws)
-    if keep_r.sum() != keep_s.sum():
-        raise SupportViolationError(
-            f"supports differ: rank(rho) = {int(keep_r.sum())}, rank(sigma) = {int(keep_s.sum())}")
-    pr = vr[:, keep_r] @ vr[:, keep_r].conj().T
-    ps = vs[:, keep_s] @ vs[:, keep_s].conj().T
-    if frobenius(pr - ps) > SUPPORT_TOL * 10:
-        raise SupportViolationError(
-            f"support projectors differ by {frobenius(pr - ps):.3e}; equal supports required")
-    return vs[:, keep_s]
+    return vs[:, ws > support_cutoff(ws)]
 
 
 def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
@@ -147,8 +143,7 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
     lam, e = rho.eigen
     keep = lam > support_cutoff(lam)
     lam, e = lam[keep], e[:, keep]
-    comp = np.eye(rho.dim) - e @ e.conj().T
-    leak = frobenius(comp @ x.matrix @ comp)
+    leak = off_support_residual(e @ e.conj().T, x.matrix)
     if leak > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support (residual {leak:.3e}): no reverse derivative exists")

@@ -20,7 +20,7 @@ from .config import DEFAULT_TOLERANCES, derive_seed, dimension_cap
 from .divergences import (dmax, fidelity_logdiv, kl, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import ValidationError
-from .hypotest import (asymptotic_reverse_test, curve_points, smooth_state,
+from .hypotest import (binary_reverse_test, np_projector, smooth_state,
                        state_conversion, stein_threshold, threshold_scan)
 from .linalg import frobenius
 from .metrics import (alpha_metric, bkm_metric, classical_fisher_scalar,
@@ -41,6 +41,11 @@ ALL_SUITES = ("monotonicity", "sandwich", "joint-convexity", "reverse-test-optim
               "fidelity-counterexample")
 
 
+def _even_ns(n_range: tuple) -> list:
+    """The even n of n_range in [2, 8], the sizes the finite-n suites run."""
+    return [n for n in range(max(n_range[0], 2), min(n_range[1], 8) + 1) if n % 2 == 0]
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 20240
@@ -58,8 +63,8 @@ class SuiteConfig:
             raise ValidationError("budget must be >= 1")
         if not self.dims or not set(self.dims) <= set(range(2, 7)):
             raise ValidationError(f"dims must be a nonempty subset of 2..6, got {self.dims}")
-        if len(self.n_range) != 2 or not 1 <= self.n_range[0] <= self.n_range[1]:
-            raise ValidationError(f"bad n_range {self.n_range}")
+        if len(self.n_range) != 2 or self.n_range[0] < 1 or not _even_ns(self.n_range):
+            raise ValidationError(f"bad n_range {self.n_range}: it must hold an even n in [2, 8]")
         if 2 ** self.n_range[1] > dimension_cap():
             raise ValidationError(f"n_range {self.n_range} exceeds the dimension cap")
         unknown = set(self.suites) - set(ALL_SUITES)
@@ -68,6 +73,10 @@ class SuiteConfig:
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValidationError(f"unknown tolerances: {sorted(unknown)}")
+        bad = sorted(name for name, t in self.tolerances.items()
+                     if not 0 <= t < math.inf or name == "stein_grid_width" and t == 0)
+        if bad:
+            raise ValidationError(f"tolerances must be finite and nonnegative, stein_grid_width positive: {bad}")
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -355,8 +364,8 @@ def _suite_stein_trend(cfg: SuiteConfig):
     records = []
     rho, sigma = fixtures.QUBIT_A
     d = umegaki(rho, sigma).value
-    n_hi = min(cfg.n_range[1], 8)
-    ns = [n for n in range(max(cfg.n_range[0], 2), n_hi + 1) if n % 2 == 0]
+    ns = _even_ns(cfg.n_range)
+    powers = {n: (tensor_power(rho, n), tensor_power(sigma, n)) for n in ns}
     dig = _digest(rho.matrix, sigma.matrix)
     gaps = []
     for n in ns:
@@ -372,7 +381,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     crho, csigma = fixtures.COMMUTING
     p = np.diag(crho.matrix).real
     q = np.diag(csigma.matrix).real
-    n_cl = min(n_hi, 6)
+    n_cl = min(cfg.n_range[1], 6)
     a_q = stein_threshold(crho, csigma, n_cl, 0.5)
     a_c = classical_threshold_oracle(p, q, n_cl, 0.5)
     _record(records, "commuting-matches-classical", cfg.seed, _digest(crho.matrix, csigma.matrix),
@@ -385,7 +394,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     c = 0.3
     slack2 = cfg.tol("type2_slack")
     for n in ns:
-        pt = curve_points(rho, sigma, n, [d - c])[0]
+        pt = np_projector(*powers[n], d - c, n)[1]
         accept = 1 - pt.type1_accept
         _record(records, f"type2-bound-n={n}", cfg.seed, dig,
                 pt.type2, math.exp(-n * (d - c)) * (1 + slack2), slack=0.0)
@@ -400,7 +409,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # smoothing certificates at a mid rate
     mid = (d + dmax(rho, sigma)) / 2
     for n in ns[:2]:
-        sm = smooth_state(tensor_power(rho, n), tensor_power(sigma, n), mid, n)
+        sm = smooth_state(*powers[n], mid, n)
         _record(records, f"datta-distance-bound-n={n}", cfg.seed, dig,
                 sm.epsilon, sm.datta_bound, slack=0.0)
     # converse witness: the constructed reverse test bounds, at this very n,
@@ -411,11 +420,11 @@ def _suite_stein_trend(cfg: SuiteConfig):
     dm = dmax(rho, sigma)
     witnesses = []
     for r in np.linspace(d + 0.05, dm + 0.1, 6):
-        brt = asymptotic_reverse_test(rho, sigma, n_max, float(r))
+        brt = binary_reverse_test(*powers[n_max], float(r), n_max)
         witnesses.append((float(r), brt.rho_error))
     slack_w = cfg.tol("converse_witness_slack")
     for k, rate in enumerate((d - 0.2, d - 0.1, d - 0.05)):
-        pt = curve_points(rho, sigma, n_max, [rate])[0]
+        pt = np_projector(*powers[n_max], rate, n_max)[1]
         accept = 1 - pt.type1_accept
         if pt.type2 <= 0:
             continue
@@ -453,8 +462,7 @@ def _suite_conversion(cfg: SuiteConfig):
     sig_tol = cfg.tol("sigma_exact")
     rho0, sigma0 = fixtures.CONVERSION_SOURCE
     d0 = umegaki(rho0, sigma0).value
-    n_hi = min(cfg.n_range[1], 8)
-    ns = [n for n in range(max(cfg.n_range[0], 2), n_hi + 1) if n % 2 == 0]
+    ns = _even_ns(cfg.n_range)
     for name, (rho, sigma) in (("qubit_a", fixtures.QUBIT_A), ("qubit_b", fixtures.QUBIT_B)):
         d1 = umegaki(rho, sigma).value
         c = 0.45 * (d0 - d1)

@@ -164,12 +164,20 @@ class TestVerifyCommand:
         cfg_path = files["dir"] / "cfg.json"
         cfg_path.write_text(json.dumps({
             "seed": 3, "trials": 1, "dims": [2],
-            "suites": ["monotonicity"],
-            "tolerances": {"monotonicity_slack": -1.0},
+            "suites": ["reverse-test-optimality"],
+            "tolerances": {"reconstruction": 0.0},
         }))
         code, out = run_cli(capsys, "verify", "--config", str(cfg_path))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("config", [{"n_range": [3, 3]},
+                                        {"tolerances": {"stein_grid_width": -1}}])
+    def test_config_rejected_exits_two(self, capsys, files, config):
+        cfg_path = files["dir"] / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["stein-trend"], **config}))
+        code, _ = run_cli(capsys, "verify", "--config", str(cfg_path))
+        assert code == 2
 
     def test_default_run_passes(self, capsys):
         # seed 20240, 40 trials, all nine suites

@@ -9,6 +9,7 @@ import pytest
 
 from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
+from qdiv.errors import SupportViolationError
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
 from qdiv.hypotest import (asymptotic_reverse_test, state_conversion,
                            stein_threshold)
@@ -16,7 +17,7 @@ from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
                           rld_operator, sld_optimal_measurement)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_test, reverse_estimation_1param)
-from qdiv.states import random_cptp, random_tangent
+from qdiv.states import DensityMatrix, random_cptp, random_tangent
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
@@ -44,12 +45,15 @@ CASES = {
     "reverse_estimation_1param": (1, lambda: reverse_estimation_1param(RHO, X)),
     # 2 tensor powers, 2 dmax bounds, 32 grid points
     "stein_threshold": (36, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
-    "asymptotic_reverse_test": (11, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # 2 tensor powers, the capped state's sigma-frame eigenbasis, 1 dmax
+    # and 3 states built (capped, complement, reverse-test check)
+    "asymptotic_reverse_test": (7, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
     "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
-    # 4 tensor powers, 2 likelihood-ratio tests, 1 positive part, 1 dmax
-    # and 5 states built (smoothed, complement, reverse-test check, 2 outputs)
-    "state_conversion": (13, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # 4 tensor powers, 1 likelihood-ratio test, the capped state's
+    # sigma-frame eigenbasis, 1 dmax and 5 states built (capped, complement,
+    # reverse-test check, 2 outputs)
+    "state_conversion": (12, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -90,3 +94,31 @@ def test_eigvalsh_count(name, counts):
     expected, call = EIGVALSH_CASES[name]
     call()
     assert counts["eigvalsh"] == expected
+
+
+ESCAPING = (DensityMatrix(np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)),
+            DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
+
+# argument errors at n = 8, each raised before a 256x256 tensor power is built
+ERROR_CASES = {
+    "stein_threshold-eps": (ValueError, lambda: stein_threshold(*QUBIT_A, n=8, eps=1.5)),
+    "stein_threshold-support": (SupportViolationError, lambda: stein_threshold(*ESCAPING, n=8, eps=0.5)),
+    "asymptotic_reverse_test-rate": (ValueError, lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=0.0)),
+    "asymptotic_reverse_test-q0": (ValueError, lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=1e-14)),
+}
+
+
+@pytest.mark.parametrize("name", list(ERROR_CASES))
+def test_error_path_decomposes_no_power(name, monkeypatch):
+    dims = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    error, call = ERROR_CASES[name]
+    with pytest.raises(error):
+        call()
+    assert max(dims, default=0) <= 2

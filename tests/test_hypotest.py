@@ -10,8 +10,9 @@ import pytest
 from qdiv import fixtures
 from qdiv.divergences import dmax, umegaki
 from qdiv.errors import SupportViolationError
-from qdiv.hypotest import (asymptotic_reverse_test, np_projector, smooth_state,
-                           state_conversion, stein_threshold, curve_points,
+from qdiv.hypotest import (asymptotic_reverse_test, binary_reverse_test,
+                           np_projector, smooth_state, state_conversion,
+                           stein_threshold, threshold_scan, curve_points,
                            write_curve_csv)
 from qdiv.states import DensityMatrix, cq_apply, random_density, tensor_power
 from qdiv.suites import classical_threshold_oracle
@@ -71,6 +72,15 @@ class TestSteinThreshold:
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="eps"):
             stein_threshold(rho, sigma, 2, 1.5)
+
+    @pytest.mark.parametrize("width", [-1.0, 0.0, math.nan, math.inf])
+    def test_width_validation(self, width):
+        # a width the grid step never drops below would refine forever
+        rho, sigma = fixtures.QUBIT_A
+        with pytest.raises(ValueError, match="width"):
+            stein_threshold(rho, sigma, 2, 0.5, width=width)
+        with pytest.raises(ValueError, match="width"):
+            threshold_scan(lambda a: 1.0, -1.0, 1.0, 2, 0.5, width)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_rank_deficient_rho_matches_bruteforce(self, n):
@@ -168,7 +178,6 @@ class TestAsymptoticReverseTest:
         brt = asymptotic_reverse_test(rho, sigma, 3, dmax(rho, sigma) + 0.02)
         assert brt.rho_error == pytest.approx(0.0, abs=1e-12)
         assert brt.sigma_error <= 1e-10
-        assert brt.smoothing == "plain"
 
     def test_equal_pair_any_rate_exact(self):
         rho = random_density(2, seed=5)
@@ -204,6 +213,20 @@ class TestAsymptoticReverseTest:
     def test_support_violation_raises(self):
         with pytest.raises(SupportViolationError):
             asymptotic_reverse_test(*_escaping_pair(), 2, 0.5)
+
+    def test_support_violation_raises_on_powers(self):
+        # the capped state lives on supp sigma_n and certifies any rate, so
+        # the escape must be caught before it is built
+        rho_n, sigma_n = (tensor_power(s, 2) for s in _escaping_pair())
+        with pytest.raises(SupportViolationError):
+            binary_reverse_test(rho_n, sigma_n, 0.5, 2)
+
+    def test_powers_match_single_copy_entry(self):
+        rho, sigma = fixtures.QUBIT_A
+        rate = umegaki(rho, sigma).value + 0.15
+        brt = binary_reverse_test(tensor_power(rho, 4), tensor_power(sigma, 4), rate, 4)
+        ref = asymptotic_reverse_test(rho, sigma, 4, rate)
+        assert brt.rho_error == ref.rho_error and brt.certificate == ref.certificate
 
     def test_rejects_nonpositive_rate(self):
         rho, sigma = fixtures.QUBIT_A

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qdiv.errors import MatrixDomainError, RankError
-from qdiv.linalg import (eigh, logm_support, matrix_function, pinv_psd,
-                         polar_unitary, sqrtm_psd, trace_norm)
+from qdiv.linalg import (eigh, logm_support, matrix_function,
+                         off_support_residual, pinv_psd, polar_unitary,
+                         sqrtm_psd, support_projector, trace_norm)
 from qdiv.states import ginibre
 
 from oracles import eig2_closed_form
@@ -93,6 +94,14 @@ class TestMatrixFunction:
         h = np.diag([0.5, 0.0]).astype(complex)
         out = logm_support(h)
         np.testing.assert_allclose(out, np.diag([np.log(0.5), 0.0]), atol=1e-12)
+
+    def test_off_support_residual_is_kernel_block(self):
+        proj = support_projector(np.diag([0.5, 0.5, 0.0]).astype(complex))
+        m = np.arange(9, dtype=complex).reshape(3, 3)
+        m = m + m.T
+        # only the kernel-kernel entry m[2, 2] = 16 survives
+        assert off_support_residual(proj, m) == pytest.approx(16.0, abs=1e-12)
+        assert off_support_residual(proj, np.diag([0.3, 0.7, 0.0]).astype(complex)) == 0.0
 
 
 class TestPolarUnitary:

@@ -2,9 +2,11 @@
 failure reproducibility."""
 
 import json
+import math
 
 import pytest
 
+from qdiv import hypotest, suites
 from qdiv.errors import ValidationError
 from qdiv.suites import (ALL_SUITES, SuiteConfig, report_from_json,
                          report_to_dict, run_suite)
@@ -41,6 +43,21 @@ class TestConfig:
     def test_rejects_capped_n_range(self):
         with pytest.raises(ValidationError, match="cap"):
             SuiteConfig(n_range=(2, 20))
+
+    @pytest.mark.parametrize("n_range", [(3, 3), (1, 1), (9, 10)])
+    def test_rejects_n_range_without_even_n(self, n_range):
+        with pytest.raises(ValidationError, match="even"):
+            SuiteConfig(n_range=n_range)
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, value):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            SuiteConfig(tolerances={"sandwich_slack": value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_grid_width(self, value):
+        with pytest.raises(ValidationError, match="stein_grid_width"):
+            SuiteConfig(tolerances={"stein_grid_width": value})
 
     @pytest.mark.parametrize("data,match", [
         ([1], "object"),
@@ -82,9 +99,9 @@ class TestRunSuite:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_failures_carry_reproducing_seed(self):
-        # an impossible negative slack forces every monotonicity check to fail
-        cfg = SuiteConfig(seed=13, trials=2, dims=(2,), suites=("monotonicity",),
-                          tolerances={"monotonicity_slack": -1.0})
+        # a zero slack fails every reconstruction residual left by roundoff
+        cfg = SuiteConfig(seed=13, trials=2, dims=(2,), suites=("reverse-test-optimality",),
+                          tolerances={"reconstruction": 0.0})
         first = run_suite(cfg)[0]
         assert first.n_failed > 0
         again = run_suite(cfg)[0]
@@ -100,6 +117,23 @@ class TestRunSuite:
         assert again == payload
         rec = payload["suites"][0]["records"][0]
         assert set(rec) == {"name", "seed", "inputs_digest", "measured", "bound", "margin", "passed"}
+
+    def test_stein_trend_builds_each_power_once(self, monkeypatch):
+        # QUBIT_A's two powers at n = 2, 4, 6, the two inside each of the
+        # three stein_threshold calls, and the two of the n = 6 commuting control
+        calls = []
+
+        def counting(build):
+            def wrapper(state, n):
+                calls.append(n)
+                return build(state, n)
+            return wrapper
+
+        for module in (suites, hypotest):
+            monkeypatch.setattr(module, "tensor_power", counting(module.tensor_power))
+        suites._suite_stein_trend(SuiteConfig())
+        assert len(calls) == 14
+        assert calls.count(6) == 6
 
     def test_rejects_malformed_report(self):
         with pytest.raises(ValidationError, match="missing"):
