@@ -6,8 +6,7 @@ from .divergences import (DivergenceReport, dmax, fidelity_logdiv, kl,
                           measured_div_lower, rld_entropy, umegaki)
 from .hypotest import (asymptotic_reverse_test, np_projector, smooth_state,
                        state_conversion, stein_threshold)
-from .linalg import (EigenSystem, eigh, matrix_function, polar_unitary,
-                     trace_norm)
+from .linalg import EigenSystem, eigh, matrix_function, trace_norm
 from .metrics import (MetricSpec, alpha_metric, bkm_metric, classical_fisher,
                       f_alpha, holevo_rld_bound, holevo_rld_minimizer,
                       integral_divergence, petz_metric, rld_matrix,

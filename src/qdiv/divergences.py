@@ -6,7 +6,7 @@ float infinities.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class DivergenceReport:
 
     value: float
     support_condition: str
-    notes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.support_condition != SUPPORT_VIOLATED and self.value < -1e-10:
@@ -78,7 +77,7 @@ def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
     """tr rho (ln rho - ln sigma), logarithms restricted to supports."""
     rel = support_relation(rho, sigma)
     if rel == SUPPORT_VIOLATED:
-        return DivergenceReport(math.inf, rel, ("support of rho escapes support of sigma",))
+        return DivergenceReport(math.inf, rel)
     val = np.trace(rho.matrix @ (logm_support(rho.eigen) - logm_support(sigma.eigen)))
     return DivergenceReport(float(val.real), rel)
 
@@ -87,7 +86,7 @@ def rld_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
     """tr rho ln(sqrt(rho) sigma^-1 sqrt(rho)), the upper admissible divergence."""
     rel = support_relation(rho, sigma)
     if rel == SUPPORT_VIOLATED:
-        return DivergenceReport(math.inf, rel, ("support of rho escapes support of sigma",))
+        return DivergenceReport(math.inf, rel)
     sr = sqrtm_psd(rho.eigen)
     inner = sr @ pinv_psd(sigma.eigen) @ sr
     val = np.trace(rho.matrix @ logm_support((inner + inner.conj().T) / 2))
@@ -114,7 +113,8 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     The smallest a with rho <= e^a sigma; +inf when sigma's support does not
     carry rho.
     """
-    if support_relation(rho, sigma) == SUPPORT_VIOLATED:
+    _check_dims(rho, sigma)
+    if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
         return math.inf
     isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
     inner = isq @ rho.matrix @ isq

@@ -127,7 +127,6 @@ class SmoothedState:
     rate_certificate: float     # a' with state <= e^{n a'} sigma_n, verified
     accept_shortfall: float     # 1 - type1_accept at the smoothing rate
     datta_bound: float          # 4 sqrt(2 * shortfall) + slack
-    datta_ok: bool
 
 
 def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> SmoothedState:
@@ -154,7 +153,7 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
     witness = math.exp(n * cert) * sigma_n.matrix - state.matrix
     if float(np.linalg.eigvalsh(witness).min()) < -1e-9:
         raise QdivError("rate certificate failed its own PSD check")
-    return SmoothedState(state, epsilon, cert, shortfall, bound, epsilon <= bound)
+    return SmoothedState(state, epsilon, cert, shortfall, bound)
 
 
 def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> DensityMatrix:
@@ -186,8 +185,9 @@ def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int
 
 @dataclass(frozen=True, eq=False)
 class BinaryReverseTest:
+    """Binary reverse test whose input p is always (1, 0)."""
+
     preparation: Preparation    # two states: capped rho-like, complement
-    p: ClassicalDistribution    # (1, 0)
     q: ClassicalDistribution    # (e^{-n rate}, 1 - e^{-n rate})
     rate: float
     certificate: float
@@ -226,11 +226,10 @@ def binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, rate: floa
                                   min_rate=cert)
     complement = DensityMatrix((sigma_n.matrix - q0 * state.matrix) / (1 - q0))
     prep = Preparation((state, complement))
-    p = ClassicalDistribution(np.array([1.0, 0.0]))
     q = ClassicalDistribution(np.array([q0, 1 - q0]))
     sigma_err = trace_norm(cq_apply(prep, q).matrix - sigma_n.matrix)
     rho_err = trace_norm(state.matrix - rho_n.matrix)
-    return BinaryReverseTest(prep, p, q, rate, cert, rho_err, sigma_err)
+    return BinaryReverseTest(prep, q, rate, cert, rho_err, sigma_err)
 
 
 # ---------------------------------------------------------------------------

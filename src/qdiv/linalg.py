@@ -12,8 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import HERMITICITY_RTOL, PSD_CLIP_RTOL, SUPPORT_RTOL
-from .errors import (EigenSolverError, MatrixDomainError, PSDViolationError,
-                     RankError)
+from .errors import EigenSolverError, MatrixDomainError, PSDViolationError
 
 
 class EigenSystem(NamedTuple):
@@ -26,7 +25,7 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def check_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL, what: str = "matrix") -> np.ndarray:
+def check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
@@ -34,8 +33,8 @@ def check_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL, what: str = "
         raise ValueError(f"{what} contains non-finite entries")
     scale = max(float(np.abs(m).max()), 1.0)
     defect = hermitian_defect(m)
-    if defect > rtol * scale:
-        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {rtol:.0e} * {scale:.3e}")
+    if defect > HERMITICITY_RTOL * scale:
+        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}")
     return (m + m.conj().T) / 2
 
 
@@ -135,26 +134,6 @@ def off_support_residual(proj: np.ndarray, m: np.ndarray) -> float:
     of the projector P."""
     comp = np.eye(proj.shape[0]) - proj
     return frobenius(comp @ m @ comp)
-
-
-def polar_unitary(t: np.ndarray) -> np.ndarray:
-    """Unitary U such that T @ U is Hermitian positive semidefinite.
-
-    From the SVD T = W S Vh the answer is U = Vh^dag W^dag, giving
-    T U = W S W^dag. Requires full rank.
-    """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"polar_unitary needs a square matrix, got {t.shape}")
-    w, s, vh = np.linalg.svd(t)
-    if s[-1] <= SUPPORT_RTOL * s[0]:
-        raise RankError(f"polar_unitary needs full rank; singular values range [{s[-1]:.3e}, {s[0]:.3e}]")
-    u = vh.conj().T @ w.conj().T
-    prod = t @ u
-    defect = hermitian_defect(prod)
-    if defect > 1e-10 * max(1.0, float(np.abs(prod).max())):
-        raise EigenSolverError(f"polar product not Hermitian: defect {defect:.3e}")
-    return u
 
 
 def trace_norm(m: np.ndarray) -> float:

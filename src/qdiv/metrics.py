@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import OPERATOR_RESIDUAL_TOL, QUADRATURE_STEP_TOL, SUPPORT_RTOL
 from .errors import ConvergenceError, RankError, SupportViolationError
-from .linalg import (EigenSystem, eigh, frobenius, matrix_function,
-                     off_support_residual, pinv_psd, support_projector,
-                     trace_norm)
+from .linalg import (EigenSystem, eigh, eigh_hermitian, frobenius,
+                     matrix_function, off_support_residual, pinv_psd,
+                     support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      basis_weights)
 
@@ -222,9 +222,10 @@ def _weighted_imag(g: np.ndarray, j: np.ndarray) -> tuple[EigenSystem, np.ndarra
     """The eigensystem of the weight G, checked real symmetric PSD, and
     K = sqrt(G) Im J sqrt(G)."""
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or np.abs(g - g.T).max() > 1e-10:
-        raise ValueError("weight matrix must be real symmetric")
-    eg = eigh(g.astype(complex))
+    if (g.ndim != 2 or g.shape[0] != g.shape[1] or not np.all(np.isfinite(g))
+            or np.abs(g - g.T).max() > 1e-10):
+        raise ValueError("weight matrix must be finite real symmetric")
+    eg = eigh_hermitian(((g + g.T) / 2).astype(complex))
     w = eg.eigenvalues
     if w.min() < -1e-12 * max(abs(w).max(), 1.0):
         raise ValueError(f"weight matrix must be PSD, min eigenvalue {w.min():.3e}")

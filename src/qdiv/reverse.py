@@ -14,8 +14,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL, SUPPORT_TOL
 from .errors import SupportViolationError
 from .divergences import kl
-from .linalg import (eigh, eigh_hermitian, frobenius, matrix_function,
-                     off_support_residual, polar_unitary, sqrtm_psd,
+from .linalg import (_canonical_phases, eigh, eigh_hermitian, frobenius,
+                     matrix_function, off_support_residual, sqrtm_psd,
                      support_cutoff, support_projector)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
@@ -73,26 +73,23 @@ def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
     """Reverse test whose input KL equals the RLD divergence of (rho, sigma):
     one frame and two weight vectors decomposing rho and sigma jointly.
 
-    On the common support: T = sqrt(sigma)^-1 sqrt(rho), U the polar unitary
-    making X = T U Hermitian PSD, X = V diag(d) V^dag; the frame columns are
-    the normalized columns of sqrt(sigma) V, q their squared norms, and
-    p = q d^2.
+    On the common support, with the SVD sigma^-1/2 rho^1/2 = W diag(d) V^dag:
+    the frame columns are the normalized columns of sigma^1/2 W, q their
+    squared norms, and p = q d^2, since d^2 = p/q are the eigenvalues of
+    sigma^-1/2 rho sigma^-1/2 (W its eigenvectors). Symbols are in ascending
+    order of p/q.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     iso = _common_support_isometry(rho, sigma)
-    r = iso.conj().T @ rho.matrix @ iso
     s = iso.conj().T @ sigma.matrix @ iso
-
+    # decomposed again, not read off sigma.eigen: keeps small q(x) accurate on ill-conditioned sigma
     es = eigh(s)
-    sr_s = sqrtm_psd(es)
-    t = matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrtm_psd(r)
-    u = polar_unitary(t)
-    x = t @ u
-    d, v = eigh_hermitian((x + x.conj().T) / 2)
-    d = np.maximum(d, 0.0)
-
-    w = sr_s @ v
+    sqrt_r = iso.conj().T @ sqrtm_psd(rho.eigen) @ iso
+    t = matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrt_r
+    left, d, _ = np.linalg.svd(t)
+    d = d[::-1]                 # ascending, like eigh
+    w = sqrtm_psd(es) @ _canonical_phases(left[:, ::-1])
     qv = np.sum(np.abs(w) ** 2, axis=0)
     frame = iso @ (w / np.sqrt(qv))
     pv = qv * d ** 2

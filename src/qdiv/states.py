@@ -67,8 +67,8 @@ class QuantumChannel:
     """CPTP map in Kraus form: sum_k K^dag K = identity on the input space."""
 
     kraus: tuple
-    dim_in: int = field(default=0)
-    dim_out: int = field(default=0)
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
 
     def __post_init__(self):
         ops = tuple(np.ascontiguousarray(k, dtype=complex) for k in self.kraus)

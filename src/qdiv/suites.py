@@ -6,8 +6,8 @@ reproduces exactly. Tolerances come from one table; suites never inline
 numeric slack.
 """
 
+import functools
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -436,14 +436,10 @@ def _suite_stein_trend(cfg: SuiteConfig):
     return records
 
 
-def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float,
-                               width: float | None = None) -> float:
+def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float) -> float:
     """Brute-force classical threshold: enumerate all |p|^n outcomes and run
     the quantum path's threshold_scan on their likelihood-ratio acceptance."""
-    width = DEFAULT_TOLERANCES["stein_grid_width"] if width is None else width
-    outs = list(itertools.product(range(p.size), repeat=n))
-    pn = np.array([float(np.prod([p[i] for i in o])) for o in outs])
-    qn = np.array([float(np.prod([q[i] for i in o])) for o in outs])
+    pn, qn = functools.reduce(np.kron, [p] * n), functools.reduce(np.kron, [q] * n)
 
     def accept(a: float) -> float:
         diff = pn - math.exp(n * a) * qn
@@ -454,7 +450,7 @@ def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float,
     with np.errstate(divide="ignore"):
         lo = -float(np.max(np.log(q[q > 0]) - np.log(p[q > 0]))) - 0.5
         hi = float(np.max(np.log(p[p > 0]) - np.log(q[p > 0]))) + 0.5
-    return threshold_scan(accept, lo, hi, n, eps, width)
+    return threshold_scan(accept, lo, hi, n, eps, DEFAULT_TOLERANCES["stein_grid_width"])
 
 
 def _suite_conversion(cfg: SuiteConfig):

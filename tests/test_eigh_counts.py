@@ -1,18 +1,20 @@
-"""Exact numpy.linalg.eigh and eigvalsh call counts of the functionals, once
-their inputs are built. A validated DensityMatrix carries its
-eigendecomposition, so a functional decomposes only the matrices it makes
-itself; a count that rises means some matrix is decomposed again. A stacked
-call counts each matrix of the stack."""
+"""Exact numpy.linalg.eigh, eigvalsh and svd call counts of the functionals,
+once their inputs are built, and their support-projector counts. A validated
+DensityMatrix carries its eigendecomposition, so a functional decomposes only
+the matrices it makes itself; a count that rises means some matrix is
+decomposed again. A stacked call counts each matrix of the stack."""
 
 import numpy as np
 import pytest
 
+from qdiv import divergences, hypotest, metrics, reverse
 from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
 from qdiv.hypotest import (asymptotic_reverse_test, state_conversion,
                            stein_threshold)
+from qdiv.linalg import support_projector
 from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
                           rld_operator, sld_optimal_measurement)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
@@ -35,9 +37,10 @@ CASES = {
     "petz_metric": (0, lambda: petz_metric(BKM, RHO, X)),
     "rld_operator": (0, lambda: rld_operator(RHO, X)),
     "sld_optimal_measurement": (1, lambda: sld_optimal_measurement(RHO, X)),
-    # 2 square roots and 1 polar eigenbasis; the frame's pure states are
-    # built only when the preparation is read
-    "optimal_reverse_test": (3, lambda: optimal_reverse_test(RHO, SIGMA)),
+    # the compressed sigma only; rho's square root comes from rho.eigen and
+    # the frame from one SVD. The frame's pure states are built only when the
+    # preparation is read
+    "optimal_reverse_test": (1, lambda: optimal_reverse_test(RHO, SIGMA)),
     "refine_reverse_test": (0, lambda: refine_reverse_test(RT, splits=3)),
     # the 3 image states only; the frame's pure states are not built
     "pushforward_reverse_test": (3, lambda: pushforward_reverse_test(RT, CHANNEL)),
@@ -63,11 +66,17 @@ EIGVALSH_CASES = {
     "measured_div_lower": (0, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
 }
 
+# sigma^-1/2 rho^1/2 on the common support, whose left singular vectors
+# give the frame
+SVD_CASES = {
+    "optimal_reverse_test": (1, lambda: optimal_reverse_test(RHO, SIGMA)),
+}
+
 
 @pytest.fixture
 def counts(monkeypatch):
     """Matrices decomposed so far, by numpy.linalg function name."""
-    tally = {"eigh": 0, "eigvalsh": 0}
+    tally = {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
     def counting(name):
         original = getattr(np.linalg, name)
@@ -94,6 +103,37 @@ def test_eigvalsh_count(name, counts):
     expected, call = EIGVALSH_CASES[name]
     call()
     assert counts["eigvalsh"] == expected
+
+
+@pytest.mark.parametrize("name", list(SVD_CASES))
+def test_svd_count(name, counts):
+    expected, call = SVD_CASES[name]
+    call()
+    assert counts["svd"] == expected
+
+
+# support projectors built from eigensystems the states already carry: only
+# sigma's, since the support checks need containment, not equality
+PROJECTOR_CASES = {
+    # sigma_n's for the binary test's own check and again inside dmax
+    "asymptotic_reverse_test": (2, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    "dmax": (1, lambda: dmax(RHO, SIGMA)),
+}
+
+
+@pytest.mark.parametrize("name", list(PROJECTOR_CASES))
+def test_support_projector_count(name, monkeypatch):
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return support_projector(h)
+
+    for module in (divergences, hypotest, metrics, reverse):
+        monkeypatch.setattr(module, "support_projector", counting)
+    expected, call = PROJECTOR_CASES[name]
+    call()
+    assert len(calls) == expected
 
 
 ESCAPING = (DensityMatrix(np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)),

@@ -9,7 +9,8 @@ import pytest
 
 from qdiv import fixtures
 from qdiv.divergences import dmax, umegaki
-from qdiv.errors import SupportViolationError
+from qdiv.errors import (InfeasibleRateError, SupportViolationError,
+                         ValidationError)
 from qdiv.hypotest import (asymptotic_reverse_test, binary_reverse_test,
                            np_projector, smooth_state, state_conversion,
                            stein_threshold, threshold_scan, curve_points,
@@ -134,7 +135,6 @@ class TestSmoothState:
             rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
             for a in (d + 0.05, (d + dmax(rho, sigma)) / 2):
                 sm = smooth_state(rn, sn, a, n)
-                assert sm.datta_ok
                 assert sm.epsilon <= sm.datta_bound
 
     def test_certificate_self_consistent(self):
@@ -170,6 +170,11 @@ def _escaping_pair():
     """A full-rank rho against a rank-1 sigma: supp rho escapes supp sigma."""
     return (DensityMatrix(np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)),
             DensityMatrix(np.diag([1.0, 0.0]).astype(complex)))
+
+
+def _ill_conditioned_pair():
+    """A rank-2 rho and a full-rank sigma with smallest eigenvalue 4.3e-4."""
+    return random_density(3, rank=2, seed=91), random_density(3, seed=92)
 
 
 class TestAsymptoticReverseTest:
@@ -232,6 +237,28 @@ class TestAsymptoticReverseTest:
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="rate"):
             asymptotic_reverse_test(rho, sigma, 2, 0.0)
+
+    # Known conditioning faults of the dense finite-n layer, pinned until mended.
+    @pytest.mark.xfail(strict=True, raises=ValidationError,
+                       reason="the capped state gets eigenvalue -2.1e-10 though nothing is capped")
+    def test_pure_rho_rate_above_dmax(self):
+        rho, sigma = random_density(3, rank=1, seed=51), random_density(3, seed=52)
+        assert dmax(rho, sigma) < 6.0
+        assert asymptotic_reverse_test(rho, sigma, 4, 6.0).rho_error <= 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=InfeasibleRateError,
+                       reason="the capped state's certificate misses the rate by 2e-9 to 2e-8")
+    @pytest.mark.parametrize("rate", [0.3, 1.0])
+    def test_ill_conditioned_sigma_n3(self, rate):
+        brt = asymptotic_reverse_test(*_ill_conditioned_pair(), 3, rate)
+        assert brt.certificate <= rate + 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=SupportViolationError,
+                       reason="sigma^(x4) has eigenvalues under the 1e-12 relative support cutoff")
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 2.0])
+    def test_ill_conditioned_sigma_n4(self, rate):
+        brt = asymptotic_reverse_test(*_ill_conditioned_pair(), 4, rate)
+        assert brt.certificate <= rate + 1e-9
 
 
 class TestStateConversion:

@@ -1,13 +1,13 @@
-"""Core dense linear algebra: eigendecomposition, matrix functions, polar
-direction, and trace norm."""
+"""Core dense linear algebra: eigendecomposition, matrix functions on the
+support, the off-support residual, and trace norm."""
 
 import numpy as np
 import pytest
 
-from qdiv.errors import MatrixDomainError, RankError
+from qdiv.errors import MatrixDomainError
 from qdiv.linalg import (eigh, logm_support, matrix_function,
-                         off_support_residual, pinv_psd, polar_unitary,
-                         sqrtm_psd, support_projector, trace_norm)
+                         off_support_residual, pinv_psd, sqrtm_psd,
+                         support_projector, trace_norm)
 from qdiv.states import ginibre
 
 from oracles import eig2_closed_form
@@ -102,34 +102,6 @@ class TestMatrixFunction:
         # only the kernel-kernel entry m[2, 2] = 16 survives
         assert off_support_residual(proj, m) == pytest.approx(16.0, abs=1e-12)
         assert off_support_residual(proj, np.diag([0.3, 0.7, 0.0]).astype(complex)) == 0.0
-
-
-class TestPolarUnitary:
-    def test_already_psd_gives_identity(self):
-        rng = np.random.default_rng(5)
-        g = ginibre(3, 3, rng)
-        t = g @ g.conj().T + 0.1 * np.eye(3)
-        u = polar_unitary(t)
-        np.testing.assert_allclose(u, np.eye(3), atol=1e-10)
-
-    def test_sign_flip(self):
-        u = polar_unitary(np.diag([-1.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(u, np.diag([-1.0, 1.0]), atol=1e-12)
-
-    def test_random_products_are_psd(self):
-        rng = np.random.default_rng(19)
-        for k in range(200):
-            d = int(rng.integers(2, 5))
-            t = ginibre(d, d, rng)
-            u = polar_unitary(t)
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-10)
-            w, _ = eigh(t @ u)
-            assert w.min() >= -1e-10
-
-    def test_rank_deficient_rejected(self):
-        t = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(RankError):
-            polar_unitary(t)
 
 
 class TestTraceNorm:

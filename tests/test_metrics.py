@@ -232,6 +232,21 @@ class TestRLDMatrixAndBound:
         g = np.array([[2.0, 0.3], [0.3, 1.0]])
         assert holevo_rld_bound(g, j) == pytest.approx(float(np.trace(g @ j.real)), abs=1e-10)
 
+    def test_weight_checked_once(self):
+        # symmetric to the 1e-10 weight check, so accepted by both functions
+        rho = random_density(2, seed=13)
+        j = rld_matrix(rho, [random_tangent(2, seed=14), random_tangent(2, seed=15)])
+        g = np.array([[2.0, 0.3], [0.3 + 5e-11, 1.0]])
+        exact = np.array([[2.0, 0.3], [0.3, 1.0]])
+        assert holevo_rld_bound(g, j) == pytest.approx(holevo_rld_bound(exact, j), abs=1e-9)
+        np.testing.assert_allclose(holevo_rld_minimizer(g, j), holevo_rld_minimizer(exact, j), atol=1e-9)
+
+    @pytest.mark.parametrize("g", [[[1.0, 0.3], [0.5, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]])
+    def test_weight_rejected(self, g):
+        j = rld_matrix(random_density(2, seed=13), [random_tangent(2, seed=14)] * 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            holevo_rld_bound(np.array(g), j)
+
     def test_minimizer_attains_and_dominates(self):
         rng = np.random.default_rng(15)
         for k in range(50):

@@ -31,6 +31,15 @@ def _rank_deficient_pair(seed):
             DensityMatrix(iso @ s2.matrix @ iso.conj().T))
 
 
+def _conditioned(rng, d: int, lam_min: float) -> DensityMatrix:
+    """Haar eigenbasis, smallest eigenvalue lam_min, the others geometric
+    from it and rescaled to make the trace 1."""
+    lam = np.geomspace(lam_min, 1.0, d)
+    lam[1:] *= (1 - lam_min) / lam[1:].sum()
+    u = random_unitary(d, rng)
+    return DensityMatrix((u * lam) @ u.conj().T)
+
+
 class TestParallelDecomposition:
     def test_commuting_diagonal_pair(self):
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
@@ -107,6 +116,31 @@ class TestOptimalReverseTest:
             sigma = random_density(d, seed=derive_seed(101, k))
             rt = optimal_reverse_test(rho, sigma)
             assert abs(rt.input_kl - rld_entropy(rho, sigma).value) <= 1e-8
+
+    def test_symbols_ascend_in_likelihood_ratio(self):
+        # refine_reverse_test draws each symbol's split in this order, so the
+        # competitor-kl records depend on it
+        pairs = [fixtures.QUBIT_A, fixtures.QUBIT_B, fixtures.QUTRIT]
+        pairs += [(random_density(d, seed=derive_seed(102, d)), random_density(d, seed=derive_seed(103, d)))
+                  for d in (2, 3, 4, 5)]
+        for rho, sigma in pairs:
+            rt = optimal_reverse_test(rho, sigma)
+            assert np.all(np.diff(rt.p.probs / rt.q.probs) > 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ill_conditioned_pairs(self, d):
+        # smallest eigenvalue in [1e-8, 1e-4] for sigma, rho, then both
+        rng = np.random.default_rng(derive_seed(130, d))
+        for k in range(12):
+            lam = 10 ** rng.uniform(-8, -4)
+            rho = _conditioned(rng, d, 1e-2 if k % 3 == 0 else lam)
+            sigma = _conditioned(rng, d, 1e-2 if k % 3 == 1 else lam)
+            rt = optimal_reverse_test(rho, sigma)
+            ref = oracles.rld_mp(rho.matrix, sigma.matrix)
+            assert abs(rt.input_kl - ref) <= 1e-9 * abs(ref), (k, lam)
+            for t, target in ((1.0, rho), (0.0, sigma)):
+                assert np.linalg.norm(rt.state_at(t).matrix - target.matrix) <= 1e-12, (k, lam)
+            assert np.all(np.diff(rt.p.probs / rt.q.probs) > 0)
 
     def test_competitors_never_beat_optimum(self):
         rho, sigma = fixtures.QUBIT_A
