@@ -21,7 +21,8 @@ from .linalg import (EigenSystem, eigh, eigh_hermitian, matrix_function,
                      off_support_residual, positive_part, support_projector,
                      trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     Preparation, cq_apply, measure, tensor_power)
+                     Preparation, basis_weights, cq_apply, measure, power_blocks,
+                     tensor_power)
 
 _GRID_WIDTH = DEFAULT_TOLERANCES["stein_grid_width"]
 
@@ -51,13 +52,29 @@ def _ratio_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float,
     if rho_n.dim != sigma_n.dim:
         raise ValueError(f"dimension mismatch: {rho_n.dim} vs {sigma_n.dim}")
     es = eigh(rho_n.matrix - math.exp(n * a) * sigma_n.matrix)
-    w, v = es
-    tol = 1e-12 * max(float(np.abs(w).max()), 1e-300)
-    cols = v[:, w <= tol]
+    cols = es.eigenvectors[:, _accepted(es.eigenvalues)]
     proj = cols @ cols.conj().T
     t1 = float(np.trace(rho_n.matrix @ proj).real)
     t2 = float(np.trace(sigma_n.matrix @ (np.eye(rho_n.dim) - proj)).real)
     return es, proj, TestCurvePoint(a, t1, t2)
+
+
+def _accepted(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues of rho_n - e^{na} sigma_n on which the test
+    accepts: those at most 1e-12 of the largest magnitude."""
+    return w <= 1e-12 * max(float(np.abs(w).max()), 1e-300)
+
+
+def _block_point(r: np.ndarray, s: np.ndarray, weights: np.ndarray, a: float, n: int) -> TestCurvePoint:
+    """np_projector's traces from the powers compressed by power_blocks: one
+    eigh of r - e^{na} s, with t1 = tr(W r P) and t2 = tr(W s) - tr(W s P)
+    for the row weights W, which commute with r, s and P."""
+    w, v = eigh(r - math.exp(n * a) * s)
+    cols = v[:, _accepted(w)]
+    wr, ws = weights[:, None] * r, weights[:, None] * s
+    t1 = float(basis_weights(cols, wr).sum())
+    t2 = float(np.trace(ws).real) - float(basis_weights(cols, ws).sum())
+    return TestCurvePoint(a, t1, t2)
 
 
 def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: int, eps: float,
@@ -97,13 +114,22 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
     the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5."""
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
     # built at the first rate, once threshold_scan has checked its arguments
-    powers = functools.cache(lambda: (tensor_power(rho, n), tensor_power(sigma, n)))
-    return threshold_scan(lambda a: np_projector(*powers(), a, n)[1].type1_accept, lo, hi, n, eps, width)
+    powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
+    return threshold_scan(lambda a: _block_point(*powers(), a, n).type1_accept, lo, hi, n, eps, width)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
-    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
-    return [np_projector(rho_n, sigma_n, float(a), n)[1] for a in rates]
+    """np_projector's traces at each rate, on the powers compressed by power_blocks."""
+    powers = _compressed_powers(rho, sigma, n)
+    return [_block_point(*powers, float(a), n) for a in rates]
+
+
+def _compressed_powers(rho: DensityMatrix, sigma: DensityMatrix,
+                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    (r, weights), (s, _) = power_blocks(rho, n), power_blocks(sigma, n)
+    return r, s, weights
 
 
 def write_curve_csv(path: str, rows) -> None:
@@ -159,7 +185,8 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
 def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> DensityMatrix:
     """Largest-fidelity state obeying state <= e^{na} sigma_n by spectral
     capping in the sigma-weighted frame, trace deficit refilled from the
-    remaining room e^{na} sigma_n - capped."""
+    remaining room e^{na} sigma_n - capped. When no eigenvalue reaches the
+    cap, rho_n already obeys the bound and is returned as it is."""
     scale = math.exp(n * a)
     m = scale * sigma_n.matrix
     m_eigen = EigenSystem(scale * sigma_n.eigen.eigenvalues, sigma_n.eigen.eigenvectors)
@@ -167,6 +194,8 @@ def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int
     misq = matrix_function(m_eigen, lambda v: 1 / np.sqrt(v), support_only=True)
     c = misq @ rho_n.matrix @ misq
     w, v = eigh_hermitian((c + c.conj().T) / 2)
+    if w.max() <= 1.0:
+        return rho_n
     capped = (v * np.minimum(np.maximum(w, 0.0), 1.0)) @ v.conj().T
     rhat = msq @ capped @ msq
     rhat = (rhat + rhat.conj().T) / 2

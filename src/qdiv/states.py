@@ -1,6 +1,7 @@
 """Density matrices, tangent directions, channels, measurements, classical
 distributions, preparations, and seeded random generators."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,16 +192,63 @@ def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.sum(v.conj() * (m @ v), axis=0).real
 
 
-def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
+def _check_power(dim: int, n: int) -> None:
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
     cap = dimension_cap()
-    if rho.dim ** n > cap:
-        raise DimensionCapError(f"tensor power needs dimension {rho.dim ** n}, cap is {cap}")
+    if dim ** n > cap:
+        raise DimensionCapError(f"tensor power needs dimension {dim ** n}, cap is {cap}")
+
+
+def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
+    _check_power(rho.dim, n)
     out = rho.matrix
     for _ in range(n - 1):
         out = np.kron(out, rho.matrix)
     return DensityMatrix(out)
+
+
+def _sym_power(v: np.ndarray, m: int) -> np.ndarray:
+    """Sym^m(v) of a 2x2 matrix v, in the orthonormal basis
+    sqrt(C(m,i)) x^{m-i} y^i of the binary forms of degree m: column j holds
+    the y-coefficients of (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j."""
+    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for _ in range(m):
+        x.append(np.convolve(x[-1], v[:, 0]))
+        y.append(np.convolve(y[-1], v[:, 1]))
+    coeffs = np.column_stack([np.convolve(x[m - j], y[j]) for j in range(m + 1)])
+    root_binom = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+    return coeffs * root_binom / root_binom[:, None]
+
+
+def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """rho^{(x)n} compressed by its permutation symmetry, as (matrix, weights):
+    the trace of an operator built from such powers by sums, products and
+    spectral projections is sum_i weights[i] X[i, i], with X built the same
+    way from the compressed matrices.
+
+    For a qubit the matrix is the Schur-Weyl direct sum over k = 0..n//2 of
+    det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen without a new
+    eigendecomposition, and the rows of block k weigh its multiplicity
+    C(n,k) - C(n,k-1); its size is 16 at n = 6. For d >= 3 it is the dense
+    power with unit weights. Both obey the tensor-power dimension cap."""
+    _check_power(rho.dim, n)
+    if rho.dim != 2:
+        return tensor_power(rho, n).matrix, np.ones(rho.dim ** n)
+    (l0, l1), v = rho.eigen
+    sizes = [n - 2 * k + 1 for k in range(n // 2 + 1)]
+    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    weights = []
+    start = 0
+    for k, size in enumerate(sizes):
+        sym = _sym_power(v, size - 1)
+        i = np.arange(size)
+        eig = l0 ** (size - 1 - i + k) * l1 ** (i + k)   # det^k times Sym's eigenvalues
+        out[start:start + size, start:start + size] = (sym * eig) @ sym.conj().T
+        # C(n,k) - C(n,k-1), by the hook length formula
+        weights += [float(math.comb(n, k) * size // (n - k + 1))] * size
+        start += size
+    return out, np.array(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_criterion_09_stein_trend():
     p = np.diag(crho.matrix).real
     q = np.diag(csigma.matrix).real
     control_ok = True
-    for n in (5, 10):
+    for n in (5, 10, 12):
         a_q = stein_threshold(crho, csigma, n, 0.5)
         a_c = classical_threshold_oracle(p, q, n, 0.5)
         control_ok = control_ok and abs(a_q - a_c) <= 1e-9

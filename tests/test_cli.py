@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qdiv import fixtures
+from qdiv import fixtures, hypotest
 from qdiv.cli import main
 from qdiv.serialize import dump, state_to_dict
 from qdiv.states import DensityMatrix
@@ -122,6 +122,21 @@ class TestAsymCommands:
         assert abs(data["threshold"] - data["umegaki"]) < 0.6
         header = csv_path.read_text().splitlines()[0]
         assert header == "n,a,type1_accept,type2,threshold"
+
+    def test_threshold_csv_at_n12_builds_no_power(self, capsys, files, monkeypatch):
+        # a qubit pair's threshold and curve run on its Schur-Weyl blocks, so
+        # n = 12 (dense 4096x4096) neither builds nor decomposes a tensor power
+        calls = []
+        monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: calls.append(n))
+        csv_path = files["dir"] / "curve12.csv"
+        code, out = run_cli(capsys, "asym", "threshold", "--n", "12",
+                            "--rho", files["rho"], "--sigma", files["sigma"],
+                            "--eps", "0.5", "--csv", str(csv_path))
+        assert code == 0
+        assert json.loads(out)["n"] == 12
+        rows = csv_path.read_text().splitlines()[1:]
+        assert len(rows) == 13 and all(row.startswith("12,") for row in rows)
+        assert calls == []
 
     def test_reverse_test_feasible(self, capsys, files):
         code, out = run_cli(capsys, "asym", "reverse-test", "--n", "3",

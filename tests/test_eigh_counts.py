@@ -46,17 +46,19 @@ CASES = {
     "pushforward_reverse_test": (3, lambda: pushforward_reverse_test(RT, CHANNEL)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
     "reverse_estimation_1param": (1, lambda: reverse_estimation_1param(RHO, X)),
-    # 2 tensor powers, 2 dmax bounds, 32 grid points
-    "stein_threshold": (36, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
+    # 2 dmax bounds and 32 grid points, one 16x16 eigh each on the qubit
+    # Schur-Weyl blocks; the blocks come from rho.eigen and sigma.eigen
+    "stein_threshold": (34, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
     # 2 tensor powers, the capped state's sigma-frame eigenbasis, 1 dmax
     # and 3 states built (capped, complement, reverse-test check)
     "asymptotic_reverse_test": (7, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
     "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
     # 4 tensor powers, 1 likelihood-ratio test, the capped state's
-    # sigma-frame eigenbasis, 1 dmax and 5 states built (capped, complement,
-    # reverse-test check, 2 outputs)
-    "state_conversion": (12, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # sigma-frame eigenbasis, 1 dmax and 4 states built (complement,
+    # reverse-test check, 2 outputs); nothing is capped at this rate, so the
+    # capped state is the target power itself
+    "state_conversion": (11, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -148,8 +150,9 @@ ERROR_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(ERROR_CASES))
-def test_error_path_decomposes_no_power(name, monkeypatch):
+@pytest.fixture
+def eigh_dims(monkeypatch):
+    """Sizes of the matrices numpy.linalg.eigh decomposes, in call order."""
     dims = []
     original = np.linalg.eigh
 
@@ -158,7 +161,18 @@ def test_error_path_decomposes_no_power(name, monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
+    return dims
+
+
+@pytest.mark.parametrize("name", list(ERROR_CASES))
+def test_error_path_decomposes_no_power(name, eigh_dims):
     error, call = ERROR_CASES[name]
     with pytest.raises(error):
         call()
-    assert max(dims, default=0) <= 2
+    assert max(eigh_dims, default=0) <= 2
+
+
+def test_stein_threshold_decomposes_blocks_only(eigh_dims):
+    # the qubit block direct sum at n = 6 is 16x16; the dense powers are 64x64
+    stein_threshold(*QUBIT_A, n=6, eps=0.5)
+    assert max(eigh_dims) == 16

@@ -2,6 +2,7 @@
 the classical enumeration oracle, certified smoothing, binary reverse tests,
 and the conversion channel."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,13 +10,14 @@ import pytest
 
 from qdiv import fixtures
 from qdiv.divergences import dmax, umegaki
-from qdiv.errors import (InfeasibleRateError, SupportViolationError,
-                         ValidationError)
+from qdiv.errors import (DimensionCapError, InfeasibleRateError,
+                         SupportViolationError)
 from qdiv.hypotest import (asymptotic_reverse_test, binary_reverse_test,
                            np_projector, smooth_state, state_conversion,
                            stein_threshold, threshold_scan, curve_points,
                            write_curve_csv)
-from qdiv.states import DensityMatrix, cq_apply, random_density, tensor_power
+from qdiv.states import (DensityMatrix, cq_apply, power_blocks, random_density,
+                         tensor_power)
 from qdiv.suites import classical_threshold_oracle
 
 import oracles
@@ -105,6 +107,83 @@ class TestSteinThreshold:
             stein_threshold(rho, sigma, 2, 0.5)
         with pytest.raises(SupportViolationError):
             classical_threshold_oracle(p, q, 2, 0.5)
+
+
+QUBIT_PAIRS = {name: getattr(fixtures, name) for name in ("QUBIT_A", "QUBIT_B", "COMMUTING")}
+
+
+def _dense_thresholds(rho, sigma, n, epss):
+    """stein_threshold's scan at each eps, over np_projector on the dense
+    tensor powers, each rate evaluated once."""
+    rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
+    lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
+    accept = functools.cache(lambda a: np_projector(rn, sn, a, n)[1].type1_accept)
+    return [threshold_scan(accept, lo, hi, n, eps, 1e-3) for eps in epss]
+
+
+class TestSchurWeylBlocks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_weights_count_the_power(self, n):
+        rho = random_density(2, seed=n)
+        r, weights = power_blocks(rho, n)
+        assert r.shape == (weights.size, weights.size)
+        assert weights.sum() == 2 ** n
+        assert abs(float((weights * np.diag(r).real).sum()) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_spectrum_with_multiplicities_is_the_power_spectrum(self, n):
+        rho = random_density(2, seed=20 + n)
+        r, weights = power_blocks(rho, n)
+        # block k has size n - 2k + 1 and occurs weights-many times in the power
+        ends = np.cumsum([n - 2 * k + 1 for k in range(n // 2 + 1)])
+        assert ends[-1] == weights.size
+        spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(r[i:j, i:j]), int(weights[i]))
+                                   for i, j in zip(np.concatenate([[0], ends[:-1]]), ends)])
+        dense = np.linalg.eigvalsh(tensor_power(rho, n).matrix)
+        np.testing.assert_allclose(np.sort(spectrum), dense, atol=1e-14)
+        block = np.searchsorted(ends, np.arange(weights.size), side="right")
+        assert not r[block[:, None] != block[None, :]].any()
+
+    @pytest.mark.parametrize("name", list(QUBIT_PAIRS))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_curve_matches_dense(self, name, n):
+        rho, sigma = QUBIT_PAIRS[name]
+        rates = np.linspace(-1.5, 2.0, 41)
+        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
+        for pt in curve_points(rho, sigma, n, rates):
+            ref = np_projector(rn, sn, pt.a, n)[1]
+            assert abs(pt.type1_accept - ref.type1_accept) <= 1e-12
+            assert abs(pt.type2 - ref.type2) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(QUBIT_PAIRS))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_threshold_equals_dense_bitwise(self, name, n):
+        rho, sigma = QUBIT_PAIRS[name]
+        epss = (0.1, 0.5, 0.9)
+        assert [stein_threshold(rho, sigma, n, eps) for eps in epss] == _dense_thresholds(rho, sigma, n, epss)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_qutrit_stays_dense(self, n):
+        rho, sigma = fixtures.QUTRIT
+        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
+        for pt in curve_points(rho, sigma, n, [-0.2, 0.1, 0.3, 0.6]):
+            ref = np_projector(rn, sn, pt.a, n)[1]
+            assert pt.type1_accept == pytest.approx(ref.type1_accept, abs=1e-12)
+            assert pt.type2 == pytest.approx(ref.type2, abs=1e-12)
+        assert [stein_threshold(rho, sigma, n, 0.5)] == _dense_thresholds(rho, sigma, n, [0.5])
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            curve_points(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 2, [0.1])
+
+    def test_dimension_cap_applies(self, monkeypatch):
+        monkeypatch.setenv("QDIV_DIM_CAP", "16")
+        rho, sigma = fixtures.QUBIT_A
+        with pytest.raises(DimensionCapError, match="dimension 32"):
+            stein_threshold(rho, sigma, 5, 0.5)
+        with pytest.raises(DimensionCapError, match="dimension 32"):
+            curve_points(rho, sigma, 5, [0.3])
+        assert len(curve_points(rho, sigma, 4, [0.3])) == 1
 
 
 class TestSmoothState:
@@ -238,13 +317,14 @@ class TestAsymptoticReverseTest:
         with pytest.raises(ValueError, match="rate"):
             asymptotic_reverse_test(rho, sigma, 2, 0.0)
 
-    # Known conditioning faults of the dense finite-n layer, pinned until mended.
-    @pytest.mark.xfail(strict=True, raises=ValidationError,
-                       reason="the capped state gets eigenvalue -2.1e-10 though nothing is capped")
     def test_pure_rho_rate_above_dmax(self):
+        # nothing is capped, so the capped state is rho_n itself rather than a
+        # rebuild whose roundoff fails validation
         rho, sigma = random_density(3, rank=1, seed=51), random_density(3, seed=52)
         assert dmax(rho, sigma) < 6.0
         assert asymptotic_reverse_test(rho, sigma, 4, 6.0).rho_error <= 1e-8
+
+    # Known conditioning faults of the dense finite-n layer, pinned until mended.
 
     @pytest.mark.xfail(strict=True, raises=InfeasibleRateError,
                        reason="the capped state's certificate misses the rate by 2e-9 to 2e-8")

@@ -119,8 +119,8 @@ class TestRunSuite:
         assert set(rec) == {"name", "seed", "inputs_digest", "measured", "bound", "margin", "passed"}
 
     def test_stein_trend_builds_each_power_once(self, monkeypatch):
-        # QUBIT_A's two powers at n = 2, 4, 6, the two inside each of the
-        # three stein_threshold calls, and the two of the n = 6 commuting control
+        # QUBIT_A's two powers at n = 2, 4, 6 only: stein_threshold, the
+        # commuting control included, works on Schur-Weyl blocks
         calls = []
 
         def counting(build):
@@ -132,8 +132,8 @@ class TestRunSuite:
         for module in (suites, hypotest):
             monkeypatch.setattr(module, "tensor_power", counting(module.tensor_power))
         suites._suite_stein_trend(SuiteConfig())
-        assert len(calls) == 14
-        assert calls.count(6) == 6
+        assert len(calls) == 6
+        assert calls.count(6) == 2
 
     def test_rejects_malformed_report(self):
         with pytest.raises(ValidationError, match="missing"):
