@@ -16,7 +16,7 @@ from .linalg import (eigh, eigh_hermitian, frobenius, logm_support,
                      matrix_function, off_support_residual, pinv_psd,
                      sqrtm_psd, support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
-                     random_unitary)
+                     check_dims, random_unitary)
 
 SUPPORT_CONTAINED = "contained"
 SUPPORT_EQUAL = "equal"
@@ -41,7 +41,7 @@ class DivergenceReport:
 
 def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     """Classify supp(rho) vs supp(sigma) by projector residuals."""
-    _check_dims(rho, sigma)
+    check_dims(rho, sigma)
     proj_s = support_projector(sigma.eigen)
     if off_support_residual(proj_s, rho.matrix) > SUPPORT_TOL:
         return SUPPORT_VIOLATED
@@ -66,11 +66,6 @@ def _kl_sum(pv: np.ndarray, qv: np.ndarray) -> float:
     if np.any(qv[mask] <= 0):
         return math.inf
     return float(np.sum(pv[mask] * (np.log(pv[mask]) - np.log(qv[mask]))))
-
-
-def _check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
 
 
 def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> DivergenceReport:
@@ -100,7 +95,7 @@ def fidelity_logdiv(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     the counterexample functional for the continuity axiom, -inf on pairs
     with orthogonal supports.
     """
-    _check_dims(rho, sigma)
+    check_dims(rho, sigma)
     tn = trace_norm(sqrtm_psd(rho.eigen) @ sqrtm_psd(sigma.eigen))
     if tn <= 0.0:
         return -math.inf
@@ -113,7 +108,7 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     The smallest a with rho <= e^a sigma; +inf when sigma's support does not
     carry rho.
     """
-    _check_dims(rho, sigma)
+    check_dims(rho, sigma)
     if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
         return math.inf
     isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
@@ -146,7 +141,7 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
     since roundoff on sigma's kernel can produce them; raises ConvergenceError
     if no evaluated basis scores finite.
     """
-    _check_dims(rho, sigma)
+    check_dims(rho, sigma)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = np.random.default_rng(seed)

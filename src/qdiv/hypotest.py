@@ -2,6 +2,10 @@
 acceptance-threshold scan, certified smoothing, binary asymptotic reverse
 tests, and the measure-and-prepare state conversion channel.
 
+One kernel, _ratio_test, runs every likelihood-ratio test. Callers that
+need only its traces (stein_threshold, curve_points, state_conversion) run
+it on the powers that states.power_blocks compresses; np_projector and
+smooth_state run it on dense powers, since they return dense operators.
 Every smoothed state carries a recomputed rate certificate; nothing is
 trusted from a printed constant.
 """
@@ -21,8 +25,8 @@ from .linalg import (EigenSystem, eigh, eigh_hermitian, matrix_function,
                      off_support_residual, positive_part, support_projector,
                      trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     Preparation, basis_weights, cq_apply, measure, power_blocks,
-                     tensor_power)
+                     Preparation, basis_weights, check_dims, cq_apply, measure,
+                     power_blocks, tensor_power)
 
 _GRID_WIDTH = DEFAULT_TOLERANCES["stein_grid_width"]
 
@@ -42,39 +46,25 @@ class TestCurvePoint:
 def np_projector(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
     """Projector onto the non-positive eigenspace of rho_n - e^{na} sigma_n,
     with the exact acceptance/error traces at threshold a."""
-    return _ratio_test(rho_n, sigma_n, a, n)[1:]
+    check_dims(rho_n, sigma_n)
+    _, cols, point = _ratio_test(rho_n.matrix, sigma_n.matrix, np.ones(rho_n.dim), a, n)
+    return cols @ cols.conj().T, point
 
 
-def _ratio_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float,
+def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, a: float,
                 n: int) -> tuple[EigenSystem, np.ndarray, TestCurvePoint]:
-    """np_projector's projector and traces, plus the eigensystem of
-    rho_n - e^{na} sigma_n they come from."""
-    if rho_n.dim != sigma_n.dim:
-        raise ValueError(f"dimension mismatch: {rho_n.dim} vs {sigma_n.dim}")
-    es = eigh(rho_n.matrix - math.exp(n * a) * sigma_n.matrix)
-    cols = es.eigenvectors[:, _accepted(es.eigenvalues)]
-    proj = cols @ cols.conj().T
-    t1 = float(np.trace(rho_n.matrix @ proj).real)
-    t2 = float(np.trace(sigma_n.matrix @ (np.eye(rho_n.dim) - proj)).real)
-    return es, proj, TestCurvePoint(a, t1, t2)
-
-
-def _accepted(w: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues of rho_n - e^{na} sigma_n on which the test
-    accepts: those at most 1e-12 of the largest magnitude."""
-    return w <= 1e-12 * max(float(np.abs(w).max()), 1e-300)
-
-
-def _block_point(r: np.ndarray, s: np.ndarray, weights: np.ndarray, a: float, n: int) -> TestCurvePoint:
-    """np_projector's traces from the powers compressed by power_blocks: one
-    eigh of r - e^{na} s, with t1 = tr(W r P) and t2 = tr(W s) - tr(W s P)
-    for the row weights W, which commute with r, s and P."""
-    w, v = eigh(r - math.exp(n * a) * s)
-    cols = v[:, _accepted(w)]
+    """The likelihood-ratio test at rate a, from one eigh of r - e^{na} s: that
+    eigensystem, the eigenvectors it accepts on (eigenvalues at most 1e-12 of
+    the largest magnitude), and the traces t1 = tr(W r P), t2 = tr(W s) -
+    tr(W s P) for the projector P onto them and the row weights W of
+    power_blocks, which commute with r, s and P (unit weights on dense powers)."""
+    es = eigh(r - math.exp(n * a) * s)
+    w, v = es
+    cols = v[:, w <= 1e-12 * max(float(np.abs(w).max()), 1e-300)]
     wr, ws = weights[:, None] * r, weights[:, None] * s
     t1 = float(basis_weights(cols, wr).sum())
     t2 = float(np.trace(ws).real) - float(basis_weights(cols, ws).sum())
-    return TestCurvePoint(a, t1, t2)
+    return es, cols, TestCurvePoint(a, t1, t2)
 
 
 def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: int, eps: float,
@@ -115,19 +105,18 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
     # built at the first rate, once threshold_scan has checked its arguments
     powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
-    return threshold_scan(lambda a: _block_point(*powers(), a, n).type1_accept, lo, hi, n, eps, width)
+    return threshold_scan(lambda a: _ratio_test(*powers(), a, n)[2].type1_accept, lo, hi, n, eps, width)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
     """np_projector's traces at each rate, on the powers compressed by power_blocks."""
     powers = _compressed_powers(rho, sigma, n)
-    return [_block_point(*powers, float(a), n) for a in rates]
+    return [_ratio_test(*powers, float(a), n)[2] for a in rates]
 
 
 def _compressed_powers(rho: DensityMatrix, sigma: DensityMatrix,
                        n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    check_dims(rho, sigma)
     (r, weights), (s, _) = power_blocks(rho, n), power_blocks(sigma, n)
     return r, s, weights
 
@@ -163,7 +152,8 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
     is checked and reported, not assumed. Raises SupportViolationError when
     the support of rho_n escapes that of sigma_n.
     """
-    delta_eigen, _, point = _ratio_test(rho_n, sigma_n, a, n)
+    check_dims(rho_n, sigma_n)
+    delta_eigen, _, point = _ratio_test(rho_n.matrix, sigma_n.matrix, np.ones(rho_n.dim), a, n)
     cand = rho_n.matrix - positive_part(delta_eigen)
     apos = positive_part((cand + cand.conj().T) / 2)
     tr = float(np.trace(apos).real)
@@ -245,6 +235,7 @@ def binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, rate: floa
     sigma-frame capped state near rho_n, at input weight q(0) = e^{-n rate}.
     Raises SupportViolationError if supp rho_n escapes supp sigma_n, and
     InfeasibleRateError with the minimal certified rate if the rate is not met."""
+    check_dims(rho_n, sigma_n)
     q0 = _complement_weight(rate, n)
     if off_support_residual(support_projector(sigma_n.eigen), rho_n.matrix) > SUPPORT_TOL:
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
@@ -267,12 +258,23 @@ def binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, rate: floa
 
 @dataclass(frozen=True, eq=False)
 class ConversionChannel:
-    """Measure-and-prepare map: binary likelihood-ratio measurement on the
-    source power, preparation from the reverse test on the target; never
-    materialized as a dense superoperator."""
+    """Measure-and-prepare map: binary likelihood-ratio measurement at rate a
+    on the n-th power of the source pair, preparation from the reverse test
+    on the target; never materialized as a dense superoperator."""
 
-    measurement: Measurement
+    rho0: DensityMatrix
+    sigma0: DensityMatrix
+    n: int
+    a: float
     preparation: Preparation
+
+    @property
+    def measurement(self) -> Measurement:
+        """The effects (1 - P, P) of np_projector on the dense source powers,
+        built on each read."""
+        proj, _ = np_projector(tensor_power(self.rho0, self.n), tensor_power(self.sigma0, self.n),
+                               self.a, self.n)
+        return Measurement((np.eye(len(proj)) - proj, proj))
 
     def apply(self, state_n: DensityMatrix) -> DensityMatrix:
         probs = measure(self.measurement, state_n).probs
@@ -311,8 +313,7 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
             f"gap hypothesis fails: D(source) = {d_src.value:.6f} must exceed "
             f"D(target) + 2c = {d_tgt.value + 2 * c:.6f}")
     a = d_tgt.value + c
-    rho0_n, sigma0_n = tensor_power(rho0, n), tensor_power(sigma0, n)
-    proj, pt = np_projector(rho0_n, sigma0_n, a, n)
+    pt, = curve_points(rho0, sigma0, n, [a])
     accept = 1.0 - pt.type1_accept          # weight of rho0^n on the accept effect 1 - P
     q0 = pt.type2
     if q0 <= 0:
@@ -325,11 +326,7 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
-    eye = np.eye(rho0_n.dim)
-    channel = ConversionChannel(Measurement((eye - proj, proj)), brt.preparation)
-    out_r = channel.apply(rho0_n)
-    out_s = channel.apply(sigma0_n)
-    report = ConversionReport(n, True, rate, accept,
-                              trace_norm(out_r.matrix - rho_n.matrix),
-                              trace_norm(out_s.matrix - sigma_n.matrix))
-    return channel, report
+    # the channel's output on rho0^n, from the test's outcome weights
+    out_r = cq_apply(brt.preparation, ClassicalDistribution(np.array([accept, 1 - accept])))
+    return (ConversionChannel(rho0, sigma0, n, a, brt.preparation),
+            ConversionReport(n, True, rate, accept, trace_norm(out_r.matrix - rho_n.matrix), brt.sigma_error))

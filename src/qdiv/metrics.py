@@ -17,7 +17,7 @@ from .linalg import (EigenSystem, eigh, eigh_hermitian, frobenius,
                      matrix_function, off_support_residual, pinv_psd,
                      support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
-                     basis_weights)
+                     basis_weights, check_dims)
 
 
 def _h_ratio(x: np.ndarray, beta: float) -> np.ndarray:
@@ -264,8 +264,7 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
     s rho + (1 - s) sigma, reduced to int_0^1 (1 - s) g(s) ds, by tanh-sinh
     quadrature (Takahasi-Mori); each halving of the step adds only new nodes.
     Raises ConvergenceError if successive estimates never meet the tolerance."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    check_dims(rho, sigma)
     for nm, state in (("rho", rho), ("sigma", sigma)):
         lam, _ = state.eigen
         if lam[0] <= SUPPORT_RTOL * lam[-1]:

@@ -19,7 +19,7 @@ from .linalg import (_canonical_phases, eigh, eigh_hermitian, frobenius,
                      support_cutoff, support_projector)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
-                     QuantumChannel, TangentDirection)
+                     QuantumChannel, TangentDirection, check_dims)
 
 _RECON_TOL = DEFAULT_TOLERANCES["reconstruction"]
 
@@ -79,8 +79,7 @@ def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
     sigma^-1/2 rho sigma^-1/2 (W its eigenvectors). Symbols are in ascending
     order of p/q.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    check_dims(rho, sigma)
     iso = _common_support_isometry(rho, sigma)
     s = iso.conj().T @ sigma.matrix @ iso
     # decomposed again, not read off sigma.eigen: keeps small q(x) accurate on ill-conditioned sigma

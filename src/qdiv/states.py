@@ -1,6 +1,7 @@
 """Density matrices, tangent directions, channels, measurements, classical
 distributions, preparations, and seeded random generators."""
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -186,6 +187,11 @@ def measure(m: Measurement, rho: DensityMatrix) -> ClassicalDistribution:
     return ClassicalDistribution(np.array([float(np.trace(e @ rho.matrix).real) for e in m.effects]))
 
 
+def check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+
+
 def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """diag(v^dag m v): the outcome weights tr(|v_k><v_k| m) of the basis
     that the columns of v form, for a state or a tangent matrix m."""
@@ -202,10 +208,7 @@ def _check_power(dim: int, n: int) -> None:
 
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     _check_power(rho.dim, n)
-    out = rho.matrix
-    for _ in range(n - 1):
-        out = np.kron(out, rho.matrix)
-    return DensityMatrix(out)
+    return DensityMatrix(functools.reduce(np.kron, [rho.matrix] * n))
 
 
 def _sym_power(v: np.ndarray, m: int) -> np.ndarray:
@@ -231,10 +234,11 @@ def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
     det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen without a new
     eigendecomposition, and the rows of block k weigh its multiplicity
     C(n,k) - C(n,k-1); its size is 16 at n = 6. For d >= 3 it is the dense
-    power with unit weights. Both obey the tensor-power dimension cap."""
+    power, not validated again, with unit weights. Both obey the
+    tensor-power dimension cap."""
     _check_power(rho.dim, n)
     if rho.dim != 2:
-        return tensor_power(rho, n).matrix, np.ones(rho.dim ** n)
+        return functools.reduce(np.kron, [rho.matrix] * n), np.ones(rho.dim ** n)
     (l0, l1), v = rho.eigen
     sizes = [n - 2 * k + 1 for k in range(n // 2 + 1)]
     out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)

@@ -12,14 +12,15 @@ from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
-from qdiv.hypotest import (asymptotic_reverse_test, state_conversion,
-                           stein_threshold)
+from qdiv.hypotest import (asymptotic_reverse_test, curve_points,
+                           smooth_state, state_conversion, stein_threshold)
 from qdiv.linalg import support_projector
 from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
                           rld_operator, sld_optimal_measurement)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_test, reverse_estimation_1param)
-from qdiv.states import DensityMatrix, random_cptp, random_tangent
+from qdiv.states import (DensityMatrix, random_cptp, random_tangent,
+                         tensor_power)
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
@@ -28,6 +29,9 @@ CHANNEL = random_cptp(3, 3, seed=1)
 BKM = bkm_metric()
 # the gap c that the conversion suite uses for QUBIT_A
 C = 0.45 * (umegaki(*CONVERSION_SOURCE).value - umegaki(*QUBIT_A).value)
+POWERS_4 = tuple(tensor_power(state, 4) for state in QUBIT_A)
+# the smoothing suite's mid rate (D + dmax) / 2 for QUBIT_A
+MID = (umegaki(*QUBIT_A).value + dmax(*QUBIT_A)) / 2
 
 CASES = {
     "umegaki": (0, lambda: umegaki(RHO, SIGMA)),
@@ -49,16 +53,26 @@ CASES = {
     # 2 dmax bounds and 32 grid points, one 16x16 eigh each on the qubit
     # Schur-Weyl blocks; the blocks come from rho.eigen and sigma.eigen
     "stein_threshold": (34, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
+    # 2 dmax bounds of 3x3 and 33 grid points of 81x81; the dense powers
+    # are built by kron and not validated again
+    "stein_threshold-qutrit": (35, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
+    # one 16x16 eigh per rate on the qubit Schur-Weyl blocks
+    "curve_points": (13, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
+    # the likelihood-ratio test, the repaired candidate's positive part, the
+    # smoothed state and 1 dmax
+    "smooth_state": (4, lambda: smooth_state(*POWERS_4, MID, 4)),
     # 2 tensor powers, the capped state's sigma-frame eigenbasis, 1 dmax
     # and 3 states built (capped, complement, reverse-test check)
     "asymptotic_reverse_test": (7, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
     "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
-    # 4 tensor powers, 1 likelihood-ratio test, the capped state's
-    # sigma-frame eigenbasis, 1 dmax and 4 states built (complement,
-    # reverse-test check, 2 outputs); nothing is capped at this rate, so the
-    # capped state is the target power itself
-    "state_conversion": (11, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # 1 likelihood-ratio test on the 9x9 source blocks, the target's 2
+    # tensor powers, the capped state's sigma-frame eigenbasis, 1 dmax and 3
+    # states built (complement, reverse-test check, rho output); nothing is
+    # capped at this rate, so the capped state is the target power itself.
+    # The source's dense powers and measurement are built only when the
+    # channel is applied
+    "state_conversion": (8, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -176,3 +190,10 @@ def test_stein_threshold_decomposes_blocks_only(eigh_dims):
     # the qubit block direct sum at n = 6 is 16x16; the dense powers are 64x64
     stein_threshold(*QUBIT_A, n=6, eps=0.5)
     assert max(eigh_dims) == 16
+
+
+def test_qutrit_powers_are_not_validated(eigh_dims):
+    # one 81x81 eigh per grid rate; validating the two dense powers as
+    # states would add two more
+    stein_threshold(*QUTRIT, n=4, eps=0.5)
+    assert eigh_dims.count(81) == 33

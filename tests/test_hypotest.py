@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qdiv import fixtures
+from qdiv import fixtures, hypotest
 from qdiv.divergences import dmax, umegaki
 from qdiv.errors import (DimensionCapError, InfeasibleRateError,
                          SupportViolationError)
@@ -16,6 +16,7 @@ from qdiv.hypotest import (asymptotic_reverse_test, binary_reverse_test,
                            np_projector, smooth_state, state_conversion,
                            stein_threshold, threshold_scan, curve_points,
                            write_curve_csv)
+from qdiv.linalg import trace_norm
 from qdiv.states import (DensityMatrix, cq_apply, power_blocks, random_density,
                          tensor_power)
 from qdiv.suites import classical_threshold_oracle
@@ -317,6 +318,16 @@ class TestAsymptoticReverseTest:
         with pytest.raises(ValueError, match="rate"):
             asymptotic_reverse_test(rho, sigma, 2, 0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: binary_reverse_test(tensor_power(fixtures.QUBIT_A[0], 2), fixtures.QUTRIT[1], 0.5, 2),
+        lambda: asymptotic_reverse_test(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 2, 0.5),
+        lambda: np_projector(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 0.5, 1),
+        lambda: smooth_state(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 0.5, 1),
+    ], ids=["binary_reverse_test", "asymptotic_reverse_test", "np_projector", "smooth_state"])
+    def test_dimension_mismatch_raises(self, call):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call()
+
     def test_pure_rho_rate_above_dmax(self):
         # nothing is capped, so the capped state is rho_n itself rather than a
         # rebuild whose roundoff fails validation
@@ -341,7 +352,31 @@ class TestAsymptoticReverseTest:
         assert brt.certificate <= rate + 1e-9
 
 
+def _conversion_gap(rho, sigma):
+    """The gap c that the conversion suite uses for the target (rho, sigma)."""
+    return 0.45 * (umegaki(*fixtures.CONVERSION_SOURCE).value - umegaki(rho, sigma).value)
+
+
 class TestStateConversion:
+    def test_builds_target_powers_only(self, monkeypatch):
+        # the source's test traces come from its Schur-Weyl blocks
+        built = []
+        build = hypotest.tensor_power
+        monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: built.append(state) or build(state, n))
+        rho, sigma = fixtures.QUBIT_A
+        state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
+        assert built == [rho, sigma]
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_channel_output_matches_reported_error(self, n):
+        # the dense measurement, built when the channel is applied, against
+        # the error the report takes from the reverse test's preparation
+        rho0, sigma0 = fixtures.CONVERSION_SOURCE
+        rho, sigma = fixtures.QUBIT_A
+        channel, rep = state_conversion(rho0, sigma0, rho, sigma, n, _conversion_gap(rho, sigma))
+        out = channel.apply(tensor_power(rho0, n))
+        assert abs(trace_norm(out.matrix - tensor_power(rho, n).matrix) - rep.rho_error) <= 1e-12
+
     def test_gap_hypothesis_enforced(self):
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="gap"):

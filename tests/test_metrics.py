@@ -341,3 +341,7 @@ class TestIntegralDivergence:
         sigma = random_density(2, seed=21)
         with pytest.raises(RankError, match="full-rank"):
             integral_divergence(bkm_metric(), rho, sigma)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            integral_divergence(bkm_metric(), fixtures.QUBIT_A[0], fixtures.QUTRIT[1])

@@ -91,6 +91,10 @@ class TestParallelDecomposition:
         with pytest.raises(SupportViolationError, match="rank"):
             optimal_reverse_test(rho, sigma)
 
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            optimal_reverse_test(fixtures.QUBIT_A[0], fixtures.QUTRIT[1])
+
 
 class TestOptimalReverseTest:
     def test_commuting_pair_kl(self):

@@ -135,6 +135,20 @@ class TestRunSuite:
         assert len(calls) == 6
         assert calls.count(6) == 2
 
+    def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
+        # every trace record reads curve_points on the Schur-Weyl blocks
+        calls = []
+        dense = hypotest.np_projector
+
+        def counting(*args):
+            calls.append(args)
+            return dense(*args)
+
+        for module in (suites, hypotest):
+            monkeypatch.setattr(module, "np_projector", counting, raising=False)
+        suites._suite_stein_trend(SuiteConfig())
+        assert calls == []
+
     def test_rejects_malformed_report(self):
         with pytest.raises(ValidationError, match="missing"):
             report_from_json(json.dumps({"suites": []}))
