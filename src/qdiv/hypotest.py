@@ -1,12 +1,15 @@
 """Finite-n hypothesis-testing machinery: likelihood-ratio projectors, the
-acceptance-threshold scan, certified smoothing, binary asymptotic reverse
-tests, and the measure-and-prepare state conversion channel.
+acceptance-threshold scan, certified smoothing, the binary asymptotic
+reverse test, and the measure-and-prepare state conversion channel.
 
 One kernel, _ratio_test, runs every likelihood-ratio test. Callers that
 need only its traces (stein_threshold, curve_points, state_conversion) run
 it on the powers that states.power_blocks compresses; np_projector and
 smooth_state run it on dense powers, since they return dense operators.
-Every smoothed state carries a recomputed rate certificate; nothing is
+The asymptotic reverse test is the n-fold power of the one-copy frame of
+reverse.support_frame: its capped state, certificate and support check are
+operations on the frame's ratios, and only the states it returns are dense.
+Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
 
@@ -21,12 +24,12 @@ import numpy as np
 from .config import DATTA1_SLACK, DEFAULT_TOLERANCES, SUPPORT_TOL
 from .divergences import dmax, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
-from .linalg import (EigenSystem, eigh, eigh_hermitian, matrix_function,
-                     off_support_residual, positive_part, support_projector,
-                     trace_norm)
+from .linalg import (EigenSystem, eigh, off_support_residual, positive_part,
+                     support_projector, trace_norm)
+from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
-                     Preparation, basis_weights, check_dims, cq_apply, measure,
-                     power_blocks, tensor_power)
+                     Preparation, basis_weights, check_dims, check_power,
+                     cq_apply, kron_power, measure, power_blocks, tensor_power)
 
 _GRID_WIDTH = DEFAULT_TOLERANCES["stein_grid_width"]
 
@@ -172,32 +175,6 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
     return SmoothedState(state, epsilon, cert, shortfall, bound)
 
 
-def _capped_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> DensityMatrix:
-    """Largest-fidelity state obeying state <= e^{na} sigma_n by spectral
-    capping in the sigma-weighted frame, trace deficit refilled from the
-    remaining room e^{na} sigma_n - capped. When no eigenvalue reaches the
-    cap, rho_n already obeys the bound and is returned as it is."""
-    scale = math.exp(n * a)
-    m = scale * sigma_n.matrix
-    m_eigen = EigenSystem(scale * sigma_n.eigen.eigenvalues, sigma_n.eigen.eigenvectors)
-    msq = matrix_function(m_eigen, np.sqrt, support_only=True)
-    misq = matrix_function(m_eigen, lambda v: 1 / np.sqrt(v), support_only=True)
-    c = misq @ rho_n.matrix @ misq
-    w, v = eigh_hermitian((c + c.conj().T) / 2)
-    if w.max() <= 1.0:
-        return rho_n
-    capped = (v * np.minimum(np.maximum(w, 0.0), 1.0)) @ v.conj().T
-    rhat = msq @ capped @ msq
-    rhat = (rhat + rhat.conj().T) / 2
-    tr = float(np.trace(rhat).real)
-    room = m - rhat
-    tr_room = float(np.trace(room).real)
-    if tr < 1.0 and tr_room > 1e-14:
-        rhat = rhat + ((1.0 - tr) / tr_room) * room
-    rhat = (rhat + rhat.conj().T) / 2
-    return DensityMatrix(rhat / float(np.trace(rhat).real))
-
-
 # ---------------------------------------------------------------------------
 # binary asymptotic reverse test
 
@@ -214,41 +191,50 @@ class BinaryReverseTest:
     sigma_error: float          # || prep(q) - sigma^{x n} ||_1, ~0 by design
 
 
-def _complement_weight(rate: float, n: int) -> float:
-    """q(0) = e^{-n rate}, checked to leave weight for the complement state."""
+def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
+                            rate: float) -> BinaryReverseTest:
+    """Binary-input preparation with prep(q) = sigma^{x n} exactly and prep(p)
+    the capped state near rho^{x n}, at input weight q(0) = e^{-n rate}.
+
+    The one-copy frame of reverse.support_frame, sigma = B B^dag and
+    rho = B diag(t) B^dag, gives the powers as B^{x n} with ratios t^{x n}.
+    The capped state is B^{x n} diag(g) B^{x n dag}: g = min(t^{x n},
+    e^{n rate}), refilled from the room e^{n rate} - g and normalized, so its
+    certificate dmax(state, sigma^{x n})/n is ln(max g)/n. The complement
+    (sigma^{x n} - q(0) state)/(1 - q(0)) is B^{x n} diag(1 - q(0) g) B^{x n dag}
+    over its own trace: dividing by 1 - q(0), about n rate, would magnify
+    roundoff at small rates. Raises SupportViolationError if supp rho escapes
+    supp sigma, and InfeasibleRateError with the minimal certified rate if the
+    rate is not met.
+    """
     q0 = math.exp(-n * rate) if rate > 0 else 1.0
     if q0 >= 1 - 1e-12:
         raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
-    return q0
-
-
-def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
-                            rate: float) -> BinaryReverseTest:
-    """binary_reverse_test on the n-th tensor powers, built once the rate is checked."""
-    _complement_weight(rate, n)
-    return binary_reverse_test(tensor_power(rho, n), tensor_power(sigma, n), rate, n)
-
-
-def binary_reverse_test(rho_n: DensityMatrix, sigma_n: DensityMatrix, rate: float,
-                        n: int) -> BinaryReverseTest:
-    """Binary-input preparation with prep(q) = sigma_n exactly and prep(p) the
-    sigma-frame capped state near rho_n, at input weight q(0) = e^{-n rate}.
-    Raises SupportViolationError if supp rho_n escapes supp sigma_n, and
-    InfeasibleRateError with the minimal certified rate if the rate is not met."""
-    check_dims(rho_n, sigma_n)
-    q0 = _complement_weight(rate, n)
-    if off_support_residual(support_projector(sigma_n.eigen), rho_n.matrix) > SUPPORT_TOL:
+    check_dims(rho, sigma)
+    check_power(rho.dim, n)
+    if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
-    state = _capped_state(rho_n, sigma_n, rate, n)
-    cert = dmax(state, sigma_n) / n
+    iso, w, t = support_frame(rho, sigma)
+    b_n = kron_power(iso @ w, n)
+    t_n, q_n = kron_power(t, n), kron_power(np.sum(np.abs(w) ** 2, axis=0), n)
+    cap = math.exp(n * rate)
+    g = np.minimum(t_n, cap)
+    tr, tr_room = float(g @ q_n), float((cap - g) @ q_n)
+    if tr < 1.0 and tr_room > 1e-14:
+        g = g + ((1.0 - tr) / tr_room) * (cap - g)
+    g = g / float(g @ q_n)
+    cert = math.log(float(g.max())) / n
     if cert > rate + 1e-9:
         raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
                                   min_rate=cert)
-    complement = DensityMatrix((sigma_n.matrix - q0 * state.matrix) / (1 - q0))
+    state = DensityMatrix((b_n * g) @ b_n.conj().T)
+    h = np.maximum(1.0 - q0 * g, 0.0)
+    complement = DensityMatrix((b_n * (h / float(h @ q_n))) @ b_n.conj().T)
+    rho_n, sigma_n = kron_power(rho.matrix, n), kron_power(sigma.matrix, n)
     prep = Preparation((state, complement))
     q = ClassicalDistribution(np.array([q0, 1 - q0]))
-    sigma_err = trace_norm(cq_apply(prep, q).matrix - sigma_n.matrix)
-    rho_err = trace_norm(state.matrix - rho_n.matrix)
+    sigma_err = trace_norm(cq_apply(prep, q).matrix - sigma_n)
+    rho_err = trace_norm(state.matrix - rho_n)
     return BinaryReverseTest(prep, q, rate, cert, rho_err, sigma_err)
 
 
@@ -268,10 +254,10 @@ class ConversionChannel:
     a: float
     preparation: Preparation
 
-    @property
+    @functools.cached_property
     def measurement(self) -> Measurement:
         """The effects (1 - P, P) of np_projector on the dense source powers,
-        built on each read."""
+        built on the first read."""
         proj, _ = np_projector(tensor_power(self.rho0, self.n), tensor_power(self.sigma0, self.n),
                                self.a, self.n)
         return Measurement((np.eye(len(proj)) - proj, proj))
@@ -320,13 +306,13 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
         return None, ConversionReport(n, False, math.inf, accept, math.nan, math.nan,
                                       "type-2 error vanished; rate unbounded")
     rate = -math.log(q0) / n
-    rho_n, sigma_n = tensor_power(rho, n), tensor_power(sigma, n)
     try:
-        brt = binary_reverse_test(rho_n, sigma_n, rate, n)
+        brt = asymptotic_reverse_test(rho, sigma, n, rate)
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
     # the channel's output on rho0^n, from the test's outcome weights
     out_r = cq_apply(brt.preparation, ClassicalDistribution(np.array([accept, 1 - accept])))
     return (ConversionChannel(rho0, sigma0, n, a, brt.preparation),
-            ConversionReport(n, True, rate, accept, trace_norm(out_r.matrix - rho_n.matrix), brt.sigma_error))
+            ConversionReport(n, True, rate, accept, trace_norm(out_r.matrix - kron_power(rho.matrix, n)),
+                             brt.sigma_error))

@@ -58,40 +58,49 @@ class ReverseEstimation:
     frame: np.ndarray
 
 
-def _common_support_isometry(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+def _check_equal_supports(rho: DensityMatrix, sigma: DensityMatrix) -> None:
     pr, ps = support_projector(rho.eigen), support_projector(sigma.eigen)
     gap = frobenius(pr - ps)
     if gap > SUPPORT_TOL * 10:
         raise SupportViolationError(
             f"supports differ: rank(rho) = {round(np.trace(pr).real)}, rank(sigma) = "
             f"{round(np.trace(ps).real)}, projector distance {gap:.3e}; equal supports required")
+
+
+def support_frame(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair over one frame on supp sigma, from one eigh and one SVD: the
+    isometry V onto supp sigma, a square W and ascending ratios t with
+    sigma = V W W^dag V^dag and, when supp rho lies in supp sigma,
+    rho = V W diag(t) W^dag V^dag.
+
+    With the SVD sigma^-1/2 rho^1/2 = L diag(d) R^dag on the support,
+    W = sigma^1/2 L and t = d^2, the eigenvalues of sigma^-1/2 rho sigma^-1/2
+    (L its eigenvectors)."""
     ws, vs = sigma.eigen
-    return vs[:, ws > support_cutoff(ws)]
+    iso = vs[:, ws > support_cutoff(ws)]
+    s = iso.conj().T @ sigma.matrix @ iso
+    # decomposed again, not read off sigma.eigen: keeps small q(x) accurate on ill-conditioned sigma
+    es = eigh(s)
+    sqrt_r = iso.conj().T @ sqrtm_psd(rho.eigen) @ iso
+    left, d, _ = np.linalg.svd(matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrt_r)
+    d = d[::-1]                 # ascending, like eigh
+    return iso, sqrtm_psd(es) @ _canonical_phases(left[:, ::-1]), d ** 2
 
 
 def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:
     """Reverse test whose input KL equals the RLD divergence of (rho, sigma):
     one frame and two weight vectors decomposing rho and sigma jointly.
 
-    On the common support, with the SVD sigma^-1/2 rho^1/2 = W diag(d) V^dag:
-    the frame columns are the normalized columns of sigma^1/2 W, q their
-    squared norms, and p = q d^2, since d^2 = p/q are the eigenvalues of
-    sigma^-1/2 rho sigma^-1/2 (W its eigenvectors). Symbols are in ascending
-    order of p/q.
+    On the common support, with support_frame's V, W and t: the frame
+    columns are the normalized columns of V W, q their squared norms, and
+    p = q t. Symbols are in ascending order of p/q.
     """
     check_dims(rho, sigma)
-    iso = _common_support_isometry(rho, sigma)
-    s = iso.conj().T @ sigma.matrix @ iso
-    # decomposed again, not read off sigma.eigen: keeps small q(x) accurate on ill-conditioned sigma
-    es = eigh(s)
-    sqrt_r = iso.conj().T @ sqrtm_psd(rho.eigen) @ iso
-    t = matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrt_r
-    left, d, _ = np.linalg.svd(t)
-    d = d[::-1]                 # ascending, like eigh
-    w = sqrtm_psd(es) @ _canonical_phases(left[:, ::-1])
+    _check_equal_supports(rho, sigma)
+    iso, w, t = support_frame(rho, sigma)
     qv = np.sum(np.abs(w) ** 2, axis=0)
     frame = iso @ (w / np.sqrt(qv))
-    pv = qv * d ** 2
+    pv = qv * t
     pv, qv = pv / pv.sum(), qv / qv.sum()
 
     for target, weights in ((rho, pv), (sigma, qv)):

@@ -61,18 +61,17 @@ CASES = {
     # the likelihood-ratio test, the repaired candidate's positive part, the
     # smoothed state and 1 dmax
     "smooth_state": (4, lambda: smooth_state(*POWERS_4, MID, 4)),
-    # 2 tensor powers, the capped state's sigma-frame eigenbasis, 1 dmax
-    # and 3 states built (capped, complement, reverse-test check)
-    "asymptotic_reverse_test": (7, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # the one-copy frame's compressed sigma and 3 states of 64x64 (capped,
+    # complement, reverse-test check); the powers are krons of the frame, the
+    # ratios and the states, and the certificate is read off the capped ratios
+    "asymptotic_reverse_test": (4, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
     "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
-    # 1 likelihood-ratio test on the 9x9 source blocks, the target's 2
-    # tensor powers, the capped state's sigma-frame eigenbasis, 1 dmax and 3
-    # states built (complement, reverse-test check, rho output); nothing is
-    # capped at this rate, so the capped state is the target power itself.
-    # The source's dense powers and measurement are built only when the
-    # channel is applied
-    "state_conversion": (8, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # 1 likelihood-ratio test on the 9x9 source blocks, the target's
+    # one-copy frame, 3 states built by the reverse test (capped, complement,
+    # reverse-test check) and the rho output. The source's dense powers and
+    # measurement are built only when the channel is first applied
+    "state_conversion": (6, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -86,6 +85,9 @@ EIGVALSH_CASES = {
 # give the frame
 SVD_CASES = {
     "optimal_reverse_test": (1, lambda: optimal_reverse_test(RHO, SIGMA)),
+    # the same one-copy SVD for the frame, then the trace norms of the
+    # sigma and rho errors
+    "asymptotic_reverse_test": (3, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
 }
 
 
@@ -131,8 +133,8 @@ def test_svd_count(name, counts):
 # support projectors built from eigensystems the states already carry: only
 # sigma's, since the support checks need containment, not equality
 PROJECTOR_CASES = {
-    # sigma_n's for the binary test's own check and again inside dmax
-    "asymptotic_reverse_test": (2, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # sigma's, for the support check at one copy
+    "asymptotic_reverse_test": (1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     "dmax": (1, lambda: dmax(RHO, SIGMA)),
 }
 
@@ -157,10 +159,13 @@ ESCAPING = (DensityMatrix(np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)),
 
 # argument errors at n = 8, each raised before a 256x256 tensor power is built
 ERROR_CASES = {
-    "stein_threshold-eps": (ValueError, lambda: stein_threshold(*QUBIT_A, n=8, eps=1.5)),
-    "stein_threshold-support": (SupportViolationError, lambda: stein_threshold(*ESCAPING, n=8, eps=0.5)),
-    "asymptotic_reverse_test-rate": (ValueError, lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=0.0)),
-    "asymptotic_reverse_test-q0": (ValueError, lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=1e-14)),
+    "stein_threshold-eps": (ValueError, "eps", lambda: stein_threshold(*QUBIT_A, n=8, eps=1.5)),
+    "stein_threshold-support": (SupportViolationError, "supp rho escapes",
+                                lambda: stein_threshold(*ESCAPING, n=8, eps=0.5)),
+    "asymptotic_reverse_test-rate": (ValueError, "rate", lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=0.0)),
+    "asymptotic_reverse_test-q0": (ValueError, "rate", lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=1e-14)),
+    "asymptotic_reverse_test-dims": (ValueError, "dimension mismatch",
+                                     lambda: asymptotic_reverse_test(QUBIT_A[0], QUTRIT[1], n=8, rate=0.5)),
 }
 
 
@@ -180,8 +185,8 @@ def eigh_dims(monkeypatch):
 
 @pytest.mark.parametrize("name", list(ERROR_CASES))
 def test_error_path_decomposes_no_power(name, eigh_dims):
-    error, call = ERROR_CASES[name]
-    with pytest.raises(error):
+    error, match, call = ERROR_CASES[name]
+    with pytest.raises(error, match=match):
         call()
     assert max(eigh_dims, default=0) <= 2
 

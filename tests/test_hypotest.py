@@ -10,13 +10,12 @@ import pytest
 
 from qdiv import fixtures, hypotest
 from qdiv.divergences import dmax, umegaki
-from qdiv.errors import (DimensionCapError, InfeasibleRateError,
-                         SupportViolationError)
-from qdiv.hypotest import (asymptotic_reverse_test, binary_reverse_test,
-                           np_projector, smooth_state, state_conversion,
-                           stein_threshold, threshold_scan, curve_points,
-                           write_curve_csv)
+from qdiv.errors import DimensionCapError, SupportViolationError
+from qdiv.hypotest import (asymptotic_reverse_test, np_projector,
+                           smooth_state, state_conversion, stein_threshold,
+                           threshold_scan, curve_points, write_curve_csv)
 from qdiv.linalg import trace_norm
+from qdiv.reverse import support_frame
 from qdiv.states import (DensityMatrix, cq_apply, power_blocks, random_density,
                          tensor_power)
 from qdiv.suites import classical_threshold_oracle
@@ -299,31 +298,16 @@ class TestAsymptoticReverseTest:
         with pytest.raises(SupportViolationError):
             asymptotic_reverse_test(*_escaping_pair(), 2, 0.5)
 
-    def test_support_violation_raises_on_powers(self):
-        # the capped state lives on supp sigma_n and certifies any rate, so
-        # the escape must be caught before it is built
-        rho_n, sigma_n = (tensor_power(s, 2) for s in _escaping_pair())
-        with pytest.raises(SupportViolationError):
-            binary_reverse_test(rho_n, sigma_n, 0.5, 2)
-
-    def test_powers_match_single_copy_entry(self):
-        rho, sigma = fixtures.QUBIT_A
-        rate = umegaki(rho, sigma).value + 0.15
-        brt = binary_reverse_test(tensor_power(rho, 4), tensor_power(sigma, 4), rate, 4)
-        ref = asymptotic_reverse_test(rho, sigma, 4, rate)
-        assert brt.rho_error == ref.rho_error and brt.certificate == ref.certificate
-
     def test_rejects_nonpositive_rate(self):
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="rate"):
             asymptotic_reverse_test(rho, sigma, 2, 0.0)
 
     @pytest.mark.parametrize("call", [
-        lambda: binary_reverse_test(tensor_power(fixtures.QUBIT_A[0], 2), fixtures.QUTRIT[1], 0.5, 2),
         lambda: asymptotic_reverse_test(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 2, 0.5),
         lambda: np_projector(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 0.5, 1),
         lambda: smooth_state(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 0.5, 1),
-    ], ids=["binary_reverse_test", "asymptotic_reverse_test", "np_projector", "smooth_state"])
+    ], ids=["asymptotic_reverse_test", "np_projector", "smooth_state"])
     def test_dimension_mismatch_raises(self, call):
         with pytest.raises(ValueError, match="dimension mismatch"):
             call()
@@ -335,21 +319,60 @@ class TestAsymptoticReverseTest:
         assert dmax(rho, sigma) < 6.0
         assert asymptotic_reverse_test(rho, sigma, 4, 6.0).rho_error <= 1e-8
 
-    # Known conditioning faults of the dense finite-n layer, pinned until mended.
+    # on this pair sigma^(x4) has eigenvalues under the 1e-12 relative support
+    # cut, and a dense capped construction misses the rate by up to 2e-8
 
-    @pytest.mark.xfail(strict=True, raises=InfeasibleRateError,
-                       reason="the capped state's certificate misses the rate by 2e-9 to 2e-8")
     @pytest.mark.parametrize("rate", [0.3, 1.0])
     def test_ill_conditioned_sigma_n3(self, rate):
-        brt = asymptotic_reverse_test(*_ill_conditioned_pair(), 3, rate)
-        assert brt.certificate <= rate + 1e-9
+        _assert_certified(*_ill_conditioned_pair(), 3, rate)
 
-    @pytest.mark.xfail(strict=True, raises=SupportViolationError,
-                       reason="sigma^(x4) has eigenvalues under the 1e-12 relative support cutoff")
     @pytest.mark.parametrize("rate", [0.3, 1.0, 2.0])
     def test_ill_conditioned_sigma_n4(self, rate):
-        brt = asymptotic_reverse_test(*_ill_conditioned_pair(), 4, rate)
-        assert brt.certificate <= rate + 1e-9
+        _assert_certified(*_ill_conditioned_pair(), 4, rate)
+
+    @pytest.mark.parametrize("seed", [6, 8, 12])
+    def test_small_rates(self, seed):
+        # the complement's weight 1 - q(0) is about n * rate, so it magnifies
+        # the roundoff of sigma^(x n) - q(0) * state by 1/(n * rate)
+        rho, sigma = random_density(2, seed=1000 + seed), random_density(2, seed=2000 + seed)
+        for n in (1, 2, 3):
+            for rate in (1e-6, 3e-6):
+                _assert_certified(rho, sigma, n, rate)
+
+
+def _assert_certified(rho, sigma, n, rate):
+    brt = asymptotic_reverse_test(rho, sigma, n, rate)
+    assert brt.certificate <= rate + 1e-9
+    # the witness, independent of the certificate: state <= e^{n rate} sigma^(x n)
+    sigma_n = functools.reduce(np.kron, [sigma.matrix] * n)
+    witness = math.exp(n * rate) * sigma_n - brt.preparation.states[0].matrix
+    assert float(np.linalg.eigvalsh(witness).min()) >= -1e-9
+    assert brt.sigma_error <= 1e-9
+
+
+class TestProductFrame:
+    @pytest.mark.parametrize("name", ["qubit_a", "qubit_b", "qutrit", "commuting"])
+    def test_frame_factors_the_pair(self, name):
+        rho, sigma = fixtures.PAIRS[name]
+        iso, w, t = support_frame(rho, sigma)
+        b = iso @ w
+        assert np.abs(b @ b.conj().T - sigma.matrix).max() <= 1e-12
+        assert np.abs((b * t) @ b.conj().T - rho.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["qubit_a", "qubit_b", "qutrit", "commuting"])
+    def test_matches_dense_capped_construction(self, name, n):
+        rho, sigma = fixtures.PAIRS[name]
+        d, dm = umegaki(rho, sigma).value, dmax(rho, sigma)
+        rho_n, sigma_n = (functools.reduce(np.kron, [s.matrix] * n) for s in (rho, sigma))
+        # capped well below dmax, halfway, and nothing capped
+        for rate in (d + 0.05, (d + dm) / 2, dm + 0.02):
+            brt = asymptotic_reverse_test(rho, sigma, n, rate)
+            ref = oracles.dense_reverse_test(rho_n, sigma_n, rate, n)
+            assert np.abs(brt.preparation.states[0].matrix - ref["state"]).max() <= 1e-12
+            assert abs(brt.certificate - ref["certificate"]) <= 1e-12
+            assert abs(brt.rho_error - ref["rho_error"]) <= 1e-12
+            assert abs(brt.sigma_error - ref["sigma_error"]) <= 1e-12
 
 
 def _conversion_gap(rho, sigma):
@@ -359,13 +382,28 @@ def _conversion_gap(rho, sigma):
 
 class TestStateConversion:
     def test_builds_target_powers_only(self, monkeypatch):
-        # the source's test traces come from its Schur-Weyl blocks
+        # the source's test traces come from its Schur-Weyl blocks and the
+        # reverse test from the target's one-copy frame; the target powers
+        # that the errors need are krons, not validated states
         built = []
         build = hypotest.tensor_power
         monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: built.append(state) or build(state, n))
         rho, sigma = fixtures.QUBIT_A
         state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
-        assert built == [rho, sigma]
+        assert built == []
+
+    def test_measurement_built_once(self, monkeypatch):
+        rho0, sigma0 = fixtures.CONVERSION_SOURCE
+        rho, sigma = fixtures.QUBIT_A
+        channel, _ = state_conversion(rho0, sigma0, rho, sigma, 6, _conversion_gap(rho, sigma))
+        channel.apply(tensor_power(rho0, 6))
+        sigma0_n = tensor_power(sigma0, 6)
+        built, spectra = [], []
+        monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: built.append(n))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: spectra.append(a) or eigvalsh(a, *args, **kw))
+        channel.apply(sigma0_n)
+        assert built == [] and spectra == []
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_channel_output_matches_reported_error(self, n):

@@ -1,6 +1,7 @@
 """Quantum object constructors, channel/measurement operations, tensor
 powers, and the seeded random generators."""
 
+import functools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -12,7 +13,7 @@ from qdiv.linalg import eigh
 from qdiv.states import (ClassicalDistribution, DensityMatrix, Measurement,
                          Preparation, QuantumChannel, TangentDirection,
                          apply_channel, apply_channel_tangent, basis_weights,
-                         cq_apply, measure, random_commuting_pair,
+                         cq_apply, kron_power, measure, random_commuting_pair,
                          random_cptp, random_density, random_tangent,
                          random_unitary, tensor_power)
 
@@ -212,6 +213,14 @@ class TestTensorPower:
         lhs = tensor_power(rho, 5).matrix
         rhs = np.kron(tensor_power(rho, 2).matrix, tensor_power(rho, 3).matrix)
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (2,), (3,)])
+    def test_kron_power_equals_kron_fold(self, shape):
+        # the same products as np.kron folded from the left, so equal bitwise
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for n in (1, 2, 3, 5):
+            np.testing.assert_array_equal(kron_power(x, n), functools.reduce(np.kron, [x] * n))
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("QDIV_DIM_CAP", "16")

@@ -119,8 +119,10 @@ class TestRunSuite:
         assert set(rec) == {"name", "seed", "inputs_digest", "measured", "bound", "margin", "passed"}
 
     def test_stein_trend_builds_each_power_once(self, monkeypatch):
-        # QUBIT_A's two powers at n = 2, 4, 6 only: stein_threshold, the
-        # commuting control included, works on Schur-Weyl blocks
+        # QUBIT_A's two powers at n = 2, 4 only, for smoothing:
+        # stein_threshold, the commuting control included, works on
+        # Schur-Weyl blocks, and the reverse tests at n = 6 on the one-copy
+        # frame
         calls = []
 
         def counting(build):
@@ -132,8 +134,8 @@ class TestRunSuite:
         for module in (suites, hypotest):
             monkeypatch.setattr(module, "tensor_power", counting(module.tensor_power))
         suites._suite_stein_trend(SuiteConfig())
-        assert len(calls) == 6
-        assert calls.count(6) == 2
+        assert len(calls) == 4
+        assert calls.count(6) == 0
 
     def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
         # every trace record reads curve_points on the Schur-Weyl blocks
