@@ -15,8 +15,7 @@ from .errors import ConvergenceError
 from .linalg import (eigh, eigh_hermitian, frobenius, logm_support,
                      matrix_function, off_support_residual, pinv_psd,
                      sqrtm_psd, support_projector, trace_norm)
-from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
-                     check_dims, random_unitary)
+from .states import ClassicalDistribution, DensityMatrix, check_dims
 
 SUPPORT_CONTAINED = "contained"
 SUPPORT_EQUAL = "equal"
@@ -124,10 +123,56 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # measured divergence lower bound
 
 
-def _projective_kl(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
-    p = basis_weights(v, rho)
-    q = basis_weights(v, sigma)
-    return _kl_sum(np.where(p > 1e-300, p, 0.0), np.maximum(q, 0.0))
+# Bytes of the largest temporary the search builds at once, so that its
+# memory does not grow with the budget. It stays under glibc's default mmap
+# threshold of 128 KiB: larger temporaries are faulted in afresh on every
+# call, which costs more at d=64 than stacking saves.
+_STACK_BYTES = 120 * 1024
+
+
+def _stack_weights(vc: np.ndarray, mv: np.ndarray) -> np.ndarray:
+    """The outcome weights diag(v_i^dag m v_i) of each basis v_i of a stack
+    v, from vc = conj(v) and mv = m @ v, as a (k, d) array. Row i equals
+    basis_weights(v_i, m) bit for bit: the products are laid out (d, k*d),
+    so that one pass sums their rows in basis_weights' order."""
+    k, d, _ = vc.shape
+    prod = np.empty((d, k, d), dtype=complex)
+    np.multiply(vc, mv, out=prod.transpose(1, 0, 2))
+    return prod.reshape(d, k * d).sum(axis=0).real.reshape(k, d)
+
+
+def _projective_kls(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """KL of rho's outcome weights from sigma's in each basis of the stack v
+    (k, d, d); +inf where rho weighs an outcome that sigma does not. Weights
+    below 1e-300 count as zero."""
+    vc = v.conj()
+    p = _stack_weights(vc, rho @ v)
+    p = np.where(p > 1e-300, p, 0.0)
+    q = np.maximum(_stack_weights(vc, sigma @ v), 0.0)
+    full = (p > 0).all(axis=1)
+    ok = full & (q > 0).all(axis=1)
+    if ok.all():
+        return (p * (np.log(p) - np.log(q))).sum(axis=1)
+    vals = np.full(len(v), math.inf)
+    p_ok, q_ok = p[ok], q[ok]
+    vals[ok] = (p_ok * (np.log(p_ok) - np.log(q_ok))).sum(axis=1)
+    for i in np.flatnonzero(~full):
+        vals[i] = _kl_sum(p[i], q[i])
+    return vals
+
+
+def _stacks(bases: list, n_random: int, block: int, rng: np.random.Generator):
+    """The given bases, then n_random Haar unitaries drawn from rng as
+    n_random calls of random_unitary would draw them, in stacks of at most
+    block bases."""
+    for i in range(0, len(bases), block):
+        yield np.stack(bases[i:i + block])
+    d = bases[0].shape[0]
+    for i in range(0, n_random, block):
+        z = rng.standard_normal((min(block, n_random - i), 2, d, d))
+        q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        yield q * (diag / np.abs(diag))[:, None, :]
 
 
 def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
@@ -140,6 +185,10 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
     divergence, not a certified optimum. Bases scoring +inf are skipped,
     since roundoff on sigma's kernel can produce them; raises ConvergenceError
     if no evaluated basis scores finite.
+
+    Each phase draws, decomposes and scores its bases in stacks of bounded
+    size, so memory does not grow with `budget`; the result is the
+    one-basis-at-a-time search's, bit for bit.
     """
     check_dims(rho, sigma)
     if budget < 1:
@@ -147,45 +196,56 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
     rng = np.random.default_rng(seed)
     d = rho.dim
     r, s = rho.matrix, sigma.matrix
+    block = max(1, _STACK_BYTES // (16 * d * d))
 
-    # Deterministic starts: eigenbases of rho, sigma, their difference, and a
-    # generic combination (recovers a common eigenbasis on commuting pairs
-    # even when one spectrum is degenerate).
+    # Starts: the eigenbases of rho, sigma, their difference, and a generic
+    # combination (recovers a common eigenbasis on commuting pairs even when
+    # one spectrum is degenerate), then Haar-random bases. Each start that
+    # beats every earlier one becomes the best.
     starts = [rho.eigen.eigenvectors, sigma.eigen.eigenvectors,
-              eigh(r - s).eigenvectors, eigh(r + np.sqrt(2.0) * s).eigenvectors]
-    evals = 0
+              eigh(r - s).eigenvectors, eigh(r + np.sqrt(2.0) * s).eigenvectors][:budget]
+    n_random = max(min(max(budget // 4, 8), budget) - len(starts), 0)
+    evals = len(starts) + n_random
     best_v, best = None, -math.inf
-    for v in starts:
-        if evals >= budget:
-            break
-        val = _projective_kl(v, r, s)
-        evals += 1
-        if val > best and math.isfinite(val):
-            best, best_v = val, v
-    while evals < max(budget // 4, 8) and evals < budget:
-        v = random_unitary(d, rng)
-        val = _projective_kl(v, r, s)
-        evals += 1
-        if val > best and math.isfinite(val):
-            best, best_v = val, v
+    for v in _stacks(starts, n_random, block, rng):
+        vals = _projective_kls(v, r, s)
+        vals = np.where(np.isfinite(vals), vals, -math.inf)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, best_v = float(vals[j]), v[j]
     if best_v is None:
         raise ConvergenceError(f"no basis of the {evals} evaluated gave a finite KL")
 
+    # Local search: rotate the best basis by exp(i step H), H from a Ginibre
+    # draw, one draw per evaluation; the step halves after 12 rejections in
+    # a row. A window scores the next 12 - stale rotations of the current
+    # best basis together and keeps the first that improves; the rotations
+    # after it were drawn for later evaluations and are rebuilt from the new
+    # best basis.
     step, stale = 0.3, 0
     while evals < budget:
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (g + g.conj().T) / 2
-        w, u = np.linalg.eigh(h)
-        rot = (u * np.exp(1j * step * w)) @ u.conj().T
-        cand = rot @ best_v
-        val = _projective_kl(cand, r, s)
-        evals += 1
-        if val > best and math.isfinite(val):
-            best, best_v = val, cand
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 12:
-                step = max(step * 0.5, 1e-4)
+        k = min(budget - evals, block)
+        z = rng.standard_normal((k, 2, d, d))
+        g = z[:, 0] + 1j * z[:, 1]
+        w, u = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+        i = 0
+        while i < k:
+            m = min(12 - stale, k - i)
+            uw = u[i:i + m]
+            cand = ((uw * np.exp(1j * step * w[i:i + m])[:, None, :])
+                    @ uw.conj().transpose(0, 2, 1)) @ best_v
+            vals = _projective_kls(cand, r, s)
+            better = np.flatnonzero((vals > best) & np.isfinite(vals))
+            if better.size:
+                j = int(better[0])
+                best, best_v = float(vals[j]), cand[j]
                 stale = 0
+                i += j + 1
+            else:
+                stale += m
+                if stale >= 12:
+                    step = max(step * 0.5, 1e-4)
+                    stale = 0
+                i += m
+        evals += k
     return best, best_v

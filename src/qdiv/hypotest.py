@@ -105,15 +105,25 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
                     width: float = _GRID_WIDTH) -> float:
     """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
     the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5."""
+    return _threshold(rho, sigma, functools.cache(lambda: _compressed_powers(rho, sigma, n)),
+                      n, eps, width)
+
+
+def _threshold(rho: DensityMatrix, sigma: DensityMatrix, powers: Callable[[], tuple],
+               n: int, eps: float, width: float = _GRID_WIDTH) -> float:
+    """stein_threshold on the compressed powers that powers() returns; it is
+    first called at the first rate, once threshold_scan has checked its
+    arguments."""
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    # built at the first rate, once threshold_scan has checked its arguments
-    powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
     return threshold_scan(lambda a: _ratio_test(*powers(), a, n)[2].type1_accept, lo, hi, n, eps, width)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
     """np_projector's traces at each rate, on the powers compressed by power_blocks."""
-    powers = _compressed_powers(rho, sigma, n)
+    return _curve(_compressed_powers(rho, sigma, n), n, rates)
+
+
+def _curve(powers: tuple, n: int, rates) -> list[TestCurvePoint]:
     return [_ratio_test(*powers, float(a), n)[2] for a in rates]
 
 
@@ -204,9 +214,18 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     (sigma^{x n} - q(0) state)/(1 - q(0)) is B^{x n} diag(1 - q(0) g) B^{x n dag}
     over its own trace: dividing by 1 - q(0), about n rate, would magnify
     roundoff at small rates. Raises SupportViolationError if supp rho escapes
-    supp sigma, and InfeasibleRateError with the minimal certified rate if the
-    rate is not met.
+    supp sigma. The refill keeps every weight of g at most e^{n rate}, so the
+    certificate meets the rate by construction, up to roundoff; a certificate
+    above rate + 1e-9 would still raise InfeasibleRateError with the minimal
+    certified rate.
     """
+    return _reverse_test(rho, sigma, n, rate)[0]
+
+
+def _reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
+                  rate: float) -> tuple[BinaryReverseTest, np.ndarray]:
+    """asymptotic_reverse_test, and the rho^{x n} that its rho error is
+    measured against."""
     q0 = math.exp(-n * rate) if rate > 0 else 1.0
     if q0 >= 1 - 1e-12:
         raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
@@ -235,7 +254,7 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     q = ClassicalDistribution(np.array([q0, 1 - q0]))
     sigma_err = trace_norm(cq_apply(prep, q).matrix - sigma_n)
     rho_err = trace_norm(state.matrix - rho_n)
-    return BinaryReverseTest(prep, q, rate, cert, rho_err, sigma_err)
+    return BinaryReverseTest(prep, q, rate, cert, rho_err, sigma_err), rho_n
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +326,12 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
                                       "type-2 error vanished; rate unbounded")
     rate = -math.log(q0) / n
     try:
-        brt = asymptotic_reverse_test(rho, sigma, n, rate)
+        brt, rho_n = _reverse_test(rho, sigma, n, rate)
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
     # the channel's output on rho0^n, from the test's outcome weights
     out_r = cq_apply(brt.preparation, ClassicalDistribution(np.array([accept, 1 - accept])))
     return (ConversionChannel(rho0, sigma0, n, a, brt.preparation),
-            ConversionReport(n, True, rate, accept, trace_norm(out_r.matrix - kron_power(rho.matrix, n)),
+            ConversionReport(n, True, rate, accept, trace_norm(out_r.matrix - rho_n),
                              brt.sigma_error))

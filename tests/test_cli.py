@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qdiv import fixtures, hypotest
+from qdiv import fixtures, hypotest, states
 from qdiv.cli import main
 from qdiv.serialize import dump, state_to_dict
 from qdiv.states import DensityMatrix
@@ -137,6 +137,24 @@ class TestAsymCommands:
         rows = csv_path.read_text().splitlines()[1:]
         assert len(rows) == 13 and all(row.startswith("12,") for row in rows)
         assert calls == []
+
+    def test_threshold_csv_on_a_qutrit_builds_each_power_once(self, capsys, files, monkeypatch):
+        # a qutrit pair's powers are dense krons; the threshold scan and the
+        # CSV curve share one build of rho^(x 4) and sigma^(x 4)
+        paths = {}
+        for name, state in zip(("rho", "sigma"), fixtures.QUTRIT):
+            paths[name] = str(files["dir"] / f"qutrit_{name}.json")
+            dump(state_to_dict(state), paths[name])
+        calls = []
+        build = states.kron_power
+        monkeypatch.setattr(states, "kron_power", lambda x, n: calls.append(n) or build(x, n))
+        csv_path = files["dir"] / "curve_qutrit.csv"
+        code, out = run_cli(capsys, "asym", "threshold", "--n", "4",
+                            "--rho", paths["rho"], "--sigma", paths["sigma"],
+                            "--eps", "0.5", "--csv", str(csv_path))
+        assert code == 0
+        assert len(csv_path.read_text().splitlines()) == 14
+        assert calls == [4, 4]
 
     def test_reverse_test_feasible(self, capsys, files):
         code, out = run_cli(capsys, "asym", "reverse-test", "--n", "3",

@@ -2,15 +2,16 @@
 measured lower bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qdiv import fixtures
+from qdiv import divergences, fixtures
 from qdiv.config import derive_seed
 from qdiv.errors import ConvergenceError
 from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL,
-                              SUPPORT_VIOLATED, _projective_kl, dmax,
+                              SUPPORT_VIOLATED, _projective_kls, dmax,
                               fidelity_logdiv, kl, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
@@ -223,7 +224,7 @@ class TestMeasuredLowerBound:
         # a finite candidate instead of scoring +inf
         r = np.diag([1.0, 1e-310]).astype(complex)
         s = np.diag([1.0, 0.0]).astype(complex)
-        assert _projective_kl(np.eye(2, dtype=complex), r, s) == 0.0
+        assert _projective_kls(np.eye(2, dtype=complex)[None], r, s)[0] == 0.0
 
     def test_deterministic(self):
         rho = random_density(2, seed=90)
@@ -231,3 +232,69 @@ class TestMeasuredLowerBound:
         v1, _ = measured_div_lower(rho, sigma, budget=100, seed=7)
         v2, _ = measured_div_lower(rho, sigma, budget=100, seed=7)
         assert v1 == v2
+
+
+def _measured_pairs(d):
+    """rho of full rank, rank 1 and rank d/2 against a full-rank sigma, in the
+    orders (rho, sigma), (sigma, rho) and (rho, rho)."""
+    sigma = random_density(d, seed=2000 + d)
+    for rank in sorted({d, 1, max(1, d // 2)}):
+        rho = random_density(d, rank=rank, seed=1000 + 7 * d + rank)
+        yield from ((rho, sigma), (sigma, rho), (rho, rho))
+
+
+def _assert_matches_sequential(rho, sigma, budget, seed):
+    try:
+        want_val, want_v = oracles.sequential_measured_search(rho, sigma, budget, seed)
+    except ValueError:
+        with pytest.raises(ConvergenceError, match="finite"):
+            measured_div_lower(rho, sigma, budget, seed)
+        return
+    val, v = measured_div_lower(rho, sigma, budget, seed)
+    assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+    assert v.shape == want_v.shape and v.tobytes() == want_v.tobytes()
+
+
+# budgets 1-4 end before the random starts, 5-8 before the local search
+MEASURED_GRID = ([(d, b) for d in (2, 3, 4, 5, 8) for b in (1, 3, 4, 5, 9, 16, 60, 500)]
+                 + [(16, b) for b in (1, 4, 9, 60)] + [(64, b) for b in (1, 5, 16)])
+
+
+class TestMeasuredMatchesSequential:
+    """The stacked search against the one-basis-at-a-time reference: the
+    same value and basis, bit for bit."""
+
+    @pytest.mark.parametrize("d,budget", MEASURED_GRID)
+    def test_bitwise_equal(self, d, budget):
+        for rho, sigma in _measured_pairs(d):
+            _assert_matches_sequential(rho, sigma, budget, seed=d + budget)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 9])
+    def test_support_violating_pair(self, budget):
+        # budgets up to 4 score only the starts, all +inf, and raise
+        rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        _assert_matches_sequential(rho, sigma, budget, seed=4)
+
+    def test_zero_weight_rows_take_the_masked_sum(self, monkeypatch):
+        # a diagonal rank-1 rho has exactly zero outcome weights in its own
+        # eigenbasis, so that basis is scored by _kl_sum over the nonzero
+        # weights only
+        calls = []
+        kl_sum = divergences._kl_sum
+        monkeypatch.setattr(divergences, "_kl_sum", lambda p, q: calls.append(p) or kl_sum(p, q))
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        _assert_matches_sequential(rho, random_density(3, seed=62), 60, seed=1)
+        assert calls and all(np.any(p == 0) for p in calls)
+
+    def test_memory_does_not_grow_with_budget(self):
+        rho, sigma = random_density(48, seed=63), random_density(48, seed=64)
+        peaks = []
+        for budget in (100, 1000):
+            tracemalloc.start()
+            try:
+                measured_div_lower(rho, sigma, budget, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]

@@ -65,6 +65,9 @@ CASES = {
     # complement, reverse-test check); the powers are krons of the frame, the
     # ratios and the states, and the certificate is read off the capped ratios
     "asymptotic_reverse_test": (4, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # the eigenbases of rho - sigma and rho + sqrt(2) sigma for the starts,
+    # and one Ginibre draw per local evaluation: 20 - 8 starts
+    "measured_div_lower": (14, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
     "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
     # 1 likelihood-ratio test on the 9x9 source blocks, the target's
@@ -128,6 +131,27 @@ def test_svd_count(name, counts):
     expected, call = SVD_CASES[name]
     call()
     assert counts["svd"] == expected
+
+
+def test_measured_div_lower_stacks_its_lapack_calls(monkeypatch):
+    # the two start eighs, then one stacked eigh of the 12 local draws and one
+    # stacked QR of the 4 Haar-random starts; one call per basis would make
+    # 14 eigh and 4 QR calls
+    calls = {"eigh": 0, "qr": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    measured_div_lower(RHO, SIGMA, 20, 0)
+    assert calls["eigh"] <= 3
+    assert calls["qr"] == 1
 
 
 # support projectors built from eigensystems the states already carry: only

@@ -339,6 +339,16 @@ class TestAsymptoticReverseTest:
             for rate in (1e-6, 3e-6):
                 _assert_certified(rho, sigma, n, rate)
 
+    @pytest.mark.parametrize("name", ["qubit_a", "qubit_b", "qutrit", "commuting", "ill_conditioned"])
+    def test_certificate_never_exceeds_rate(self, name):
+        # the refill keeps every capped weight at most e^{n rate} while the
+        # state keeps unit trace, so the certificate meets the rate by
+        # construction and the InfeasibleRateError guard stays a defensive check
+        rho, sigma = _ill_conditioned_pair() if name == "ill_conditioned" else fixtures.PAIRS[name]
+        for n in range(1, 6):
+            for rate in (1e-6, 1e-3, 0.05, 0.3, 1.0, 2.0, 5.0):
+                assert asymptotic_reverse_test(rho, sigma, n, rate).certificate <= rate + 1e-12
+
 
 def _assert_certified(rho, sigma, n, rate):
     brt = asymptotic_reverse_test(rho, sigma, n, rate)
@@ -391,6 +401,18 @@ class TestStateConversion:
         rho, sigma = fixtures.QUBIT_A
         state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
         assert built == []
+
+    def test_builds_target_power_once(self, monkeypatch):
+        # rho^(x n) is built once, by the reverse test, and the report's
+        # output error reuses it: the frame, its ratios and squared norms,
+        # rho^(x n) and sigma^(x n)
+        built = []
+        build = hypotest.kron_power
+        monkeypatch.setattr(hypotest, "kron_power", lambda x, n: built.append(x) or build(x, n))
+        rho, sigma = fixtures.QUBIT_A
+        state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
+        assert len(built) == 5
+        assert sum(x is rho.matrix for x in built) == 1
 
     def test_measurement_built_once(self, monkeypatch):
         rho0, sigma0 = fixtures.CONVERSION_SOURCE
