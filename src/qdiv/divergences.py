@@ -12,9 +12,9 @@ import numpy as np
 
 from .config import SUPPORT_TOL
 from .errors import ConvergenceError
-from .linalg import (eigh, eigh_hermitian, frobenius, logm_support,
-                     matrix_function, off_support_residual, pinv_psd,
-                     sqrtm_psd, support_projector, trace_norm)
+from .linalg import (STACK_BYTES, eigh, eigh_hermitian, frobenius,
+                     logm_support, matrix_function, off_support_residual,
+                     pinv_psd, sqrtm_psd, support_projector, trace_norm)
 from .states import ClassicalDistribution, DensityMatrix, check_dims
 
 SUPPORT_CONTAINED = "contained"
@@ -123,13 +123,6 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # measured divergence lower bound
 
 
-# Bytes of the largest temporary the search builds at once, so that its
-# memory does not grow with the budget. It stays under glibc's default mmap
-# threshold of 128 KiB: larger temporaries are faulted in afresh on every
-# call, which costs more at d=64 than stacking saves.
-_STACK_BYTES = 120 * 1024
-
-
 def _stack_weights(vc: np.ndarray, mv: np.ndarray) -> np.ndarray:
     """The outcome weights diag(v_i^dag m v_i) of each basis v_i of a stack
     v, from vc = conj(v) and mv = m @ v, as a (k, d) array. Row i equals
@@ -196,7 +189,7 @@ def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
     rng = np.random.default_rng(seed)
     d = rho.dim
     r, s = rho.matrix, sigma.matrix
-    block = max(1, _STACK_BYTES // (16 * d * d))
+    block = max(1, STACK_BYTES // (16 * d * d))
 
     # Starts: the eigenbases of rho, sigma, their difference, and a generic
     # combination (recovers a common eigenbasis on commuting pairs even when

@@ -7,8 +7,8 @@ need only its traces (stein_threshold, curve_points, state_conversion) run
 it on the powers that states.power_blocks compresses; np_projector and
 smooth_state run it on dense powers, since they return dense operators.
 The asymptotic reverse test is the n-fold power of the one-copy frame of
-reverse.support_frame: its capped state, certificate and support check are
-operations on the frame's ratios, and only the states it returns are dense.
+reverse.support_frame. It keeps that frame and two weight rows, and builds
+its two dense states only when its preparation is read.
 Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
@@ -16,7 +16,7 @@ trusted from a printed constant.
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,7 @@ from .linalg import (EigenSystem, eigh, off_support_residual, positive_part,
 from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
-                     cq_apply, kron_power, measure, power_blocks, tensor_power)
+                     kron_power, measure, power_blocks, tensor_power)
 
 _GRID_WIDTH = DEFAULT_TOLERANCES["stein_grid_width"]
 
@@ -191,14 +191,32 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
 
 @dataclass(frozen=True, eq=False)
 class BinaryReverseTest:
-    """Binary reverse test whose input p is always (1, 0)."""
+    """Binary reverse test whose input p is always (1, 0), kept on the frame
+    B^{x n}: symbol x prepares B^{x n} diag(weights[x]) B^{x n dag}. Its two
+    states are validated only when `preparation` is read."""
 
-    preparation: Preparation    # two states: capped rho-like, complement
+    frame: np.ndarray           # B^{x n}, with sigma^{x n} = B^{x n} B^{x n dag}
+    weights: np.ndarray         # rows: capped g, complement h / (h . q_n)
+    rho_n: np.ndarray           # rho^{x n}, which rho_error is measured against
     q: ClassicalDistribution    # (e^{-n rate}, 1 - e^{-n rate})
     rate: float
     certificate: float
-    rho_error: float            # || prep(p) - rho^{x n} ||_1
-    sigma_error: float          # || prep(q) - sigma^{x n} ||_1, ~0 by design
+    sigma_n: InitVar[np.ndarray]
+    rho_error: float = field(init=False)    # || output(1) - rho^{x n} ||_1
+    sigma_error: float = field(init=False)  # || output(q(0)) - sigma^{x n} ||_1, ~0 by design
+
+    def __post_init__(self, sigma_n):
+        object.__setattr__(self, "rho_error", trace_norm(self.output(1.0) - self.rho_n))
+        object.__setattr__(self, "sigma_error", trace_norm(self.output(float(self.q.probs[0])) - sigma_n))
+
+    def output(self, p0: float) -> np.ndarray:
+        """The mixture prepared at input (p0, 1 - p0), as a dense matrix."""
+        return (self.frame * (p0 * self.weights[0] + (1 - p0) * self.weights[1])) @ self.frame.conj().T
+
+    @property
+    def preparation(self) -> Preparation:
+        """The capped state and the complement, validated, built on each read."""
+        return Preparation((DensityMatrix(self.output(1.0)), DensityMatrix(self.output(0.0))))
 
 
 def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
@@ -213,19 +231,11 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     certificate dmax(state, sigma^{x n})/n is ln(max g)/n. The complement
     (sigma^{x n} - q(0) state)/(1 - q(0)) is B^{x n} diag(1 - q(0) g) B^{x n dag}
     over its own trace: dividing by 1 - q(0), about n rate, would magnify
-    roundoff at small rates. Raises SupportViolationError if supp rho escapes
-    supp sigma. The refill keeps every weight of g at most e^{n rate}, so the
-    certificate meets the rate by construction, up to roundoff; a certificate
-    above rate + 1e-9 would still raise InfeasibleRateError with the minimal
-    certified rate.
+    roundoff at small rates. Both errors are measured against the kron powers
+    of rho and sigma. Raises SupportViolationError if supp rho escapes supp
+    sigma. The refill keeps g at most e^{n rate}, so the certificate meets the
+    rate up to roundoff; one above rate + 1e-9 still raises InfeasibleRateError.
     """
-    return _reverse_test(rho, sigma, n, rate)[0]
-
-
-def _reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
-                  rate: float) -> tuple[BinaryReverseTest, np.ndarray]:
-    """asymptotic_reverse_test, and the rho^{x n} that its rho error is
-    measured against."""
     q0 = math.exp(-n * rate) if rate > 0 else 1.0
     if q0 >= 1 - 1e-12:
         raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
@@ -246,15 +256,10 @@ def _reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     if cert > rate + 1e-9:
         raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
                                   min_rate=cert)
-    state = DensityMatrix((b_n * g) @ b_n.conj().T)
     h = np.maximum(1.0 - q0 * g, 0.0)
-    complement = DensityMatrix((b_n * (h / float(h @ q_n))) @ b_n.conj().T)
-    rho_n, sigma_n = kron_power(rho.matrix, n), kron_power(sigma.matrix, n)
-    prep = Preparation((state, complement))
-    q = ClassicalDistribution(np.array([q0, 1 - q0]))
-    sigma_err = trace_norm(cq_apply(prep, q).matrix - sigma_n)
-    rho_err = trace_norm(state.matrix - rho_n)
-    return BinaryReverseTest(prep, q, rate, cert, rho_err, sigma_err), rho_n
+    return BinaryReverseTest(b_n, np.stack((g, h / float(h @ q_n))), kron_power(rho.matrix, n),
+                             ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert,
+                             kron_power(sigma.matrix, n))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +269,14 @@ def _reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
 @dataclass(frozen=True, eq=False)
 class ConversionChannel:
     """Measure-and-prepare map: binary likelihood-ratio measurement at rate a
-    on the n-th power of the source pair, preparation from the reverse test
-    on the target; never materialized as a dense superoperator."""
+    on the n-th power of the source pair, then the output of the target's
+    reverse test `test`; never materialized as a dense superoperator."""
 
     rho0: DensityMatrix
     sigma0: DensityMatrix
     n: int
     a: float
-    preparation: Preparation
+    test: BinaryReverseTest
 
     @functools.cached_property
     def measurement(self) -> Measurement:
@@ -283,7 +288,7 @@ class ConversionChannel:
 
     def apply(self, state_n: DensityMatrix) -> DensityMatrix:
         probs = measure(self.measurement, state_n).probs
-        return cq_apply(self.preparation, ClassicalDistribution(probs / probs.sum()))
+        return DensityMatrix(self.test.output(float(probs[0] / probs.sum())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,8 +314,7 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
-    d_src = umegaki(rho0, sigma0)
-    d_tgt = umegaki(rho, sigma)
+    d_src, d_tgt = umegaki(rho0, sigma0), umegaki(rho, sigma)
     if not (d_src.finite and d_tgt.finite):
         raise ValueError("conversion needs finite divergences on both pairs")
     if d_src.value <= d_tgt.value + 2 * c:
@@ -326,12 +330,10 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
                                       "type-2 error vanished; rate unbounded")
     rate = -math.log(q0) / n
     try:
-        brt, rho_n = _reverse_test(rho, sigma, n, rate)
+        brt = asymptotic_reverse_test(rho, sigma, n, rate)
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
-    # the channel's output on rho0^n, from the test's outcome weights
-    out_r = cq_apply(brt.preparation, ClassicalDistribution(np.array([accept, 1 - accept])))
-    return (ConversionChannel(rho0, sigma0, n, a, brt.preparation),
-            ConversionReport(n, True, rate, accept, trace_norm(out_r.matrix - rho_n),
+    return (ConversionChannel(rho0, sigma0, n, a, brt),
+            ConversionReport(n, True, rate, accept, trace_norm(brt.output(accept) - brt.rho_n),
                              brt.sigma_error))

@@ -15,6 +15,12 @@ from .config import HERMITICITY_RTOL, PSD_CLIP_RTOL, SUPPORT_RTOL
 from .errors import EigenSolverError, MatrixDomainError, PSDViolationError
 
 
+# Bytes of the largest stacked temporary, STACK_BYTES // (16 d^2) complex
+# d x d matrices, so memory does not grow with the stack. Kept under glibc's
+# 128 KiB mmap threshold: larger ones are faulted in afresh on every call.
+STACK_BYTES = 120 * 1024
+
+
 class EigenSystem(NamedTuple):
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalue j

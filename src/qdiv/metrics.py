@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import OPERATOR_RESIDUAL_TOL, QUADRATURE_STEP_TOL, SUPPORT_RTOL
 from .errors import ConvergenceError, RankError, SupportViolationError
-from .linalg import (EigenSystem, eigh, eigh_hermitian, frobenius,
-                     matrix_function, off_support_residual, pinv_psd,
-                     support_projector, trace_norm)
+from .linalg import (STACK_BYTES, EigenSystem, eigh, eigh_hermitian,
+                     frobenius, matrix_function, off_support_residual,
+                     pinv_psd, support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      basis_weights, check_dims)
 
@@ -255,8 +255,7 @@ def holevo_rld_minimizer(g: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 _TS_SPAN = 4                # tanh-sinh nodes t in [-4, 4], step 1 halved at
-_TS_HALVINGS = 10           # most 10 times; node matrices decomposed in stacks
-_STACK_ENTRIES = 1 << 18    # of at most 2^18 entries
+_TS_HALVINGS = 10           # most 10 times; nodes decomposed in stacks of at most STACK_BYTES
 
 
 def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -270,7 +269,7 @@ def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatr
         if lam[0] <= SUPPORT_RTOL * lam[-1]:
             raise RankError(f"integral_divergence needs full-rank states; {nm} is singular")
     diff = rho.matrix - sigma.matrix
-    chunk = max(1, _STACK_ENTRIES // rho.dim ** 2)
+    chunk = max(1, STACK_BYTES // (16 * rho.dim ** 2))
 
     def node_sum(t: np.ndarray) -> float:
         total = 0.0

@@ -186,9 +186,9 @@ def dense_reverse_test(rho_n: np.ndarray, sigma_n: np.ndarray, rate: float, n: i
     are clipped to [0, 1], the trace deficit is refilled from the room
     M - capped, and the result is normalized; rho_n itself when nothing
     reaches the cap. The complement (sigma_n - q0 state)/(1 - q0) at
-    q0 = e^{-n rate} completes the preparation. Returns the state, its
-    certificate dmax(state, sigma_n)/n, ||state - rho_n||_1 and
-    ||q0 state + (1 - q0) complement - sigma_n||_1, by numpy alone."""
+    q0 = e^{-n rate} completes the preparation. Returns the state, the
+    complement, the certificate dmax(state, sigma_n)/n, ||state - rho_n||_1
+    and ||q0 state + (1 - q0) complement - sigma_n||_1, by numpy alone."""
     scale = math.exp(n * rate)
     ws, vs = np.linalg.eigh(sigma_n)
     keep = ws > 1e-12 * ws.max()
@@ -212,6 +212,7 @@ def dense_reverse_test(rho_n: np.ndarray, sigma_n: np.ndarray, rate: float, n: i
     prepared = q0 * state + (1 - q0) * complement
     return {
         "state": state,
+        "complement": complement,
         "certificate": cert,
         "rho_error": float(np.linalg.svd(state - rho_n, compute_uv=False).sum()),
         "sigma_error": float(np.linalg.svd(prepared - sigma_n, compute_uv=False).sum()),

@@ -61,20 +61,21 @@ CASES = {
     # the likelihood-ratio test, the repaired candidate's positive part, the
     # smoothed state and 1 dmax
     "smooth_state": (4, lambda: smooth_state(*POWERS_4, MID, 4)),
-    # the one-copy frame's compressed sigma and 3 states of 64x64 (capped,
-    # complement, reverse-test check); the powers are krons of the frame, the
-    # ratios and the states, and the certificate is read off the capped ratios
-    "asymptotic_reverse_test": (4, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # the one-copy frame's compressed sigma only; the powers are krons of the
+    # frame, the ratios and the states, the certificate is read off the
+    # capped ratios, and no 64x64 state is validated until the preparation
+    # is read
+    "asymptotic_reverse_test": (1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # the eigenbases of rho - sigma and rho + sqrt(2) sigma for the starts,
     # and one Ginibre draw per local evaluation: 20 - 8 starts
     "measured_div_lower": (14, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
     "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
-    # 1 likelihood-ratio test on the 9x9 source blocks, the target's
-    # one-copy frame, 3 states built by the reverse test (capped, complement,
-    # reverse-test check) and the rho output. The source's dense powers and
-    # measurement are built only when the channel is first applied
-    "state_conversion": (6, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # 1 likelihood-ratio test on the 9x9 source blocks and the target's
+    # one-copy frame. The output on rho0^(x n) is read off the reverse test's
+    # frame, not validated; the source's dense powers and measurement are
+    # built only when the channel is first applied
+    "state_conversion": (2, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -91,6 +92,9 @@ SVD_CASES = {
     # the same one-copy SVD for the frame, then the trace norms of the
     # sigma and rho errors
     "asymptotic_reverse_test": (3, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # the target's one-copy frame, the reverse test's sigma and rho errors,
+    # and the trace norm of the output error on rho0^(x n)
+    "state_conversion": (4, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qdiv import fixtures, hypotest
+from qdiv.cli import main
 from qdiv.divergences import dmax, umegaki
 from qdiv.errors import DimensionCapError, SupportViolationError
 from qdiv.hypotest import (asymptotic_reverse_test, np_projector,
@@ -16,6 +17,7 @@ from qdiv.hypotest import (asymptotic_reverse_test, np_projector,
                            threshold_scan, curve_points, write_curve_csv)
 from qdiv.linalg import trace_norm
 from qdiv.reverse import support_frame
+from qdiv.serialize import dump, state_to_dict
 from qdiv.states import (DensityMatrix, cq_apply, power_blocks, random_density,
                          tensor_power)
 from qdiv.suites import classical_threshold_oracle
@@ -379,10 +381,50 @@ class TestProductFrame:
         for rate in (d + 0.05, (d + dm) / 2, dm + 0.02):
             brt = asymptotic_reverse_test(rho, sigma, n, rate)
             ref = oracles.dense_reverse_test(rho_n, sigma_n, rate, n)
-            assert np.abs(brt.preparation.states[0].matrix - ref["state"]).max() <= 1e-12
+            state, complement = brt.preparation.states
+            assert np.abs(state.matrix - ref["state"]).max() <= 1e-12
+            assert np.abs(complement.matrix - ref["complement"]).max() <= 1e-12
             assert abs(brt.certificate - ref["certificate"]) <= 1e-12
             assert abs(brt.rho_error - ref["rho_error"]) <= 1e-12
             assert abs(brt.sigma_error - ref["sigma_error"]) <= 1e-12
+
+
+class TestStatesBuiltOnRead:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The states that hypotest validates, in order."""
+        states = []
+        build = hypotest.DensityMatrix
+        monkeypatch.setattr(hypotest, "DensityMatrix", lambda m: states.append(build(m)) or states[-1])
+        return states
+
+    @pytest.mark.parametrize("call", ["asymptotic_reverse_test", "state_conversion", "cli"])
+    def test_constructions_validate_no_state(self, call, built, tmp_path):
+        # the reverse test keeps its frame and weight rows, and its errors and
+        # the conversion's output error are read off the frame
+        rho, sigma = fixtures.QUBIT_A
+        rate = (umegaki(rho, sigma).value + dmax(rho, sigma)) / 2
+        if call == "asymptotic_reverse_test":
+            asymptotic_reverse_test(rho, sigma, 6, rate)
+        elif call == "state_conversion":
+            state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
+        else:
+            paths = []
+            for name, state in (("rho", rho), ("sigma", sigma)):
+                paths.append(str(tmp_path / f"{name}.json"))
+                dump(state_to_dict(state), paths[-1])
+            assert main(["asym", "reverse-test", "--n", "6", "--rho", paths[0], "--sigma", paths[1],
+                         "--rate", str(rate)]) == 0
+        assert built == []
+
+    def test_each_read_builds_both_states(self, built):
+        rho, sigma = fixtures.QUBIT_A
+        brt = asymptotic_reverse_test(rho, sigma, 4, umegaki(rho, sigma).value + 0.05)
+        first, second = brt.preparation, brt.preparation
+        assert len(built) == 4
+        assert list(first.states) + list(second.states) == built
+        assert all(a is not b for a, b in zip(first.states, second.states))
+        assert np.abs(first.states[0].matrix - brt.output(1.0)).max() <= 1e-12
 
 
 def _conversion_gap(rho, sigma):
