@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,16 +26,17 @@ from .states import TangentDirection
 from .suites import SuiteConfig, report_to_dict, run_suite
 
 
-def _emit(out: dict) -> None:
-    # keep stdout strict JSON: infinities become signed strings
-    clean = {k: (f"{'-' if v < 0 else ''}inf" if isinstance(v, float) and not math.isfinite(v) else v)
-             for k, v in out.items()}
-    print(json.dumps(clean))
+def _emit(out: dict, path: str | None = None) -> None:
+    # one strict-JSON object to stdout and to path: +-inf become strings, NaN null
+    clean = {k: v if not isinstance(v, float) or math.isfinite(v) else
+             None if math.isnan(v) else f"{'-' if v < 0 else ''}inf" for k, v in out.items()}
+    if path:
+        dump(clean, path)
+    print(json.dumps(clean, allow_nan=False))
 
 
 def _cmd_divergence(args) -> int:
-    rho = load_state(args.rho)
-    sigma = load_state(args.sigma)
+    rho, sigma = load_state(args.rho), load_state(args.sigma)
     if args.kind in ("umegaki", "rld"):
         rep = (umegaki if args.kind == "umegaki" else rld_entropy)(rho, sigma)
         out = {"kind": args.kind, "value": rep.value, "support_condition": rep.support_condition}
@@ -55,68 +56,52 @@ def _cmd_metric(args) -> int:
     spec = named_metric(args.spec)
     rho = load_state(args.rho)
     x = TangentDirection(load_hermitian(args.tangent))
-    print(json.dumps({"spec": spec.name, "value": metric_scalar(spec, rho, x)}))
+    _emit({"spec": spec.name, "value": metric_scalar(spec, rho, x)})
     return 0
 
 
 def _cmd_reverse_test(args) -> int:
-    rho = load_state(args.rho)
-    sigma = load_state(args.sigma)
+    rho, sigma = load_state(args.rho), load_state(args.sigma)
     rt = optimal_reverse_test(rho, sigma)
-    payload = reverse_test_to_dict(rt)
     if args.json:
-        dump(payload, args.json)
-    print(json.dumps({"input_kl": rt.input_kl, "rld": rld_entropy(rho, sigma).value,
-                      "symbols": len(rt.p)}))
+        dump(reverse_test_to_dict(rt), args.json)
+    _emit({"input_kl": rt.input_kl, "rld": rld_entropy(rho, sigma).value, "symbols": len(rt.p)})
     return 0
 
 
 def _cmd_asym_threshold(args) -> int:
-    rho = load_state(args.rho)
-    sigma = load_state(args.sigma)
+    rho, sigma = load_state(args.rho), load_state(args.sigma)
     # the threshold scan and the CSV curve share one build of the powers
     powers = functools.cache(lambda: _compressed_powers(rho, sigma, args.n))
     thr = _threshold(rho, sigma, powers, args.n, args.eps)
-    out = {"n": args.n, "eps": args.eps, "threshold": thr,
-           "umegaki": umegaki(rho, sigma).value}
+    out = {"n": args.n, "eps": args.eps, "threshold": thr, "umegaki": umegaki(rho, sigma).value}
     if args.csv:
         rates = np.linspace(thr - 0.3, thr + 0.3, 13)
         pts = _curve(powers(), args.n, rates)
         write_curve_csv(args.csv, [(args.n, pt, thr) for pt in pts])
         out["csv"] = args.csv
-    print(json.dumps(out))
+    _emit(out)
     return 0
 
 
 def _cmd_asym_reverse_test(args) -> int:
-    rho = load_state(args.rho)
-    sigma = load_state(args.sigma)
+    rho, sigma = load_state(args.rho), load_state(args.sigma)
     try:
         brt = asymptotic_reverse_test(rho, sigma, args.n, args.rate)
     except InfeasibleRateError as exc:
-        _emit({"n": args.n, "rate": args.rate, "feasible": False,
-               "min_rate": exc.min_rate})
-        return 1
-    out = {"n": args.n, "rate": brt.rate, "feasible": True,
-           "certificate": brt.certificate, "rho_error": brt.rho_error,
-           "sigma_error": brt.sigma_error, "q0": brt.q.probs[0]}
-    if args.json:
-        dump(out, args.json)
-    print(json.dumps(out))
-    return 0
+        out = {"n": args.n, "rate": args.rate, "feasible": False, "min_rate": exc.min_rate}
+    else:
+        out = {"n": args.n, "rate": brt.rate, "feasible": True, "certificate": brt.certificate,
+               "rho_error": brt.rho_error, "sigma_error": brt.sigma_error, "q0": brt.q.probs[0]}
+    _emit(out, args.json)
+    return 0 if out["feasible"] else 1
 
 
 def _cmd_asym_convert(args) -> int:
     rho0, sigma0 = load_state(args.rho0), load_state(args.sigma0)
     rho, sigma = load_state(args.rho), load_state(args.sigma)
     _, rep = state_conversion(rho0, sigma0, rho, sigma, args.n, args.c)
-    out = {"n": rep.n, "feasible": rep.feasible, "rate": rep.rate,
-           "accept_prob": rep.accept_prob, "rho_error": rep.rho_error,
-           "sigma_error": rep.sigma_error, "detail": rep.detail}
-    out = {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in out.items()}
-    if args.json:
-        dump(out, args.json)
-    _emit(out)
+    _emit(asdict(rep), args.json)
     return 0 if rep.feasible else 1
 
 

@@ -2,13 +2,14 @@
 acceptance-threshold scan, certified smoothing, the binary asymptotic
 reverse test, and the measure-and-prepare state conversion channel.
 
-One kernel, _ratio_test, runs every likelihood-ratio test. Callers that
-need only its traces (stein_threshold, curve_points, state_conversion) run
-it on the powers that states.power_blocks compresses; np_projector and
-smooth_state run it on dense powers, since they return dense operators.
-The asymptotic reverse test is the n-fold power of the one-copy frame of
-reverse.support_frame. It keeps that frame and two weight rows, and builds
-its two dense states only when its preparation is read.
+Every entry point takes the one-copy pair (rho, sigma) and n; the n-copy
+matrices are built here, after the checks. One kernel, _ratio_test, runs
+every likelihood-ratio test: on the powers that states.power_blocks
+compresses where only its traces are read (stein_threshold, curve_points,
+state_conversion), on dense krons where a dense operator is returned
+(np_projector, smooth_state). The asymptotic reverse test is the n-fold
+power of the one-copy frame of reverse.support_frame; its errors and
+states are built only when read.
 Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
@@ -16,7 +17,7 @@ trusted from a printed constant.
 import csv
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,22 +47,34 @@ class TestCurvePoint:
                 raise QdivError(f"{name} = {val!r} escapes [0, 1]")
 
 
-def np_projector(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
-    """Projector onto the non-positive eigenspace of rho_n - e^{na} sigma_n,
-    with the exact acceptance/error traces at threshold a."""
-    check_dims(rho_n, sigma_n)
-    _, cols, point = _ratio_test(rho_n.matrix, sigma_n.matrix, np.ones(rho_n.dim), a, n)
+def np_projector(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
+    """Projector onto the non-positive eigenspace of rho^{x n} - e^{na} sigma^{x n}, on
+    their dense krons, with the exact acceptance/error traces at threshold a."""
+    check_dims(rho, sigma)
+    check_power(rho.dim, n)
+    _, cols, point = _ratio_test(kron_power(rho.matrix, n), kron_power(sigma.matrix, n),
+                                 np.ones(rho.dim ** n), a, n)
     return cols @ cols.conj().T, point
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, a: float,
                 n: int) -> tuple[EigenSystem, np.ndarray, TestCurvePoint]:
-    """The likelihood-ratio test at rate a, from one eigh of r - e^{na} s: that
-    eigensystem, the eigenvectors it accepts on (eigenvalues at most 1e-12 of
-    the largest magnitude), and the traces t1 = tr(W r P), t2 = tr(W s) -
-    tr(W s P) for the projector P onto them and the row weights W of
-    power_blocks, which commute with r, s and P (unit weights on dense powers)."""
-    es = eigh(r - math.exp(n * a) * s)
+    """The likelihood-ratio test at rate a, where e^{na} is a finite double,
+    from one eigh of r - e^{na} s: that eigensystem, the eigenvectors it
+    accepts on (eigenvalues at most 1e-12 of the largest magnitude), and the
+    traces t1 = tr(W r P), t2 = tr(W s) - tr(W s P) for the projector P onto
+    them and the row weights W of power_blocks, which commute with r, s and P."""
+    scale = _exp(n * a)
+    if not math.isfinite(scale):
+        raise ValueError(f"rate {a} at n={n}: e^(n rate) is not a finite double")
+    es = eigh(r - scale * s)
     w, v = es
     cols = v[:, w <= 1e-12 * max(float(np.abs(w).max()), 1e-300)]
     wr, ws = weights[:, None] * r, weights[:, None] * s
@@ -157,23 +170,28 @@ class SmoothedState:
     datta_bound: float          # 4 sqrt(2 * shortfall) + slack
 
 
-def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int) -> SmoothedState:
-    """Cut the part of rho_n exceeding e^{na} sigma_n, repair, renormalize.
+def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> SmoothedState:
+    """Cut the part of rho^{x n} exceeding e^{na} sigma^{x n}, repair, renormalize.
 
-    The certificate a' = dmax(state, sigma_n)/n is recomputed from the output
-    and is the only guarantee exported; the distance bound in sqrt(shortfall)
-    is checked and reported, not assumed. Raises SupportViolationError when
-    the support of rho_n escapes that of sigma_n.
+    The certificate a' = dmax(state, sigma^{x n})/n is recomputed from the
+    output and is the only guarantee exported; the distance bound in
+    sqrt(shortfall) is checked and reported, not assumed. Only sigma^{x n} is
+    validated, since the certificate reads its eigensystem. Raises
+    SupportViolationError, at one copy, when supp rho escapes supp sigma.
     """
-    check_dims(rho_n, sigma_n)
-    delta_eigen, _, point = _ratio_test(rho_n.matrix, sigma_n.matrix, np.ones(rho_n.dim), a, n)
-    cand = rho_n.matrix - positive_part(delta_eigen)
+    check_dims(rho, sigma)
+    check_power(rho.dim, n)
+    if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
+        raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
+    rho_n, sigma_n = kron_power(rho.matrix, n), tensor_power(sigma, n)
+    delta_eigen, _, point = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), a, n)
+    cand = rho_n - positive_part(delta_eigen)
     apos = positive_part((cand + cand.conj().T) / 2)
     tr = float(np.trace(apos).real)
     if tr < 1e-12:
         raise QdivError(f"smoothing degenerate at rate {a}: cut removed the whole state")
     state = DensityMatrix(apos / tr)
-    epsilon = trace_norm(state.matrix - rho_n.matrix)
+    epsilon = trace_norm(state.matrix - rho_n)
     cert = dmax(state, sigma_n) / n
     if math.isinf(cert):
         raise SupportViolationError("supp rho escapes supp sigma: the smoothed state has no rate certificate")
@@ -192,22 +210,25 @@ def smooth_state(rho_n: DensityMatrix, sigma_n: DensityMatrix, a: float, n: int)
 @dataclass(frozen=True, eq=False)
 class BinaryReverseTest:
     """Binary reverse test whose input p is always (1, 0), kept on the frame
-    B^{x n}: symbol x prepares B^{x n} diag(weights[x]) B^{x n dag}. Its two
-    states are validated only when `preparation` is read."""
+    B^{x n}: symbol x prepares B^{x n} diag(weights[x]) B^{x n dag}. Its
+    errors are computed on first read, its two states on each read."""
 
     frame: np.ndarray           # B^{x n}, with sigma^{x n} = B^{x n} B^{x n dag}
     weights: np.ndarray         # rows: capped g, complement h / (h . q_n)
-    rho_n: np.ndarray           # rho^{x n}, which rho_error is measured against
     q: ClassicalDistribution    # (e^{-n rate}, 1 - e^{-n rate})
     rate: float
     certificate: float
-    sigma_n: InitVar[np.ndarray]
-    rho_error: float = field(init=False)    # || output(1) - rho^{x n} ||_1
-    sigma_error: float = field(init=False)  # || output(q(0)) - sigma^{x n} ||_1, ~0 by design
+    rho: np.ndarray             # the one-copy pair, whose kron powers
+    sigma: np.ndarray           # the errors are measured against
+    n: int
 
-    def __post_init__(self, sigma_n):
-        object.__setattr__(self, "rho_error", trace_norm(self.output(1.0) - self.rho_n))
-        object.__setattr__(self, "sigma_error", trace_norm(self.output(float(self.q.probs[0])) - sigma_n))
+    @functools.cached_property
+    def rho_error(self) -> float:   # || output(1) - rho^{x n} ||_1
+        return trace_norm(self.output(1.0) - kron_power(self.rho, self.n))
+
+    @functools.cached_property
+    def sigma_error(self) -> float:   # || output(q(0)) - sigma^{x n} ||_1, ~0 by design
+        return trace_norm(self.output(float(self.q.probs[0])) - kron_power(self.sigma, self.n))
 
     def output(self, p0: float) -> np.ndarray:
         """The mixture prepared at input (p0, 1 - p0), as a dense matrix."""
@@ -228,38 +249,39 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     rho = B diag(t) B^dag, gives the powers as B^{x n} with ratios t^{x n}.
     The capped state is B^{x n} diag(g) B^{x n dag}: g = min(t^{x n},
     e^{n rate}), refilled from the room e^{n rate} - g and normalized, so its
-    certificate dmax(state, sigma^{x n})/n is ln(max g)/n. The complement
-    (sigma^{x n} - q(0) state)/(1 - q(0)) is B^{x n} diag(1 - q(0) g) B^{x n dag}
-    over its own trace: dividing by 1 - q(0), about n rate, would magnify
-    roundoff at small rates. Both errors are measured against the kron powers
-    of rho and sigma. Raises SupportViolationError if supp rho escapes supp
-    sigma. The refill keeps g at most e^{n rate}, so the certificate meets the
-    rate up to roundoff; one above rate + 1e-9 still raises InfeasibleRateError.
+    certificate dmax(state, sigma^{x n})/n is ln(max g)/n; a cap past double
+    range caps nothing. The complement (sigma^{x n} - q(0) state)/(1 - q(0))
+    is B^{x n} diag(1 - q(0) g) B^{x n dag} over its own trace: dividing by
+    1 - q(0), about n rate, would magnify roundoff at small rates. Raises
+    SupportViolationError if supp rho escapes supp sigma. The refill keeps g
+    at most e^{n rate}, so the certificate meets the rate up to roundoff; one
+    above rate + 1e-9 still raises InfeasibleRateError.
     """
+    check_dims(rho, sigma)
+    check_power(rho.dim, n)
     q0 = math.exp(-n * rate) if rate > 0 else 1.0
     if q0 >= 1 - 1e-12:
         raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
-    check_dims(rho, sigma)
-    check_power(rho.dim, n)
     if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
     iso, w, t = support_frame(rho, sigma)
     b_n = kron_power(iso @ w, n)
     t_n, q_n = kron_power(t, n), kron_power(np.sum(np.abs(w) ** 2, axis=0), n)
-    cap = math.exp(n * rate)
+    cap = _exp(n * rate)
     g = np.minimum(t_n, cap)
-    tr, tr_room = float(g @ q_n), float((cap - g) @ q_n)
-    if tr < 1.0 and tr_room > 1e-14:
-        g = g + ((1.0 - tr) / tr_room) * (cap - g)
+    if cap < math.inf:
+        tr, tr_room = float(g @ q_n), float((cap - g) @ q_n)
+        if tr < 1.0 and tr_room > 1e-14:
+            g = g + ((1.0 - tr) / tr_room) * (cap - g)
     g = g / float(g @ q_n)
     cert = math.log(float(g.max())) / n
-    if cert > rate + 1e-9:
+    if not cert <= rate + 1e-9:
         raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
                                   min_rate=cert)
     h = np.maximum(1.0 - q0 * g, 0.0)
-    return BinaryReverseTest(b_n, np.stack((g, h / float(h @ q_n))), kron_power(rho.matrix, n),
+    return BinaryReverseTest(b_n, np.stack((g, h / float(h @ q_n))),
                              ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert,
-                             kron_power(sigma.matrix, n))
+                             rho.matrix, sigma.matrix, n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +302,8 @@ class ConversionChannel:
 
     @functools.cached_property
     def measurement(self) -> Measurement:
-        """The effects (1 - P, P) of np_projector on the dense source powers,
-        built on the first read."""
-        proj, _ = np_projector(tensor_power(self.rho0, self.n), tensor_power(self.sigma0, self.n),
-                               self.a, self.n)
+        """The effects (1 - P, P) of np_projector on the source pair, built on first read."""
+        proj, _ = np_projector(self.rho0, self.sigma0, self.a, self.n)
         return Measurement((np.eye(len(proj)) - proj, proj))
 
     def apply(self, state_n: DensityMatrix) -> DensityMatrix:
@@ -312,8 +332,8 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     Requires the strict gap umegaki(rho0, sigma0) > umegaki(rho, sigma) + 2c;
     a reverse-test rate that is infeasible at small n is reported, not raised.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     d_src, d_tgt = umegaki(rho0, sigma0), umegaki(rho, sigma)
     if not (d_src.finite and d_tgt.finite):
         raise ValueError("conversion needs finite divergences on both pairs")
@@ -335,5 +355,5 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
     return (ConversionChannel(rho0, sigma0, n, a, brt),
-            ConversionReport(n, True, rate, accept, trace_norm(brt.output(accept) - brt.rho_n),
+            ConversionReport(n, True, rate, accept, trace_norm(brt.output(accept) - kron_power(rho.matrix, n)),
                              brt.sigma_error))

@@ -174,14 +174,12 @@ def _petz_form(spec: MetricSpec, eigen: EigenSystem, x: np.ndarray, y: np.ndarra
     return np.sum(np.conj(xt) * yt * kernel, axis=(-2, -1))
 
 
-def petz_metric(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection,
-                y: TangentDirection | None = None) -> complex:
-    """Metric value g^f_rho(X, Y); real for X = Y."""
-    y = x if y is None else y
+def petz_metric(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> complex:
+    """Metric value g^f_rho(X, X), real up to roundoff."""
     lam = rho.eigen.eigenvalues
     if lam[0] <= SUPPORT_RTOL * lam[-1]:
         raise RankError("petz_metric needs full-rank rho; restrict to the support first")
-    return complex(_petz_form(spec, rho.eigen, x.matrix, y.matrix))
+    return complex(_petz_form(spec, rho.eigen, x.matrix, x.matrix))
 
 
 def metric_scalar(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> float:

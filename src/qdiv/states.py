@@ -200,7 +200,7 @@ def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 def check_power(dim: int, n: int) -> None:
     """Raise unless 1 <= n and dim^n is within the tensor-power dimension cap."""
     if n < 1:
-        raise ValueError("tensor power needs n >= 1")
+        raise ValueError(f"tensor power needs n >= 1, got n={n}")
     cap = dimension_cap()
     if dim ** n > cap:
         raise DimensionCapError(f"tensor power needs dimension {dim ** n}, cap is {cap}")

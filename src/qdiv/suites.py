@@ -34,7 +34,7 @@ from .reverse import (optimal_reverse_test, pushforward_reverse_test,
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      apply_channel, apply_channel_tangent, cq_apply,
                      random_commuting_pair, random_cptp, random_density,
-                     random_tangent, tensor_power)
+                     random_tangent)
 
 ALL_SUITES = ("monotonicity", "sandwich", "joint-convexity", "reverse-test-optimality",
               "integral-identities", "metric-ordering", "stein-trend", "conversion",
@@ -365,9 +365,6 @@ def _suite_stein_trend(cfg: SuiteConfig):
     rho, sigma = fixtures.QUBIT_A
     d = umegaki(rho, sigma).value
     ns = _even_ns(cfg.n_range)
-    # dense powers for smoothing only; the test curves come from
-    # curve_points on the Schur-Weyl blocks
-    powers = {n: (tensor_power(rho, n), tensor_power(sigma, n)) for n in ns[:2]}
     dig = _digest(rho.matrix, sigma.matrix)
     gaps = []
     for n in ns:
@@ -411,7 +408,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # smoothing certificates at a mid rate
     mid = (d + dmax(rho, sigma)) / 2
     for n in ns[:2]:
-        sm = smooth_state(*powers[n], mid, n)
+        sm = smooth_state(rho, sigma, mid, n)
         _record(records, f"datta-distance-bound-n={n}", cfg.seed, dig,
                 sm.epsilon, sm.datta_bound, slack=0.0)
     # converse witness: the constructed reverse test bounds, at this very n,

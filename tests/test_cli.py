@@ -2,11 +2,12 @@
 dimension-cap environment override."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qdiv import fixtures, hypotest, states
+from qdiv import cli, fixtures, hypotest, states
 from qdiv.cli import main
 from qdiv.serialize import dump, state_to_dict
 from qdiv.states import DensityMatrix
@@ -99,6 +100,14 @@ class TestMetricCommand:
         assert code == 0
 
 
+def test_emit_writes_one_strict_object(capsys, tmp_path):
+    path = tmp_path / "out.json"
+    cli._emit({"a": math.inf, "b": -math.inf, "c": math.nan, "d": 0.5}, str(path))
+    expected = {"a": "inf", "b": "-inf", "c": None, "d": 0.5}
+    assert json.loads(capsys.readouterr().out) == expected
+    assert json.loads(path.read_text()) == expected
+
+
 class TestReverseTestCommand:
     def test_json_output(self, capsys, files):
         out_path = files["dir"] / "rt.json"
@@ -163,6 +172,39 @@ class TestAsymCommands:
         assert code == 0
         data = json.loads(out)
         assert data["feasible"] and data["sigma_error"] <= 1e-10
+
+    def test_reverse_test_json_file_is_the_stdout_object(self, capsys, files):
+        out_path = files["dir"] / "brt.json"
+        code, out = run_cli(capsys, "asym", "reverse-test", "--n", "3",
+                            "--rho", files["rho"], "--sigma", files["sigma"],
+                            "--rate", "0.75", "--json", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text()) == json.loads(out)
+
+    def test_infinite_rate_prints_strict_json(self, capsys, files):
+        # the rate overflows e^(n rate), so the test caps nothing; the
+        # infinite rate is written as a string on stdout and in the file
+        out_path = files["dir"] / "brt_inf.json"
+        code, out = run_cli(capsys, "asym", "reverse-test", "--n", "2",
+                            "--rho", files["rho"], "--sigma", files["sigma"],
+                            "--rate", "inf", "--json", str(out_path))
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+        for text in (out, out_path.read_text()):
+            data = json.loads(text, parse_constant=reject)
+            assert data["rate"] == "inf" and data["q0"] == 0.0
+            assert data["rho_error"] <= 1e-12 and data["sigma_error"] <= 1e-12
+
+    def test_convert_json_file_is_the_stdout_object(self, capsys, files):
+        out_path = files["dir"] / "convert.json"
+        code, out = run_cli(capsys, "asym", "convert", "--n", "3",
+                            "--rho0", files["rho0"], "--sigma0", files["sigma0"],
+                            "--rho", files["rho"], "--sigma", files["sigma"],
+                            "--c", "0.25", "--json", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text()) == json.loads(out)
 
     def test_convert(self, capsys, files):
         code, out = run_cli(capsys, "asym", "convert", "--n", "3",

@@ -12,15 +12,14 @@ from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
-from qdiv.hypotest import (asymptotic_reverse_test, curve_points,
+from qdiv.hypotest import (asymptotic_reverse_test, curve_points, np_projector,
                            smooth_state, state_conversion, stein_threshold)
 from qdiv.linalg import support_projector
 from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
                           rld_operator, sld_optimal_measurement)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_test, reverse_estimation_1param)
-from qdiv.states import (DensityMatrix, random_cptp, random_tangent,
-                         tensor_power)
+from qdiv.states import DensityMatrix, random_cptp, random_tangent
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
@@ -29,7 +28,6 @@ CHANNEL = random_cptp(3, 3, seed=1)
 BKM = bkm_metric()
 # the gap c that the conversion suite uses for QUBIT_A
 C = 0.45 * (umegaki(*CONVERSION_SOURCE).value - umegaki(*QUBIT_A).value)
-POWERS_4 = tuple(tensor_power(state, 4) for state in QUBIT_A)
 # the smoothing suite's mid rate (D + dmax) / 2 for QUBIT_A
 MID = (umegaki(*QUBIT_A).value + dmax(*QUBIT_A)) / 2
 
@@ -58,9 +56,10 @@ CASES = {
     "stein_threshold-qutrit": (35, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
     # one 16x16 eigh per rate on the qubit Schur-Weyl blocks
     "curve_points": (13, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
-    # the likelihood-ratio test, the repaired candidate's positive part, the
-    # smoothed state and 1 dmax
-    "smooth_state": (4, lambda: smooth_state(*POWERS_4, MID, 4)),
+    # sigma^(x 4), validated for the certificate, the likelihood-ratio test,
+    # the repaired candidate's positive part, the smoothed state and 1 dmax;
+    # rho^(x 4) is a kron, and the support is checked on sigma.eigen
+    "smooth_state": (5, lambda: smooth_state(*QUBIT_A, MID, 4)),
     # the one-copy frame's compressed sigma only; the powers are krons of the
     # frame, the ratios and the states, the certificate is read off the
     # capped ratios, and no 64x64 state is validated until the preparation
@@ -89,13 +88,20 @@ EIGVALSH_CASES = {
 # give the frame
 SVD_CASES = {
     "optimal_reverse_test": (1, lambda: optimal_reverse_test(RHO, SIGMA)),
-    # the same one-copy SVD for the frame, then the trace norms of the
-    # sigma and rho errors
-    "asymptotic_reverse_test": (3, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
-    # the target's one-copy frame, the reverse test's sigma and rho errors,
-    # and the trace norm of the output error on rho0^(x n)
-    "state_conversion": (4, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # the same one-copy SVD for the frame only; the errors are computed when
+    # they are read
+    "asymptotic_reverse_test": (1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # the frame, then one trace norm per error read: rho's and sigma's
+    "asymptotic_reverse_test-errors": (3, lambda: _errors(asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7))),
+    # the target's one-copy frame, the reverse test's sigma error, and the
+    # trace norm of the output error on rho0^(x n); the reverse test's own
+    # rho error is not read
+    "state_conversion": (3, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
+
+
+def _errors(brt):
+    return brt.rho_error, brt.sigma_error
 
 
 @pytest.fixture
@@ -194,6 +200,10 @@ ERROR_CASES = {
     "asymptotic_reverse_test-q0": (ValueError, "rate", lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=1e-14)),
     "asymptotic_reverse_test-dims": (ValueError, "dimension mismatch",
                                      lambda: asymptotic_reverse_test(QUBIT_A[0], QUTRIT[1], n=8, rate=0.5)),
+    "np_projector-dims": (ValueError, "dimension mismatch", lambda: np_projector(QUBIT_A[0], QUTRIT[1], 0.5, 8)),
+    "smooth_state-dims": (ValueError, "dimension mismatch", lambda: smooth_state(QUBIT_A[0], QUTRIT[1], 0.5, 8)),
+    "smooth_state-support": (SupportViolationError, "supp rho escapes",
+                             lambda: smooth_state(*ESCAPING, 0.5, 8)),
 }
 
 

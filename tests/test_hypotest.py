@@ -54,8 +54,31 @@ class TestNPProjector:
         rho, sigma = fixtures.QUBIT_B
         for n in (2, 4):
             for a in (0.2, 0.4):
-                _, pt = np_projector(tensor_power(rho, n), tensor_power(sigma, n), a, n)
+                _, pt = np_projector(rho, sigma, a, n)
                 assert pt.type2 <= math.exp(-n * a) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["QUBIT_A", "QUTRIT"])
+    def test_one_copy_pair_matches_its_powers_at_n_1(self, name, n):
+        # the one-copy pair builds its powers as krons; a pair that is not a
+        # product, here the validated powers themselves, is tested at n = 1
+        rho, sigma = getattr(fixtures, name)
+        for a in (-0.2, 0.1, 0.4):
+            proj, pt = np_projector(rho, sigma, a, n)
+            ref_proj, ref = np_projector(tensor_power(rho, n), tensor_power(sigma, n), n * a, 1)
+            assert np.array_equal(proj, ref_proj)
+            assert (pt.type1_accept, pt.type2) == (ref.type1_accept, ref.type2)
+
+    @pytest.mark.parametrize("rate", [1e6, math.inf, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda rho, sigma, rate: curve_points(rho, sigma, 2, [rate]),
+        lambda rho, sigma, rate: np_projector(rho, sigma, rate, 2),
+        lambda rho, sigma, rate: smooth_state(rho, sigma, rate, 2),
+    ], ids=["curve_points", "np_projector", "smooth_state"])
+    def test_rate_past_double_range_raises(self, call, rate):
+        # e^(n rate) is not a finite double, so there is no test to run
+        with pytest.raises(ValueError, match="rate"):
+            call(*fixtures.QUBIT_A, rate)
 
 
 class TestSteinThreshold:
@@ -117,9 +140,8 @@ QUBIT_PAIRS = {name: getattr(fixtures, name) for name in ("QUBIT_A", "QUBIT_B", 
 def _dense_thresholds(rho, sigma, n, epss):
     """stein_threshold's scan at each eps, over np_projector on the dense
     tensor powers, each rate evaluated once."""
-    rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    accept = functools.cache(lambda a: np_projector(rn, sn, a, n)[1].type1_accept)
+    accept = functools.cache(lambda a: np_projector(rho, sigma, a, n)[1].type1_accept)
     return [threshold_scan(accept, lo, hi, n, eps, 1e-3) for eps in epss]
 
 
@@ -151,9 +173,8 @@ class TestSchurWeylBlocks:
     def test_curve_matches_dense(self, name, n):
         rho, sigma = QUBIT_PAIRS[name]
         rates = np.linspace(-1.5, 2.0, 41)
-        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
         for pt in curve_points(rho, sigma, n, rates):
-            ref = np_projector(rn, sn, pt.a, n)[1]
+            ref = np_projector(rho, sigma, pt.a, n)[1]
             assert abs(pt.type1_accept - ref.type1_accept) <= 1e-12
             assert abs(pt.type2 - ref.type2) <= 1e-12
 
@@ -167,9 +188,8 @@ class TestSchurWeylBlocks:
     @pytest.mark.parametrize("n", [2, 3])
     def test_qutrit_stays_dense(self, n):
         rho, sigma = fixtures.QUTRIT
-        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
         for pt in curve_points(rho, sigma, n, [-0.2, 0.1, 0.3, 0.6]):
-            ref = np_projector(rn, sn, pt.a, n)[1]
+            ref = np_projector(rho, sigma, pt.a, n)[1]
             assert pt.type1_accept == pytest.approx(ref.type1_accept, abs=1e-12)
             assert pt.type2 == pytest.approx(ref.type2, abs=1e-12)
         assert [stein_threshold(rho, sigma, n, 0.5)] == _dense_thresholds(rho, sigma, n, [0.5])
@@ -192,19 +212,17 @@ class TestSmoothState:
     def test_rate_above_dmax_is_identity(self):
         rho, sigma = fixtures.QUBIT_A
         n = 2
-        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
-        sm = smooth_state(rn, sn, dmax(rho, sigma) + 0.05, n)
+        sm = smooth_state(rho, sigma, dmax(rho, sigma) + 0.05, n)
         assert sm.epsilon == pytest.approx(0.0, abs=1e-12)
         assert sm.accept_shortfall == pytest.approx(0.0, abs=1e-10)
-        np.testing.assert_allclose(sm.state.matrix, rn.matrix, atol=1e-12)
+        np.testing.assert_allclose(sm.state.matrix, tensor_power(rho, n).matrix, atol=1e-12)
 
     def test_commuting_matches_diagonal_truncation(self):
         rho, sigma = fixtures.COMMUTING
         p = np.diag(rho.matrix).real
         q = np.diag(sigma.matrix).real
         n, a = 3, 0.25
-        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
-        sm = smooth_state(rn, sn, a, n)
+        sm = smooth_state(rho, sigma, a, n)
         tilde, _, _ = oracles.classical_smooth(p, q, n, a)
         np.testing.assert_allclose(np.sort(np.diag(sm.state.matrix).real),
                                    np.sort(tilde), atol=1e-12)
@@ -213,17 +231,15 @@ class TestSmoothState:
         rho, sigma = fixtures.QUBIT_A
         d = umegaki(rho, sigma).value
         for n in (2, 4):
-            rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
             for a in (d + 0.05, (d + dmax(rho, sigma)) / 2):
-                sm = smooth_state(rn, sn, a, n)
+                sm = smooth_state(rho, sigma, a, n)
                 assert sm.epsilon <= sm.datta_bound
 
     def test_certificate_self_consistent(self):
         rho, sigma = fixtures.QUBIT_B
         n = 4
-        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
-        sm = smooth_state(rn, sn, 0.6, n)
-        gap = np.linalg.eigvalsh(math.exp(n * sm.rate_certificate) * sn.matrix
+        sm = smooth_state(rho, sigma, 0.6, n)
+        gap = np.linalg.eigvalsh(math.exp(n * sm.rate_certificate) * tensor_power(sigma, n).matrix
                                  - sm.state.matrix).min()
         assert gap >= -1e-9
 
@@ -233,8 +249,7 @@ class TestSmoothState:
         rho = DensityMatrix(np.diag([0.55, 0.45]).astype(complex))
         sigma = DensityMatrix(np.diag([0.35, 0.65]).astype(complex))
         n, a = 4, 0.35
-        rn, sn = tensor_power(rho, n), tensor_power(sigma, n)
-        sm = smooth_state(rn, sn, a, n)
+        sm = smooth_state(rho, sigma, a, n)
         eps = sm.accept_shortfall
         assert eps < 1 / 8
         bound = a + math.log(1 / (1 - math.sqrt(8 * eps))) / n
@@ -244,7 +259,7 @@ class TestSmoothState:
     def test_support_violation_raises(self):
         rho, sigma = _escaping_pair()
         with pytest.raises(SupportViolationError):
-            smooth_state(tensor_power(rho, 2), tensor_power(sigma, 2), 0.5, 2)
+            smooth_state(rho, sigma, 0.5, 2)
 
 
 def _escaping_pair():
@@ -304,6 +319,23 @@ class TestAsymptoticReverseTest:
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="rate"):
             asymptotic_reverse_test(rho, sigma, 2, 0.0)
+
+    def test_rejects_zero_copies_by_name(self):
+        with pytest.raises(ValueError, match="n >= 1, got n=0"):
+            asymptotic_reverse_test(*fixtures.QUBIT_A, 0, 0.5)
+
+    @pytest.mark.parametrize("rate", [1e3, 1e6, math.inf])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", ["qubit_a", "seeds_6_7"])
+    def test_rate_past_double_range_caps_nothing(self, name, n, rate):
+        # e^(n rate) overflows, so nothing is capped or refilled: the test is
+        # the one at any rate above dmax
+        pair = fixtures.QUBIT_A if name == "qubit_a" else (random_density(2, seed=6), random_density(2, seed=7))
+        brt = asymptotic_reverse_test(*pair, n, rate)
+        ref = asymptotic_reverse_test(*pair, n, dmax(*pair) + 1)
+        assert np.isfinite(brt.weights).all()
+        assert abs(brt.certificate - ref.certificate) <= 1e-12
+        assert brt.rho_error <= 1e-12 and brt.sigma_error <= 1e-12
 
     @pytest.mark.parametrize("call", [
         lambda: asymptotic_reverse_test(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 2, 0.5),
@@ -445,9 +477,9 @@ class TestStateConversion:
         assert built == []
 
     def test_builds_target_power_once(self, monkeypatch):
-        # rho^(x n) is built once, by the reverse test, and the report's
-        # output error reuses it: the frame, its ratios and squared norms,
-        # rho^(x n) and sigma^(x n)
+        # the frame, its ratios and squared norms, rho^(x n) for the report's
+        # output error and sigma^(x n) for the reverse test's sigma error; its
+        # rho error is not read, so rho^(x n) is built once
         built = []
         build = hypotest.kron_power
         monkeypatch.setattr(hypotest, "kron_power", lambda x, n: built.append(x) or build(x, n))
@@ -483,6 +515,11 @@ class TestStateConversion:
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ValueError, match="gap"):
             state_conversion(rho, sigma, rho, sigma, 2, 0.05)
+
+    @pytest.mark.parametrize("c", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_c_by_name(self, c):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            state_conversion(*fixtures.CONVERSION_SOURCE, *fixtures.QUBIT_A, 2, c)
 
     def test_classical_quadruple_matches_enumeration(self):
         rho0, sigma0 = fixtures.CONVERSION_SOURCE

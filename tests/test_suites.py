@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from qdiv import hypotest, suites
+from qdiv import fixtures, hypotest, suites
 from qdiv.errors import ValidationError
 from qdiv.suites import (ALL_SUITES, SuiteConfig, report_from_json,
                          report_to_dict, run_suite)
@@ -119,23 +119,18 @@ class TestRunSuite:
         assert set(rec) == {"name", "seed", "inputs_digest", "measured", "bound", "margin", "passed"}
 
     def test_stein_trend_builds_each_power_once(self, monkeypatch):
-        # QUBIT_A's two powers at n = 2, 4 only, for smoothing:
-        # stein_threshold, the commuting control included, works on
-        # Schur-Weyl blocks, and the reverse tests at n = 6 on the one-copy
-        # frame
+        # sigma's powers at n = 2, 4 only, which smooth_state validates for
+        # its certificate; rho's are krons. stein_threshold, the commuting
+        # control included, works on Schur-Weyl blocks, and the reverse tests
+        # at n = 6 on the one-copy frame. The suite builds no power itself
         calls = []
-
-        def counting(build):
-            def wrapper(state, n):
-                calls.append(n)
-                return build(state, n)
-            return wrapper
-
-        for module in (suites, hypotest):
-            monkeypatch.setattr(module, "tensor_power", counting(module.tensor_power))
+        build = hypotest.tensor_power
+        monkeypatch.setattr(hypotest, "tensor_power",
+                            lambda state, n: calls.append((state, n)) or build(state, n))
         suites._suite_stein_trend(SuiteConfig())
-        assert len(calls) == 4
-        assert calls.count(6) == 0
+        assert [n for _, n in calls] == [2, 4]
+        assert all(state is fixtures.QUBIT_A[1] for state, _ in calls)
+        assert not hasattr(suites, "tensor_power")
 
     def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
         # every trace record reads curve_points on the Schur-Weyl blocks
