@@ -1,9 +1,9 @@
 """Tolerance table, dimension cap, and deterministic seed derivation.
 
-The library's own validation tolerances are the named constants below; they
-are fixed. DEFAULT_TOLERANCES holds the slacks the verification suites read
-through `SuiteConfig.tol`, and only those can be overridden from a
-verification config.
+The library's own validation tolerances are the named constants below.
+DEFAULT_TOLERANCES holds the slacks of the verification checks and the
+threshold scan's grid width. Both are fixed: no config, flag or environment
+variable overrides them.
 """
 
 import os
@@ -55,7 +55,10 @@ def dimension_cap() -> int:
     raw = os.environ.get("QDIV_DIM_CAP")
     if raw is None:
         return _DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"QDIV_DIM_CAP must be an integer, got {raw!r}") from None
     if cap < 2:
         raise ValueError(f"QDIV_DIM_CAP must be >= 2, got {cap}")
     return cap

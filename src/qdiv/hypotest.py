@@ -32,8 +32,6 @@ from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
                      kron_power, measure, power_blocks, tensor_power)
 
-_GRID_WIDTH = DEFAULT_TOLERANCES["stein_grid_width"]
-
 
 @dataclass(frozen=True)
 class TestCurvePoint:
@@ -83,25 +81,23 @@ def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, a: float,
     return es, cols, TestCurvePoint(a, t1, t2)
 
 
-def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: int, eps: float,
-                   width: float) -> float:
-    """Smallest rate a (grid resolution `width`) whose acceptance accept(a)
-    reaches 1 - eps: a 17-point grid over [lo, hi], refined around its first
-    hit, with each rate evaluated once. No monotonicity in a is assumed.
+def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: int, eps: float) -> float:
+    """Smallest rate a, to the grid resolution stein_grid_width of the fixed
+    DEFAULT_TOLERANCES table, whose acceptance accept(a) reaches 1 - eps: a
+    17-point grid over [lo, hi], refined around its first hit, with each
+    rate evaluated once. No monotonicity in a is assumed.
 
     An infinite lo becomes ln(1 - eps)/n - 0.5, below every hit, since an
     acceptance tr rho_n P_a never exceeds e^{na}. An infinite hi means the
     support of rho escapes that of sigma, and raises."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if not 0 < width < math.inf:
-        raise ValueError(f"width must be finite and positive, got {width}")
     if math.isinf(hi):
         raise SupportViolationError("supp rho escapes supp sigma: the acceptance threshold is infinite")
     if math.isinf(lo):
         lo = math.log(1 - eps) / n - 0.5
     accept = functools.cache(accept)
-    target = 1 - eps
+    target, width = 1 - eps, DEFAULT_TOLERANCES["stein_grid_width"]
     while True:
         grid = np.linspace(lo, hi, 17)
         hit = next((i for i, a in enumerate(grid) if accept(float(a)) >= target), None)
@@ -114,21 +110,20 @@ def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: in
         lo = float(grid[hit - 1]) if hit > 0 else hi - step
 
 
-def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float,
-                    width: float = _GRID_WIDTH) -> float:
+def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
     """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
-    the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5."""
-    return _threshold(rho, sigma, functools.cache(lambda: _compressed_powers(rho, sigma, n)),
-                      n, eps, width)
+    the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5, at the
+    fixed grid resolution stein_grid_width (1e-3)."""
+    return _threshold(rho, sigma, functools.cache(lambda: _compressed_powers(rho, sigma, n)), n, eps)
 
 
 def _threshold(rho: DensityMatrix, sigma: DensityMatrix, powers: Callable[[], tuple],
-               n: int, eps: float, width: float = _GRID_WIDTH) -> float:
+               n: int, eps: float) -> float:
     """stein_threshold on the compressed powers that powers() returns; it is
     first called at the first rate, once threshold_scan has checked its
     arguments."""
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    return threshold_scan(lambda a: _ratio_test(*powers(), a, n)[2].type1_accept, lo, hi, n, eps, width)
+    return threshold_scan(lambda a: _ratio_test(*powers(), a, n)[2].type1_accept, lo, hi, n, eps)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:

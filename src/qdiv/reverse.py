@@ -11,15 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL, SUPPORT_TOL
+from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL
 from .errors import SupportViolationError
-from .divergences import kl
+from .divergences import SUPPORT_EQUAL, kl, support_relation
 from .linalg import (_canonical_phases, eigh, eigh_hermitian, frobenius,
                      matrix_function, off_support_residual, sqrtm_psd,
-                     support_cutoff, support_projector)
+                     support_cutoff)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
-                     QuantumChannel, TangentDirection, check_dims)
+                     QuantumChannel, TangentDirection)
 
 _RECON_TOL = DEFAULT_TOLERANCES["reconstruction"]
 
@@ -58,15 +58,6 @@ class ReverseEstimation:
     frame: np.ndarray
 
 
-def _check_equal_supports(rho: DensityMatrix, sigma: DensityMatrix) -> None:
-    pr, ps = support_projector(rho.eigen), support_projector(sigma.eigen)
-    gap = frobenius(pr - ps)
-    if gap > SUPPORT_TOL * 10:
-        raise SupportViolationError(
-            f"supports differ: rank(rho) = {round(np.trace(pr).real)}, rank(sigma) = "
-            f"{round(np.trace(ps).real)}, projector distance {gap:.3e}; equal supports required")
-
-
 def support_frame(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair over one frame on supp sigma, from one eigh and one SVD: the
     isometry V onto supp sigma, a square W and ascending ratios t with
@@ -93,10 +84,14 @@ def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
 
     On the common support, with support_frame's V, W and t: the frame
     columns are the normalized columns of V W, q their squared norms, and
-    p = q t. Symbols are in ascending order of p/q.
+    p = q t. Symbols are in ascending order of p/q. Raises
+    SupportViolationError unless support_relation finds the supports equal.
     """
-    check_dims(rho, sigma)
-    _check_equal_supports(rho, sigma)
+    relation = support_relation(rho, sigma)
+    if relation != SUPPORT_EQUAL:
+        rank_r, rank_s = (int((lam > support_cutoff(lam)).sum()) for lam, _ in (rho.eigen, sigma.eigen))
+        raise SupportViolationError(f"supports not equal ({relation}): rank(rho) = {rank_r}, "
+                                    f"rank(sigma) = {rank_s}; equal supports required")
     iso, w, t = support_frame(rho, sigma)
     qv = np.sum(np.abs(w) ** 2, axis=0)
     frame = iso @ (w / np.sqrt(qv))

@@ -2,8 +2,8 @@
 identities, with machine-readable reports.
 
 Each check record carries the derived seed and an input digest so any failure
-reproduces exactly. Tolerances come from one table; suites never inline
-numeric slack.
+reproduces exactly. Slacks come from the fixed table
+config.DEFAULT_TOLERANCES, looked up when a suite runs.
 """
 
 import functools
@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -51,16 +51,12 @@ class SuiteConfig:
     seed: int = 20240
     trials: int = 40
     dims: tuple = (2, 3)
-    tolerances: dict = field(default_factory=dict)
     n_range: tuple = (2, 6)
     suites: tuple = ALL_SUITES
-    budget: int = 500
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        if self.budget < 1:
-            raise ValidationError("budget must be >= 1")
         if not self.dims or not set(self.dims) <= set(range(2, 7)):
             raise ValidationError(f"dims must be a nonempty subset of 2..6, got {self.dims}")
         if len(self.n_range) != 2 or self.n_range[0] < 1 or not _even_ns(self.n_range):
@@ -70,31 +66,20 @@ class SuiteConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValidationError(f"unknown suites: {sorted(unknown)}")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValidationError(f"unknown tolerances: {sorted(unknown)}")
-        bad = sorted(name for name, t in self.tolerances.items()
-                     if not 0 <= t < math.inf or name == "stein_grid_width" and t == 0)
-        if bad:
-            raise ValidationError(f"tolerances must be finite and nonnegative, stein_grid_width positive: {bad}")
-
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        convert = {"seed": int, "trials": int, "budget": int,
+        convert = {"seed": int, "trials": int,
                    "dims": lambda v: tuple(int(d) for d in v), "n_range": lambda v: tuple(int(n) for n in v),
-                   "suites": lambda v: tuple(str(name) for name in v),
-                   "tolerances": lambda v: {name: float(t) for name, t in v.items()}}
+                   "suites": lambda v: tuple(str(name) for name in v)}
         unknown = set(data) - set(convert)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        for key, shape in (("dims", list), ("n_range", list), ("suites", list), ("tolerances", dict)):
-            if key in data and not isinstance(data[key], shape):
-                raise ValidationError(f"config {key} must be a JSON {'object' if shape is dict else 'array'}")
+        for key in ("dims", "n_range", "suites"):
+            if key in data and not isinstance(data[key], list):
+                raise ValidationError(f"config {key} must be a JSON array")
         try:
             kwargs = {key: convert[key](value) for key, value in data.items()}
         except (TypeError, ValueError) as exc:
@@ -167,6 +152,9 @@ def _random_pair(dim, rng_seed):
 
 _METRIC_SPECS = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
 
+# KL evaluations of each measured-divergence search in the sandwich suite
+_MEASURED_BUDGET = 500
+
 
 # ---------------------------------------------------------------------------
 # individual suites
@@ -174,7 +162,7 @@ _METRIC_SPECS = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_me
 
 def _suite_monotonicity(cfg: SuiteConfig):
     records = []
-    slack = cfg.tol("monotonicity_slack")
+    slack = DEFAULT_TOLERANCES["monotonicity_slack"]
     for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         ch = random_cptp(dim, dim, seed=derive_seed(seed, 3))
@@ -196,18 +184,18 @@ def _suite_monotonicity(cfg: SuiteConfig):
 
 def _suite_sandwich(cfg: SuiteConfig):
     records = []
-    slack = cfg.tol("sandwich_slack")
+    slack = DEFAULT_TOLERANCES["sandwich_slack"]
     for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
-        low, _ = measured_div_lower(rho, sigma, budget=cfg.budget, seed=derive_seed(seed, 5))
+        low, _ = measured_div_lower(rho, sigma, budget=_MEASURED_BUDGET, seed=derive_seed(seed, 5))
         mid = umegaki(rho, sigma).value
         high = rld_entropy(rho, sigma).value
         _record(records, "measured<=umegaki", seed, dig, low, mid, slack=slack)
         _record(records, "umegaki<=rld", seed, dig, mid, high, slack=slack)
     # normalization: the admissible divergences collapse to their classical
     # values on commuting pairs
-    ntol = cfg.tol("normalization_match")
+    ntol = DEFAULT_TOLERANCES["normalization_match"]
     for seed, dim in _trials(cfg, max(cfg.trials // 4, 2), 10_000):
         rho, sigma, p, q = random_commuting_pair(dim, seed=seed)
         dig = _digest(rho.matrix, sigma.matrix)
@@ -222,7 +210,7 @@ def _suite_sandwich(cfg: SuiteConfig):
 
 def _suite_joint_convexity(cfg: SuiteConfig):
     records = []
-    slack = cfg.tol("joint_convexity_slack")
+    slack = DEFAULT_TOLERANCES["joint_convexity_slack"]
     for seed, dim in _trials(cfg):
         r0, s0 = _random_pair(dim, derive_seed(seed, 1))
         r1, s1 = _random_pair(dim, derive_seed(seed, 2))
@@ -239,9 +227,9 @@ def _suite_joint_convexity(cfg: SuiteConfig):
 
 def _suite_reverse_test(cfg: SuiteConfig):
     records = []
-    tol = cfg.tol("reverse_test_match")
-    est_tol = cfg.tol("reverse_estimation_match")
-    recon = cfg.tol("reconstruction")
+    tol = DEFAULT_TOLERANCES["reverse_test_match"]
+    est_tol = DEFAULT_TOLERANCES["reverse_estimation_match"]
+    recon = DEFAULT_TOLERANCES["reconstruction"]
     for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
@@ -289,7 +277,7 @@ def _suite_reverse_test(cfg: SuiteConfig):
 
 def _suite_integral_identities(cfg: SuiteConfig):
     records = []
-    tol = cfg.tol("integral_identity")
+    tol = DEFAULT_TOLERANCES["integral_identity"]
     for seed, dim in _trials(cfg):
         rho, sigma = _random_pair(dim, seed)
         dig = _digest(rho.matrix, sigma.matrix)
@@ -311,10 +299,10 @@ def _suite_integral_identities(cfg: SuiteConfig):
 
 def _suite_metric_ordering(cfg: SuiteConfig):
     records = []
-    gap = cfg.tol("metric_order_slack")
-    ach = cfg.tol("sld_achievability")
-    hol = cfg.tol("holevo_bound_slack")
-    imj = cfg.tol("imj_identity")
+    gap = DEFAULT_TOLERANCES["metric_order_slack"]
+    ach = DEFAULT_TOLERANCES["sld_achievability"]
+    hol = DEFAULT_TOLERANCES["holevo_bound_slack"]
+    imj = DEFAULT_TOLERANCES["imj_identity"]
     chain = (sld_metric(), wy_metric(), bkm_metric(), rld_metric())
     for seed, dim in _trials(cfg):
         rho = random_density(dim, seed=derive_seed(seed, 1))
@@ -368,7 +356,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     dig = _digest(rho.matrix, sigma.matrix)
     gaps = []
     for n in ns:
-        a = stein_threshold(rho, sigma, n, 0.5, width=cfg.tol("stein_grid_width"))
+        a = stein_threshold(rho, sigma, n, 0.5)
         gaps.append(abs(a - d))
     for i in range(len(ns) - 1):
         _record(records, f"gap-decreases-{ns[i]}->{ns[i + 1]}", cfg.seed, dig,
@@ -391,7 +379,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # obeys the exponential bound exactly, and the binary outcome already
     # carries the implied measured relative entropy
     c = 0.3
-    slack2 = cfg.tol("type2_slack")
+    slack2 = DEFAULT_TOLERANCES["type2_slack"]
     for n in ns:
         pt, = curve_points(rho, sigma, n, [d - c])
         accept = 1 - pt.type1_accept
@@ -421,7 +409,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     for r in np.linspace(d + 0.05, dm + 0.1, 6):
         brt = asymptotic_reverse_test(rho, sigma, n_max, float(r))
         witnesses.append((float(r), brt.rho_error))
-    slack_w = cfg.tol("converse_witness_slack")
+    slack_w = DEFAULT_TOLERANCES["converse_witness_slack"]
     for k, pt in enumerate(curve_points(rho, sigma, n_max, [d - 0.2, d - 0.1, d - 0.05])):
         accept = 1 - pt.type1_accept
         if pt.type2 <= 0:
@@ -448,12 +436,12 @@ def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float)
     with np.errstate(divide="ignore"):
         lo = -float(np.max(np.log(q[q > 0]) - np.log(p[q > 0]))) - 0.5
         hi = float(np.max(np.log(p[p > 0]) - np.log(q[p > 0]))) + 0.5
-    return threshold_scan(accept, lo, hi, n, eps, DEFAULT_TOLERANCES["stein_grid_width"])
+    return threshold_scan(accept, lo, hi, n, eps)
 
 
 def _suite_conversion(cfg: SuiteConfig):
     records = []
-    sig_tol = cfg.tol("sigma_exact")
+    sig_tol = DEFAULT_TOLERANCES["sigma_exact"]
     rho0, sigma0 = fixtures.CONVERSION_SOURCE
     d0 = umegaki(rho0, sigma0).value
     ns = _even_ns(cfg.n_range)
@@ -478,8 +466,8 @@ def _suite_conversion(cfg: SuiteConfig):
 
 def _suite_fidelity_counterexample(cfg: SuiteConfig):
     records = []
-    add_tol = cfg.tol("additivity")
-    slack = cfg.tol("monotonicity_slack")
+    add_tol = DEFAULT_TOLERANCES["additivity"]
+    slack = DEFAULT_TOLERANCES["monotonicity_slack"]
     # anchor pairs across distinguishability regimes keep the scalar fit
     # meaningful even at trials = 1 (weakly distinguishable pairs alone are
     # accidentally near-proportional)
@@ -542,8 +530,7 @@ def report_to_dict(config: SuiteConfig, reports: list) -> dict:
     return {
         "config": {"seed": config.seed, "trials": config.trials,
                    "dims": list(config.dims), "n_range": list(config.n_range),
-                   "suites": list(config.suites), "budget": config.budget,
-                   "tolerances": dict(config.tolerances)},
+                   "suites": list(config.suites)},
         "suites": [r.to_dict() for r in reports],
         "passed": sum(r.n_passed for r in reports),
         "failed": sum(r.n_failed for r in reports),

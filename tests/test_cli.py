@@ -3,12 +3,15 @@ dimension-cap environment override."""
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from qdiv import cli, fixtures, hypotest, states
 from qdiv.cli import main
+from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.serialize import dump, state_to_dict
 from qdiv.states import DensityMatrix
 
@@ -222,6 +225,13 @@ class TestAsymCommands:
                      "--rho", files["rho"], "--sigma", files["sigma"]])
         assert code == 2
 
+    def test_dim_cap_env_not_an_integer(self, capsys, files, monkeypatch):
+        monkeypatch.setenv("QDIV_DIM_CAP", "abc")
+        code = main(["asym", "threshold", "--n", "2",
+                     "--rho", files["rho"], "--sigma", files["sigma"]])
+        assert code == 2
+        assert "QDIV_DIM_CAP must be an integer, got 'abc'" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passing_run_exits_zero(self, capsys, files):
@@ -235,24 +245,38 @@ class TestVerifyCommand:
         assert payload["failed"] == 0
         assert {s["suite"] for s in payload["suites"]} == {"joint-convexity", "metric-ordering"}
 
-    def test_config_file_with_forced_failure(self, capsys, files):
+    def test_config_file_with_forced_failure(self, capsys, files, monkeypatch):
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "reconstruction", 0.0)
         cfg_path = files["dir"] / "cfg.json"
         cfg_path.write_text(json.dumps({
             "seed": 3, "trials": 1, "dims": [2],
             "suites": ["reverse-test-optimality"],
-            "tolerances": {"reconstruction": 0.0},
         }))
         code, out = run_cli(capsys, "verify", "--config", str(cfg_path))
         assert code == 1
         assert "FAIL" in out
 
+    # slacks and the measured-search budget are fixed, so naming either is an unknown key
     @pytest.mark.parametrize("config", [{"n_range": [3, 3]},
-                                        {"tolerances": {"stein_grid_width": -1}}])
+                                        {"tolerances": {"stein_grid_width": -1}},
+                                        {"tolerances": {"sandwich_slack": 1e-8}},
+                                        {"budget": 500}])
     def test_config_rejected_exits_two(self, capsys, files, config):
         cfg_path = files["dir"] / "cfg.json"
         cfg_path.write_text(json.dumps({"suites": ["stein-trend"], **config}))
-        code, _ = run_cli(capsys, "verify", "--config", str(cfg_path))
-        assert code == 2
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        if "n_range" not in config:
+            assert f"unknown config keys: {list(config)}" in capsys.readouterr().err
+
+    def test_readme_config_runs(self, capsys, tmp_path):
+        # the config block under "A JSON config can pin everything" in README.md
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"A JSON\s+config can pin everything:\s*```json\n(.*?)```", readme, re.S)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(block.group(1))
+        code, out = run_cli(capsys, "verify", "--config", str(cfg_path), "--trials", "1")
+        assert code == 0
+        assert out.splitlines()[-1].endswith(" 0 failed")
 
     def test_default_run_passes(self, capsys):
         # seed 20240, 40 trials, all nine suites

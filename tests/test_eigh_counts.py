@@ -7,7 +7,7 @@ decomposed again. A stacked call counts each matrix of the stack."""
 import numpy as np
 import pytest
 
-from qdiv import divergences, hypotest, metrics, reverse
+from qdiv import divergences, hypotest, metrics
 from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
@@ -181,7 +181,7 @@ def test_support_projector_count(name, monkeypatch):
         calls.append(h)
         return support_projector(h)
 
-    for module in (divergences, hypotest, metrics, reverse):
+    for module in (divergences, hypotest, metrics):
         monkeypatch.setattr(module, "support_projector", counting)
     expected, call = PROJECTOR_CASES[name]
     call()

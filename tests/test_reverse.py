@@ -6,7 +6,8 @@ import pytest
 
 from qdiv import fixtures
 from qdiv.config import derive_seed
-from qdiv.divergences import kl, rld_entropy
+from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL, kl, rld_entropy,
+                               support_relation)
 from qdiv.errors import SupportViolationError
 from qdiv.metrics import classical_fisher_scalar, metric_scalar, rld_metric
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
@@ -94,6 +95,23 @@ class TestParallelDecomposition:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             optimal_reverse_test(fixtures.QUBIT_A[0], fixtures.QUTRIT[1])
+
+    @pytest.mark.parametrize("theta,relation", [(5e-11, SUPPORT_EQUAL), (3e-10, SUPPORT_CONTAINED),
+                                                (2e-9, SUPPORT_CONTAINED)])
+    def test_equal_supports_as_support_relation_finds(self, theta, relation):
+        # sigma's first eigenvector is rho's tilted by theta: the reverse test
+        # accepts the pair exactly when support_relation calls it equal
+        e0, e1, e2 = np.eye(3)
+        v = np.cos(theta) * e0 + np.sin(theta) * e1
+        rho = DensityMatrix((0.6 * np.outer(e0, e0) + 0.4 * np.outer(e2, e2)).astype(complex))
+        sigma = DensityMatrix((0.3 * np.outer(v, v) + 0.7 * np.outer(e2, e2)).astype(complex))
+        assert support_relation(rho, sigma) == relation
+        if relation == SUPPORT_EQUAL:
+            assert optimal_reverse_test(rho, sigma).input_kl == pytest.approx(
+                rld_entropy(rho, sigma).value, abs=1e-8)
+        else:
+            with pytest.raises(SupportViolationError, match="rank"):
+                optimal_reverse_test(rho, sigma)
 
 
 class TestOptimalReverseTest:

@@ -1,12 +1,13 @@
 """Verification harness framework: determinism, schema stability, and
 failure reproducibility."""
 
+import dataclasses
 import json
-import math
 
 import pytest
 
 from qdiv import fixtures, hypotest, suites
+from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.errors import ValidationError
 from qdiv.suites import (ALL_SUITES, SuiteConfig, report_from_json,
                          report_to_dict, run_suite)
@@ -28,10 +29,6 @@ class TestConfig:
         with pytest.raises(ValidationError, match="trials"):
             SuiteConfig(trials=0)
 
-    def test_rejects_zero_budget(self):
-        with pytest.raises(ValidationError, match="budget"):
-            SuiteConfig(budget=0)
-
     def test_rejects_large_dim(self):
         with pytest.raises(ValidationError, match="dims"):
             SuiteConfig(dims=(2, 9))
@@ -49,16 +46,6 @@ class TestConfig:
         with pytest.raises(ValidationError, match="even"):
             SuiteConfig(n_range=n_range)
 
-    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
-    def test_rejects_bad_tolerance(self, value):
-        with pytest.raises(ValidationError, match="finite and nonnegative"):
-            SuiteConfig(tolerances={"sandwich_slack": value})
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-    def test_rejects_nonpositive_grid_width(self, value):
-        with pytest.raises(ValidationError, match="stein_grid_width"):
-            SuiteConfig(tolerances={"stein_grid_width": value})
-
     @pytest.mark.parametrize("data,match", [
         ([1], "object"),
         ({"dims": 3}, "dims"),
@@ -67,19 +54,23 @@ class TestConfig:
         ({"tolerances": [1e-6]}, "tolerances"),
         ({"seed": None}, "malformed"),
         ({"trails": 3}, "trails"),
-        ({"tolerances": {"sandwich_slak": 1e-6}}, "sandwich_slak"),
-        ({"tolerances": {"trace": 1e-3}}, "trace"),
+        # every slack is the fixed table in qdiv.config, and the measured
+        # search has one budget: neither is a config key
+        ({"tolerances": {"sandwich_slack": 1e-8}}, "unknown config keys.*tolerances"),
+        ({"budget": 500}, "unknown config keys.*budget"),
     ])
     def test_from_dict_rejects_malformed(self, data, match):
         with pytest.raises(ValidationError, match=match):
             SuiteConfig.from_dict(data)
 
     def test_from_dict(self):
-        cfg = SuiteConfig.from_dict({"seed": 5, "trials": 3, "dims": [2],
-                                     "suites": ["sandwich"], "tolerances": {"sandwich_slack": 1e-6}})
-        assert cfg.seed == 5 and cfg.trials == 3
-        assert cfg.tol("sandwich_slack") == 1e-6
-        assert cfg.tol("reconstruction") == 1e-9
+        cfg = SuiteConfig.from_dict({"seed": 5, "trials": 3, "dims": [2], "n_range": [2, 4],
+                                     "suites": ["sandwich"]})
+        assert cfg == SuiteConfig(seed=5, trials=3, dims=(2,), n_range=(2, 4), suites=("sandwich",))
+
+    def test_fields_are_the_five_settable_values(self):
+        assert [f.name for f in dataclasses.fields(SuiteConfig)] == ["seed", "trials", "dims",
+                                                                      "n_range", "suites"]
 
 
 class TestRunSuite:
@@ -98,10 +89,10 @@ class TestRunSuite:
         b = _strip_walltime(report_to_dict(cfg, run_suite(cfg)))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_failures_carry_reproducing_seed(self):
+    def test_failures_carry_reproducing_seed(self, monkeypatch):
         # a zero slack fails every reconstruction residual left by roundoff
-        cfg = SuiteConfig(seed=13, trials=2, dims=(2,), suites=("reverse-test-optimality",),
-                          tolerances={"reconstruction": 0.0})
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "reconstruction", 0.0)
+        cfg = SuiteConfig(seed=13, trials=2, dims=(2,), suites=("reverse-test-optimality",))
         first = run_suite(cfg)[0]
         assert first.n_failed > 0
         again = run_suite(cfg)[0]
