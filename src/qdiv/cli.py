@@ -6,7 +6,6 @@ environment overrides the tensor-power dimension cap.
 """
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -17,8 +16,8 @@ import numpy as np
 from .divergences import (dmax, fidelity_logdiv, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import InfeasibleRateError, QdivError
-from .hypotest import (_compressed_powers, _curve, _threshold,
-                       asymptotic_reverse_test, state_conversion, write_curve_csv)
+from .hypotest import (asymptotic_reverse_test, curve_points, state_conversion,
+                       stein_threshold, write_curve_csv)
 from .metrics import metric_scalar, named_metric
 from .reverse import optimal_reverse_test
 from .serialize import (dump, load_hermitian, load_state, reverse_test_to_dict)
@@ -71,14 +70,11 @@ def _cmd_reverse_test(args) -> int:
 
 def _cmd_asym_threshold(args) -> int:
     rho, sigma = load_state(args.rho), load_state(args.sigma)
-    # the threshold scan and the CSV curve share one build of the powers
-    powers = functools.cache(lambda: _compressed_powers(rho, sigma, args.n))
-    thr = _threshold(rho, sigma, powers, args.n, args.eps)
+    thr = stein_threshold(rho, sigma, args.n, args.eps)
     out = {"n": args.n, "eps": args.eps, "threshold": thr, "umegaki": umegaki(rho, sigma).value}
     if args.csv:
         rates = np.linspace(thr - 0.3, thr + 0.3, 13)
-        pts = _curve(powers(), args.n, rates)
-        write_curve_csv(args.csv, [(args.n, pt, thr) for pt in pts])
+        write_curve_csv(args.csv, [(args.n, pt, thr) for pt in curve_points(rho, sigma, args.n, rates)])
         out["csv"] = args.csv
     _emit(out)
     return 0

@@ -15,7 +15,8 @@ from .errors import ConvergenceError
 from .linalg import (STACK_BYTES, eigh, eigh_hermitian, frobenius,
                      logm_support, matrix_function, off_support_residual,
                      pinv_psd, sqrtm_psd, support_projector, trace_norm)
-from .states import ClassicalDistribution, DensityMatrix, check_dims
+from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
+                     check_dims)
 
 SUPPORT_CONTAINED = "contained"
 SUPPORT_EQUAL = "equal"
@@ -123,25 +124,13 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 # measured divergence lower bound
 
 
-def _stack_weights(vc: np.ndarray, mv: np.ndarray) -> np.ndarray:
-    """The outcome weights diag(v_i^dag m v_i) of each basis v_i of a stack
-    v, from vc = conj(v) and mv = m @ v, as a (k, d) array. Row i equals
-    basis_weights(v_i, m) bit for bit: the products are laid out (d, k*d),
-    so that one pass sums their rows in basis_weights' order."""
-    k, d, _ = vc.shape
-    prod = np.empty((d, k, d), dtype=complex)
-    np.multiply(vc, mv, out=prod.transpose(1, 0, 2))
-    return prod.reshape(d, k * d).sum(axis=0).real.reshape(k, d)
-
-
 def _projective_kls(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """KL of rho's outcome weights from sigma's in each basis of the stack v
     (k, d, d); +inf where rho weighs an outcome that sigma does not. Weights
     below 1e-300 count as zero."""
-    vc = v.conj()
-    p = _stack_weights(vc, rho @ v)
+    p = basis_weights(v, rho)
     p = np.where(p > 1e-300, p, 0.0)
-    q = np.maximum(_stack_weights(vc, sigma @ v), 0.0)
+    q = np.maximum(basis_weights(v, sigma), 0.0)
     full = (p > 0).all(axis=1)
     ok = full & (q > 0).all(axis=1)
     if ok.all():

@@ -113,25 +113,16 @@ def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: in
 def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
     """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
     the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5, at the
-    fixed grid resolution stein_grid_width (1e-3)."""
-    return _threshold(rho, sigma, functools.cache(lambda: _compressed_powers(rho, sigma, n)), n, eps)
-
-
-def _threshold(rho: DensityMatrix, sigma: DensityMatrix, powers: Callable[[], tuple],
-               n: int, eps: float) -> float:
-    """stein_threshold on the compressed powers that powers() returns; it is
-    first called at the first rate, once threshold_scan has checked its
-    arguments."""
+    fixed grid resolution stein_grid_width (1e-3). The compressed powers are
+    built at the first rate, once threshold_scan has checked its arguments."""
+    powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
     return threshold_scan(lambda a: _ratio_test(*powers(), a, n)[2].type1_accept, lo, hi, n, eps)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
     """np_projector's traces at each rate, on the powers compressed by power_blocks."""
-    return _curve(_compressed_powers(rho, sigma, n), n, rates)
-
-
-def _curve(powers: tuple, n: int, rates) -> list[TestCurvePoint]:
+    powers = _compressed_powers(rho, sigma, n)
     return [_ratio_test(*powers, float(a), n)[2] for a in rates]
 
 

@@ -44,8 +44,8 @@ def check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _canonical_phases(v: np.ndarray) -> np.ndarray:
-    # Rotate each column so its largest-magnitude component is real positive.
+def canonical_phases(v: np.ndarray) -> np.ndarray:
+    """Rotate each column so its largest-magnitude component is real positive."""
     idx = np.abs(v).argmax(axis=0)
     lead = v[idx, np.arange(v.shape[1])]
     phase = np.where(np.abs(lead) > 0, lead / np.abs(np.where(np.abs(lead) > 0, lead, 1.0)), 1.0)
@@ -64,7 +64,7 @@ def eigh_hermitian(h: np.ndarray) -> EigenSystem:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigh failed to converge on a {h.shape[0]}x{h.shape[0]} matrix") from exc
-    return EigenSystem(w, _canonical_phases(v))
+    return EigenSystem(w, canonical_phases(v))
 
 
 def support_cutoff(eigenvalues: np.ndarray) -> float:

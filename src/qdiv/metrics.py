@@ -46,10 +46,10 @@ def f_alpha(x, alpha: float):
     Normalized so f(1) = 1, which makes alpha = +-3 coincide with the RLD
     function 2x/(x+1) and alpha = +-1 with the BKM function (x-1)/ln x.
     """
-    if abs(alpha) > 3:
+    if not abs(alpha) <= 3:   # NaN-safe
         raise ValueError(f"alpha must lie in [-3, 3], got {alpha}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):   # NaN-safe
         raise ValueError("f_alpha needs positive arguments")
     val = _h_ratio(arr, (1 - alpha) / 2) * _h_ratio(arr, (1 + alpha) / 2)
     return val if isinstance(x, np.ndarray) else float(val)
@@ -80,7 +80,7 @@ def wy_metric() -> MetricSpec:
 
 
 def alpha_metric(alpha: float) -> MetricSpec:
-    if abs(alpha) > 3:
+    if not abs(alpha) <= 3:   # NaN-safe
         raise ValueError(f"alpha must lie in [-3, 3], got {alpha}")
     return MetricSpec(f"alpha={alpha:g}", lambda x, a=alpha: f_alpha(x, a))
 
@@ -109,7 +109,7 @@ def classical_fisher(p: ClassicalDistribution, dps: Sequence[np.ndarray]) -> np.
         dp = np.asarray(dp, dtype=float)
         if dp.shape != pv.shape:
             raise ValueError(f"tangent length {dp.shape} != distribution length {pv.shape}")
-        if abs(dp.sum()) > 1e-9:
+        if not abs(dp.sum()) <= 1e-9:   # NaN-safe
             raise ValueError(f"tangent must sum to 0, got {dp.sum():.3e}")
         off = np.abs(dp[pv <= 0]).max(initial=0.0)
         if off > 0:

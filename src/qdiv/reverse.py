@@ -14,7 +14,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL
 from .errors import SupportViolationError
 from .divergences import SUPPORT_EQUAL, kl, support_relation
-from .linalg import (_canonical_phases, eigh, eigh_hermitian, frobenius,
+from .linalg import (canonical_phases, eigh, eigh_hermitian, frobenius,
                      matrix_function, off_support_residual, sqrtm_psd,
                      support_cutoff)
 from .metrics import classical_fisher_scalar
@@ -75,7 +75,7 @@ def support_frame(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray,
     sqrt_r = iso.conj().T @ sqrtm_psd(rho.eigen) @ iso
     left, d, _ = np.linalg.svd(matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrt_r)
     d = d[::-1]                 # ascending, like eigh
-    return iso, sqrtm_psd(es) @ _canonical_phases(left[:, ::-1]), d ** 2
+    return iso, sqrtm_psd(es) @ canonical_phases(left[:, ::-1]), d ** 2
 
 
 def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTest:

@@ -80,7 +80,7 @@ class QuantumChannel:
             raise ValidationError("all Kraus operators must share one shape")
         comp = sum(k.conj().T @ k for k in ops)
         resid = float(np.abs(comp - np.eye(din)).max())
-        if resid > COMPLETENESS_TOL:
+        if not resid <= COMPLETENESS_TOL:   # NaN-safe
             raise ValidationError(f"channel completeness residual {resid:.3e} exceeds {COMPLETENESS_TOL:.0e}")
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "dim_in", din)
@@ -124,7 +124,7 @@ class ClassicalDistribution:
             raise ValidationError(f"negative probability {p.min():.3e}")
         p = np.maximum(p, 0.0)
         s = float(p.sum())
-        if abs(s - 1.0) > TRACE_TOL:
+        if not abs(s - 1.0) <= TRACE_TOL:   # NaN-safe
             raise ValidationError(f"probabilities sum to {s!r}, off by {abs(s - 1.0):.3e}")
         object.__setattr__(self, "probs", p)
 
@@ -193,8 +193,10 @@ def check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 
 def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """diag(v^dag m v): the outcome weights tr(|v_k><v_k| m) of the basis
-    that the columns of v form, for a state or a tangent matrix m."""
-    return np.sum(v.conj() * (m @ v), axis=0).real
+    that the columns of v form, for a state or a tangent matrix m. A stack
+    of bases v (k, d, d) gives one row of weights per basis, each equal bit
+    for bit to the call on that basis alone."""
+    return np.sum(v.conj() * (m @ v), axis=-2).real
 
 
 def check_power(dim: int, n: int) -> None:
@@ -202,8 +204,12 @@ def check_power(dim: int, n: int) -> None:
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got n={n}")
     cap = dimension_cap()
+    # for dim >= 2, n > cap.bit_length() gives dim^n >= 2^n > cap without
+    # building dim^n, which may have more digits than an int can print
+    if dim >= 2 and n > cap.bit_length():
+        raise DimensionCapError(f"tensor power {dim}^{n} exceeds the dimension cap {cap}")
     if dim ** n > cap:
-        raise DimensionCapError(f"tensor power needs dimension {dim ** n}, cap is {cap}")
+        raise DimensionCapError(f"tensor power {dim}^{n} needs dimension {dim ** n}, cap is {cap}")
 
 
 def kron_power(x: np.ndarray, n: int) -> np.ndarray:

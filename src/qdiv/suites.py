@@ -6,7 +6,6 @@ reproduces exactly. Slacks come from the fixed table
 config.DEFAULT_TOLERANCES, looked up when a suite runs.
 """
 
-import functools
 import hashlib
 import json
 import math
@@ -16,10 +15,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import fixtures
-from .config import DEFAULT_TOLERANCES, derive_seed, dimension_cap
+from .config import DEFAULT_TOLERANCES, derive_seed
 from .divergences import (dmax, fidelity_logdiv, kl, measured_div_lower,
                           rld_entropy, umegaki)
-from .errors import ValidationError
+from .errors import DimensionCapError, ValidationError
 from .hypotest import (asymptotic_reverse_test, curve_points, smooth_state,
                        state_conversion, stein_threshold, threshold_scan)
 from .linalg import frobenius
@@ -32,9 +31,9 @@ from .reverse import (optimal_reverse_test, pushforward_reverse_test,
                       refine_reverse_estimation, refine_reverse_test,
                       reverse_estimation_1param)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
-                     apply_channel, apply_channel_tangent, cq_apply,
-                     random_commuting_pair, random_cptp, random_density,
-                     random_tangent)
+                     apply_channel, apply_channel_tangent, check_power,
+                     cq_apply, kron_power, random_commuting_pair, random_cptp,
+                     random_density, random_tangent)
 
 ALL_SUITES = ("monotonicity", "sandwich", "joint-convexity", "reverse-test-optimality",
               "integral-identities", "metric-ordering", "stein-trend", "conversion",
@@ -44,6 +43,11 @@ ALL_SUITES = ("monotonicity", "sandwich", "joint-convexity", "reverse-test-optim
 def _even_ns(n_range: tuple) -> list:
     """The even n of n_range in [2, 8], the sizes the finite-n suites run."""
     return [n for n in range(max(n_range[0], 2), min(n_range[1], 8) + 1) if n % 2 == 0]
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,10 @@ class SuiteConfig:
             raise ValidationError(f"dims must be a nonempty subset of 2..6, got {self.dims}")
         if len(self.n_range) != 2 or self.n_range[0] < 1 or not _even_ns(self.n_range):
             raise ValidationError(f"bad n_range {self.n_range}: it must hold an even n in [2, 8]")
-        if 2 ** self.n_range[1] > dimension_cap():
-            raise ValidationError(f"n_range {self.n_range} exceeds the dimension cap")
+        try:
+            check_power(2, self.n_range[1])
+        except DimensionCapError as exc:
+            raise ValidationError(f"n_range {self.n_range}: {exc}") from None
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValidationError(f"unknown suites: {sorted(unknown)}")
@@ -71,19 +77,18 @@ class SuiteConfig:
     def from_dict(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object")
-        convert = {"seed": int, "trials": int,
-                   "dims": lambda v: tuple(int(d) for d in v), "n_range": lambda v: tuple(int(n) for n in v),
-                   "suites": lambda v: tuple(str(name) for name in v)}
-        unknown = set(data) - set(convert)
+        unknown = set(data) - {"seed", "trials", "dims", "n_range", "suites"}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("dims", "n_range", "suites"):
-            if key in data and not isinstance(data[key], list):
-                raise ValidationError(f"config {key} must be a JSON array")
-        try:
-            kwargs = {key: convert[key](value) for key, value in data.items()}
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed config: {exc}") from exc
+        for key, value in data.items():
+            if key in ("seed", "trials"):
+                if not _is_int(value):
+                    raise ValidationError(f"malformed config: {key} must be a JSON integer, got {value!r}")
+            elif not isinstance(value, list) or not all(
+                    isinstance(v, str) if key == "suites" else _is_int(v) for v in value):
+                kind = "strings" if key == "suites" else "integers"
+                raise ValidationError(f"malformed config: {key} must be a JSON array of {kind}, got {value!r}")
+        kwargs = {key: value if key in ("seed", "trials") else tuple(value) for key, value in data.items()}
         return SuiteConfig(**kwargs)
 
 
@@ -425,7 +430,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
 def classical_threshold_oracle(p: np.ndarray, q: np.ndarray, n: int, eps: float) -> float:
     """Brute-force classical threshold: enumerate all |p|^n outcomes and run
     the quantum path's threshold_scan on their likelihood-ratio acceptance."""
-    pn, qn = functools.reduce(np.kron, [p] * n), functools.reduce(np.kron, [q] * n)
+    pn, qn = kron_power(p, n), kron_power(q, n)
 
     def accept(a: float) -> float:
         diff = pn - math.exp(n * a) * qn

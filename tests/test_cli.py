@@ -102,6 +102,12 @@ class TestMetricCommand:
                             "--rho", files["rho"], "--tangent", files["tangent"])
         assert code == 0
 
+    def test_nan_alpha_exits_two(self, capsys, files):
+        code = main(["metric", "--spec", "alpha=nan",
+                     "--rho", files["rho"], "--tangent", files["tangent"]])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
 
 def test_emit_writes_one_strict_object(capsys, tmp_path):
     path = tmp_path / "out.json"
@@ -150,23 +156,23 @@ class TestAsymCommands:
         assert len(rows) == 13 and all(row.startswith("12,") for row in rows)
         assert calls == []
 
-    def test_threshold_csv_on_a_qutrit_builds_each_power_once(self, capsys, files, monkeypatch):
-        # a qutrit pair's powers are dense krons; the threshold scan and the
-        # CSV curve share one build of rho^(x 4) and sigma^(x 4)
+    def test_threshold_csv_on_a_qutrit_validates_no_power(self, capsys, files, monkeypatch):
+        # a qutrit pair's powers are dense krons, built by stein_threshold and
+        # again by curve_points, and neither validates one as a tensor_power
         paths = {}
         for name, state in zip(("rho", "sigma"), fixtures.QUTRIT):
             paths[name] = str(files["dir"] / f"qutrit_{name}.json")
             dump(state_to_dict(state), paths[name])
         calls = []
-        build = states.kron_power
-        monkeypatch.setattr(states, "kron_power", lambda x, n: calls.append(n) or build(x, n))
+        for module in (hypotest, states):
+            monkeypatch.setattr(module, "tensor_power", lambda state, n: calls.append(n))
         csv_path = files["dir"] / "curve_qutrit.csv"
         code, out = run_cli(capsys, "asym", "threshold", "--n", "4",
                             "--rho", paths["rho"], "--sigma", paths["sigma"],
                             "--eps", "0.5", "--csv", str(csv_path))
         assert code == 0
         assert len(csv_path.read_text().splitlines()) == 14
-        assert calls == [4, 4]
+        assert calls == []
 
     def test_reverse_test_feasible(self, capsys, files):
         code, out = run_cli(capsys, "asym", "reverse-test", "--n", "3",
@@ -225,6 +231,12 @@ class TestAsymCommands:
                      "--rho", files["rho"], "--sigma", files["sigma"]])
         assert code == 2
 
+    def test_huge_n_names_the_cap(self, capsys, files):
+        code = main(["asym", "threshold", "--n", "1000000",
+                     "--rho", files["rho"], "--sigma", files["sigma"]])
+        assert code == 2
+        assert "2^1000000 exceeds the dimension cap" in capsys.readouterr().err
+
     def test_dim_cap_env_not_an_integer(self, capsys, files, monkeypatch):
         monkeypatch.setenv("QDIV_DIM_CAP", "abc")
         code = main(["asym", "threshold", "--n", "2",
@@ -267,6 +279,12 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg_path)]) == 2
         if "n_range" not in config:
             assert f"unknown config keys: {list(config)}" in capsys.readouterr().err
+
+    def test_config_non_integer_exits_two(self, capsys, files):
+        cfg_path = files["dir"] / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["stein-trend"], "trials": 2.9}))
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert "trials must be a JSON integer" in capsys.readouterr().err
 
     def test_readme_config_runs(self, capsys, tmp_path):
         # the config block under "A JSON config can pin everything" in README.md

@@ -2,6 +2,8 @@
 the alpha family's coincidences, operators, achievability, the weighted-trace
 bound, and integral divergences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ class TestFAlpha:
         with pytest.raises(ValueError, match="alpha"):
             f_alpha(2.0, 3.2)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            f_alpha(2.0, math.nan)
+        with pytest.raises(ValueError, match="alpha"):
+            alpha_metric(math.nan)
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            f_alpha(math.nan, 0.5)
+
     def test_operator_monotone_spot_check(self):
         rng = np.random.default_rng(11)
         for spec in ALL_SPECS:
@@ -91,6 +103,11 @@ class TestClassicalFisher:
         dp = np.array([0.05, -0.02, -0.03])
         j = classical_fisher(p, [dp, dp])
         assert np.linalg.matrix_rank(j, tol=1e-12) == 1
+
+    def test_nan_tangent_rejected(self):
+        p = ClassicalDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="sum to 0"):
+            classical_fisher(p, [np.array([np.nan, 0.0])])
 
     def test_off_support_flagged(self):
         p = ClassicalDistribution(np.array([1.0, 0.0]))

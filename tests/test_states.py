@@ -2,6 +2,7 @@
 powers, and the seeded random generators."""
 
 import functools
+import time
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -13,7 +14,7 @@ from qdiv.linalg import eigh
 from qdiv.states import (ClassicalDistribution, DensityMatrix, Measurement,
                          Preparation, QuantumChannel, TangentDirection,
                          apply_channel, apply_channel_tangent, basis_weights,
-                         cq_apply, kron_power, measure, random_commuting_pair,
+                         check_power, cq_apply, kron_power, measure, random_commuting_pair,
                          random_cptp, random_density, random_tangent,
                          random_unitary, tensor_power)
 
@@ -67,6 +68,16 @@ class TestConstructors:
     def test_distribution_rejects_bad_sum(self):
         with pytest.raises(ValidationError, match="sum"):
             ClassicalDistribution(np.array([0.5, 0.6]))
+
+    def test_distribution_rejects_nan(self):
+        with pytest.raises(ValidationError, match="sum"):
+            ClassicalDistribution(np.array([np.nan, 1.0]))
+
+    def test_channel_rejects_nan_kraus(self):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="completeness"):
+            QuantumChannel((k,))
 
     def test_preparation_rejects_mixed_dims(self):
         a = DensityMatrix(np.eye(2, dtype=complex) / 2)
@@ -190,6 +201,18 @@ class TestClassicalQuantum:
                                        rtol=0, atol=1e-14)
 
 
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    @pytest.mark.parametrize("k", [1, 12, 121])
+    def test_basis_weights_on_a_stack_equal_per_basis_calls(self, d, k):
+        rng = np.random.default_rng(d * 1000 + k)
+        v = np.stack([random_unitary(d, rng) for _ in range(k)])
+        m = random_density(d, seed=d + k).matrix
+        weights = basis_weights(v, m)
+        assert weights.shape == (k, d)
+        for i in range(k):
+            assert np.array_equal(weights[i], basis_weights(v[i], m))
+
+
 class TestTensorPower:
     def test_n_one(self):
         rho = random_density(2, seed=8)
@@ -227,6 +250,15 @@ class TestTensorPower:
         rho = random_density(2, seed=15)
         with pytest.raises(DimensionCapError, match="dimension 32"):
             tensor_power(rho, 5)
+
+    @pytest.mark.parametrize("dim,n", [(2, 10 ** 6), (3, 3 * 10 ** 7)])
+    def test_cap_decided_without_the_dimension(self, dim, n):
+        # dim^n has far more digits than an int can print, and 3^(3e7) takes
+        # tens of seconds to build; the cap is decided from n alone
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match=rf"{dim}\^{n} exceeds the dimension cap 4096"):
+            check_power(dim, n)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestRandomGenerators:

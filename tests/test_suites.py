@@ -58,6 +58,14 @@ class TestConfig:
         # search has one budget: neither is a config key
         ({"tolerances": {"sandwich_slack": 1e-8}}, "unknown config keys.*tolerances"),
         ({"budget": 500}, "unknown config keys.*budget"),
+        # numbers are JSON integers, not coerced: no float, bool or string
+        ({"trials": 2.9}, "malformed config: trials"),
+        ({"seed": 1.5}, "malformed config: seed"),
+        ({"seed": True}, "malformed config: seed"),
+        ({"dims": [2.7]}, "malformed config: dims"),
+        ({"dims": ["2"]}, "malformed config: dims"),
+        ({"n_range": [2.2, 6.9]}, "malformed config: n_range"),
+        ({"suites": [1]}, "malformed config: suites"),
     ])
     def test_from_dict_rejects_malformed(self, data, match):
         with pytest.raises(ValidationError, match=match):
