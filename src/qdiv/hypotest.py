@@ -4,12 +4,14 @@ reverse test, and the measure-and-prepare state conversion channel.
 
 Every entry point takes the one-copy pair (rho, sigma) and n; the n-copy
 matrices are built here, after the checks. One kernel, _ratio_test, runs
-every likelihood-ratio test: on the powers that states.power_blocks
-compresses where only its traces are read (stein_threshold, curve_points,
-state_conversion), on dense krons where a dense operator is returned
-(np_projector, smooth_state). The asymptotic reverse test is the n-fold
-power of the one-copy frame of reverse.support_frame; its errors and
-states are built only when read.
+every likelihood-ratio test, at a sequence of rates whose matrices
+r - e^{na} s it decomposes in stacked eigh calls: on the powers that
+states.power_blocks compresses where only its traces are read
+(stein_threshold a grid level at a time, curve_points all its rates at
+once, state_conversion one rate), on dense krons where a dense operator is
+returned (np_projector, smooth_state: one rate). The asymptotic reverse
+test is the n-fold power of the one-copy frame of reverse.support_frame;
+its errors and states are built only when read.
 Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
@@ -17,16 +19,16 @@ trusted from a printed constant.
 import csv
 import functools
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .config import DATTA1_SLACK, DEFAULT_TOLERANCES, SUPPORT_TOL
 from .divergences import dmax, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
-from .linalg import (EigenSystem, eigh, off_support_residual, positive_part,
-                     support_projector, trace_norm)
+from .linalg import (STACK_BYTES, EigenSystem, eigh, off_support_residual,
+                     positive_part, support_projector, trace_norm)
 from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
@@ -50,8 +52,8 @@ def np_projector(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> 
     their dense krons, with the exact acceptance/error traces at threshold a."""
     check_dims(rho, sigma)
     check_power(rho.dim, n)
-    _, cols, point = _ratio_test(kron_power(rho.matrix, n), kron_power(sigma.matrix, n),
-                                 np.ones(rho.dim ** n), a, n)
+    (_, cols, point), = _ratio_test(kron_power(rho.matrix, n), kron_power(sigma.matrix, n),
+                                    np.ones(rho.dim ** n), [a], n)
     return cols @ cols.conj().T, point
 
 
@@ -62,30 +64,53 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, a: float,
-                n: int) -> tuple[EigenSystem, np.ndarray, TestCurvePoint]:
-    """The likelihood-ratio test at rate a, where e^{na} is a finite double,
-    from one eigh of r - e^{na} s: that eigensystem, the eigenvectors it
-    accepts on (eigenvalues at most 1e-12 of the largest magnitude), and the
-    traces t1 = tr(W r P), t2 = tr(W s) - tr(W s P) for the projector P onto
-    them and the row weights W of power_blocks, which commute with r, s and P."""
-    scale = _exp(n * a)
-    if not math.isfinite(scale):
-        raise ValueError(f"rate {a} at n={n}: e^(n rate) is not a finite double")
-    es = eigh(r - scale * s)
-    w, v = es
-    cols = v[:, w <= 1e-12 * max(float(np.abs(w).max()), 1e-300)]
-    wr, ws = weights[:, None] * r, weights[:, None] * s
-    t1 = float(basis_weights(cols, wr).sum())
-    t2 = float(np.trace(ws).real) - float(basis_weights(cols, ws).sum())
-    return es, cols, TestCurvePoint(a, t1, t2)
+def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequence[float],
+                n: int) -> Iterator[tuple[EigenSystem, np.ndarray, TestCurvePoint]]:
+    """The likelihood-ratio test at each rate a of rates, where e^{na} is a
+    finite double, in order and lazily: from the eigh of r - e^{na} s, that
+    eigensystem, the eigenvectors it accepts on (eigenvalues at most 1e-12
+    of the largest magnitude), and the traces t1 = tr(W r P),
+    t2 = tr(W s) - tr(W s P) for the projector P onto them and the row
+    weights W of power_blocks, which commute with r, s and P.
+
+    The matrices r - e^{na} s are checked and decomposed in stacks of at
+    most STACK_BYTES, one numpy.linalg.eigh call per stack, each matrix bit
+    for bit as on its own."""
+    # W r and W s, stacked so that each rate's two traces take one product:
+    # two matrices whatever the number of rates
+    wrs = weights[:, None] * np.array((r, s))
+    trace_ws = float(wrs[1].trace().real)
+    d = len(r)
+    chunk = max(1, STACK_BYTES // (16 * d * d))
+    scales = [_exp(n * a) for a in rates]
+    # the rates before the first one past double range are still tested
+    good = next((j for j, x in enumerate(scales) if not math.isfinite(x)), len(rates))
+    for start in range(0, good, chunk):
+        stack = scales[start:min(start + chunk, good)]
+        # a lone matrix is checked and decomposed as a matrix, which takes
+        # fewer numpy calls than a stack of one
+        m = r - stack[0] * s if len(stack) == 1 else r - np.array(stack)[:, None, None] * s
+        w, v = eigh(m)
+        for a, wa, va in zip(rates[start:start + chunk], w.reshape(-1, d), v.reshape(-1, d, d)):
+            # eigenvalues ascend, so the largest magnitude sits at an end
+            cols = va[:, wa <= 1e-12 * max(-float(wa[0]), float(wa[-1]), 1e-300)]
+            t1, t2_in = basis_weights(cols, wrs).sum(axis=-1)
+            yield EigenSystem(wa, va), cols, TestCurvePoint(a, float(t1), trace_ws - float(t2_in))
+    if good < len(rates):
+        raise ValueError(f"rate {rates[good]} at n={n}: e^(n rate) is not a finite double")
 
 
-def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: int, eps: float) -> float:
+def threshold_scan(accept: Callable[[Sequence[float]], Iterable[float]], lo: float, hi: float,
+                   n: int, eps: float) -> float:
     """Smallest rate a, to the grid resolution stein_grid_width of the fixed
-    DEFAULT_TOLERANCES table, whose acceptance accept(a) reaches 1 - eps: a
-    17-point grid over [lo, hi], refined around its first hit, with each
-    rate evaluated once. No monotonicity in a is assumed.
+    DEFAULT_TOLERANCES table, whose acceptance reaches 1 - eps: a 17-point
+    grid over [lo, hi], refined around its first hit. No monotonicity in a is
+    assumed.
+
+    accept maps a sequence of rates to their acceptances, in order; it may
+    yield them lazily. Each level asks for its rates not evaluated before and
+    reads them in grid order until the first hit, so each rate is evaluated
+    at most once and a lazy accept stops at the stack that holds the hit.
 
     An infinite lo becomes ln(1 - eps)/n - 0.5, below every hit, since an
     acceptance tr rho_n P_a never exceeds e^{na}. An infinite hi means the
@@ -96,34 +121,47 @@ def threshold_scan(accept: Callable[[float], float], lo: float, hi: float, n: in
         raise SupportViolationError("supp rho escapes supp sigma: the acceptance threshold is infinite")
     if math.isinf(lo):
         lo = math.log(1 - eps) / n - 0.5
-    accept = functools.cache(accept)
+    seen: dict[float, float] = {}
     target, width = 1 - eps, DEFAULT_TOLERANCES["stein_grid_width"]
     while True:
-        grid = np.linspace(lo, hi, 17)
-        hit = next((i for i, a in enumerate(grid) if accept(float(a)) >= target), None)
+        grid = [float(a) for a in np.linspace(lo, hi, 17)]
+        fresh = iter(accept([a for a in dict.fromkeys(grid) if a not in seen]))
+        hit = None
+        for i, a in enumerate(grid):
+            if a not in seen:
+                seen[a] = next(fresh)
+            if seen[a] >= target:
+                hit = i
+                break
         if hit is None:
             raise QdivError(f"acceptance never reaches {target} on [{lo}, {hi}] at n={n}")
-        step = float(grid[1] - grid[0])
+        step = grid[1] - grid[0]
         if step <= width:
-            return float(grid[hit])
-        hi = float(grid[hit])
-        lo = float(grid[hit - 1]) if hit > 0 else hi - step
+            return grid[hit]
+        hi = grid[hit]
+        lo = grid[hit - 1] if hit > 0 else hi - step
 
 
 def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
     """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
     the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5, at the
-    fixed grid resolution stein_grid_width (1e-3). The compressed powers are
-    built at the first rate, once threshold_scan has checked its arguments."""
+    fixed grid resolution stein_grid_width (1e-3). Each grid level is tested
+    in stacks of at most STACK_BYTES, up to the stack that holds its first
+    hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
+    rate on an 81x81 dense power. The compressed powers are built at the
+    first level, once threshold_scan has checked its arguments."""
     powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    return threshold_scan(lambda a: _ratio_test(*powers(), a, n)[2].type1_accept, lo, hi, n, eps)
+    return threshold_scan(lambda rates: (pt.type1_accept for _, _, pt in _ratio_test(*powers(), rates, n)),
+                          lo, hi, n, eps)
 
 
 def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
-    """np_projector's traces at each rate, on the powers compressed by power_blocks."""
+    """np_projector's traces at each rate, on the powers compressed by
+    power_blocks, from stacked eighs of at most STACK_BYTES: one call for
+    all 13 rates on the 16x16 qubit blocks at n = 6."""
     powers = _compressed_powers(rho, sigma, n)
-    return [_ratio_test(*powers, float(a), n)[2] for a in rates]
+    return [pt for _, _, pt in _ratio_test(*powers, [float(a) for a in rates], n)]
 
 
 def _compressed_powers(rho: DensityMatrix, sigma: DensityMatrix,
@@ -170,7 +208,7 @@ def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> 
     if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
     rho_n, sigma_n = kron_power(rho.matrix, n), tensor_power(sigma, n)
-    delta_eigen, _, point = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), a, n)
+    (delta_eigen, _, point), = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), [a], n)
     cand = rho_n - positive_part(delta_eigen)
     apos = positive_part((cand + cand.conj().T) / 2)
     tr = float(np.trace(apos).real)

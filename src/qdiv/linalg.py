@@ -26,34 +26,42 @@ class EigenSystem(NamedTuple):
     eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalue j
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    """max |m[j,k] - conj(m[k,j])|."""
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-
-
 def check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """m, or each matrix of a stack m (..., d, d), checked finite and Hermitian
+    up to HERMITICITY_RTOL times its own largest entry (at least 1), and
+    returned hermitized."""
     m = np.ascontiguousarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValueError(f"{what} must be square and nonempty, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{what} contains non-finite entries")
-    scale = max(float(np.abs(m).max()), 1.0)
-    defect = hermitian_defect(m)
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}")
-    return (m + m.conj().T) / 2
+    mh = m.conj().swapaxes(-1, -2)
+    # max |m[j,k] - conj(m[k,j])| against max(max |m[j,k]|, 1), per matrix
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    defect = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    bad = defect > HERMITICITY_RTOL * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" (matrix {i} of the stack)" if m.ndim > 2 else ""
+        raise ValueError(f"{what} is not Hermitian{where}: defect {np.ravel(defect)[i]:.3e} "
+                         f"exceeds {HERMITICITY_RTOL:.0e} * {np.ravel(scale)[i]:.3e}")
+    return (m + mh) / 2
 
 
 def canonical_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude component is real positive."""
-    idx = np.abs(v).argmax(axis=0)
-    lead = v[idx, np.arange(v.shape[1])]
-    phase = np.where(np.abs(lead) > 0, lead / np.abs(np.where(np.abs(lead) > 0, lead, 1.0)), 1.0)
-    return v / phase
+    """Rotate each column of v, or of each matrix of a stack v (k, d, m), so
+    its largest-magnitude component is real positive. The columns have unit
+    norm (an isometry's), so that component is not zero."""
+    idx = np.abs(v).argmax(axis=-2)
+    cols = np.arange(v.shape[-1])
+    lead = v[idx, cols] if v.ndim == 2 else v[np.arange(len(v))[:, None], idx, cols]
+    return v / (lead / np.abs(lead))[..., None, :]
 
 
 def eigh(h: np.ndarray) -> EigenSystem:
-    """Deterministic Hermitian eigendecomposition, eigenvalues ascending."""
+    """Deterministic Hermitian eigendecomposition, eigenvalues ascending; a
+    stack (..., d, d) is decomposed in one numpy.linalg.eigh call, each
+    matrix bit for bit as on its own."""
     return eigh_hermitian(check_hermitian(h, what="eigh input"))
 
 
@@ -63,7 +71,7 @@ def eigh_hermitian(h: np.ndarray) -> EigenSystem:
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigh failed to converge on a {h.shape[0]}x{h.shape[0]} matrix") from exc
+        raise EigenSolverError(f"eigh failed to converge on a {h.shape[-1]}x{h.shape[-1]} matrix") from exc
     return EigenSystem(w, canonical_phases(v))
 
 

@@ -194,8 +194,9 @@ def check_dims(rho: DensityMatrix, sigma: DensityMatrix) -> None:
 def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """diag(v^dag m v): the outcome weights tr(|v_k><v_k| m) of the basis
     that the columns of v form, for a state or a tangent matrix m. A stack
-    of bases v (k, d, d) gives one row of weights per basis, each equal bit
-    for bit to the call on that basis alone."""
+    of bases v (k, d, d), or of matrices m (k, d, d), gives one row of
+    weights per basis or matrix, each equal bit for bit to the call on that
+    basis or matrix alone."""
     return np.sum(v.conj() * (m @ v), axis=-2).real
 
 
@@ -229,14 +230,12 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     return DensityMatrix(kron_power(rho.matrix, n))
 
 
-def _sym_power(v: np.ndarray, m: int) -> np.ndarray:
+def _sym_power(x: list, y: list, m: int) -> np.ndarray:
     """Sym^m(v) of a 2x2 matrix v, in the orthonormal basis
     sqrt(C(m,i)) x^{m-i} y^i of the binary forms of degree m: column j holds
-    the y-coefficients of (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j."""
-    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
-    for _ in range(m):
-        x.append(np.convolve(x[-1], v[:, 0]))
-        y.append(np.convolve(y[-1], v[:, 1]))
+    the y-coefficients of (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j, read off
+    the tables x[p], y[p] of the y-coefficients of (v00 x + v10 y)^p and
+    (v01 x + v11 y)^p for p up to at least m."""
     coeffs = np.column_stack([np.convolve(x[m - j], y[j]) for j in range(m + 1)])
     root_binom = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
     return coeffs * root_binom / root_binom[:, None]
@@ -251,19 +250,24 @@ def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
     For a qubit the matrix is the Schur-Weyl direct sum over k = 0..n//2 of
     det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen without a new
     eigendecomposition, and the rows of block k weigh its multiplicity
-    C(n,k) - C(n,k-1); its size is 16 at n = 6. For d >= 3 it is the dense
-    power, not validated again, with unit weights. Both obey the
-    tensor-power dimension cap."""
+    C(n,k) - C(n,k-1); its size is 16 at n = 6. Every block reads the
+    binary-form power tables of _sym_power, built once up to degree n. For
+    d >= 3 it is the dense power, not validated again, with unit weights.
+    Both obey the tensor-power dimension cap."""
     check_power(rho.dim, n)
     if rho.dim != 2:
         return kron_power(rho.matrix, n), np.ones(rho.dim ** n)
     (l0, l1), v = rho.eigen
+    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for _ in range(n):
+        x.append(np.convolve(x[-1], v[:, 0]))
+        y.append(np.convolve(y[-1], v[:, 1]))
     sizes = [n - 2 * k + 1 for k in range(n // 2 + 1)]
     out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
     weights = []
     start = 0
     for k, size in enumerate(sizes):
-        sym = _sym_power(v, size - 1)
+        sym = _sym_power(x, y, size - 1)
         i = np.arange(size)
         eig = l0 ** (size - 1 - i + k) * l1 ** (i + k)   # det^k times Sym's eigenvalues
         out[start:start + size, start:start + size] = (sym * eig) @ sym.conj().T

@@ -1,8 +1,10 @@
-"""Exact numpy.linalg.eigh, eigvalsh and svd call counts of the functionals,
-once their inputs are built, and their support-projector counts. A validated
+"""Exact numpy.linalg.eigh, eigvalsh and svd counts of the functionals, once
+their inputs are built, and their support-projector counts. A validated
 DensityMatrix carries its eigendecomposition, so a functional decomposes only
-the matrices it makes itself; a count that rises means some matrix is
-decomposed again. A stacked call counts each matrix of the stack."""
+the matrices it makes itself; a matrix count that rises means some matrix is
+decomposed again. A stacked call counts each matrix of the stack, and the
+eigh pins also count the numpy.linalg.eigh calls: a call count that rises
+means a stack was split."""
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from qdiv.errors import SupportViolationError
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
 from qdiv.hypotest import (asymptotic_reverse_test, curve_points, np_projector,
                            smooth_state, state_conversion, stein_threshold)
-from qdiv.linalg import support_projector
-from qdiv.metrics import (bkm_metric, integral_divergence, petz_metric,
-                          rld_operator, sld_optimal_measurement)
+from qdiv.linalg import STACK_BYTES, support_projector
+from qdiv.metrics import (alpha_metric, bkm_metric, integral_divergence,
+                          integral_divergences, petz_metric, rld_metric,
+                          rld_operator, sld_metric, sld_optimal_measurement,
+                          wy_metric)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_test, reverse_estimation_1param)
 from qdiv.states import DensityMatrix, random_cptp, random_tangent
@@ -31,50 +35,61 @@ C = 0.45 * (umegaki(*CONVERSION_SOURCE).value - umegaki(*QUBIT_A).value)
 # the smoothing suite's mid rate (D + dmax) / 2 for QUBIT_A
 MID = (umegaki(*QUBIT_A).value + dmax(*QUBIT_A)) / 2
 
+FIVE_SPECS = (sld_metric(), wy_metric(), BKM, rld_metric(), alpha_metric(2.0))
+
+# (matrices, calls) of numpy.linalg.eigh
 CASES = {
-    "umegaki": (0, lambda: umegaki(RHO, SIGMA)),
-    "rld_entropy": (1, lambda: rld_entropy(RHO, SIGMA)),
-    "dmax": (1, lambda: dmax(RHO, SIGMA)),
-    "fidelity_logdiv": (0, lambda: fidelity_logdiv(RHO, SIGMA)),
-    "petz_metric": (0, lambda: petz_metric(BKM, RHO, X)),
-    "rld_operator": (0, lambda: rld_operator(RHO, X)),
-    "sld_optimal_measurement": (1, lambda: sld_optimal_measurement(RHO, X)),
+    "umegaki": (0, 0, lambda: umegaki(RHO, SIGMA)),
+    "rld_entropy": (1, 1, lambda: rld_entropy(RHO, SIGMA)),
+    "dmax": (1, 1, lambda: dmax(RHO, SIGMA)),
+    "fidelity_logdiv": (0, 0, lambda: fidelity_logdiv(RHO, SIGMA)),
+    "petz_metric": (0, 0, lambda: petz_metric(BKM, RHO, X)),
+    "rld_operator": (0, 0, lambda: rld_operator(RHO, X)),
+    "sld_optimal_measurement": (1, 1, lambda: sld_optimal_measurement(RHO, X)),
     # the compressed sigma only; rho's square root comes from rho.eigen and
     # the frame from one SVD. The frame's pure states are built only when the
     # preparation is read
-    "optimal_reverse_test": (1, lambda: optimal_reverse_test(RHO, SIGMA)),
-    "refine_reverse_test": (0, lambda: refine_reverse_test(RT, splits=3)),
+    "optimal_reverse_test": (1, 1, lambda: optimal_reverse_test(RHO, SIGMA)),
+    "refine_reverse_test": (0, 0, lambda: refine_reverse_test(RT, splits=3)),
     # the 3 image states only; the frame's pure states are not built
-    "pushforward_reverse_test": (3, lambda: pushforward_reverse_test(RT, CHANNEL)),
+    "pushforward_reverse_test": (3, 3, lambda: pushforward_reverse_test(RT, CHANNEL)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
-    "reverse_estimation_1param": (1, lambda: reverse_estimation_1param(RHO, X)),
-    # 2 dmax bounds and 32 grid points, one 16x16 eigh each on the qubit
-    # Schur-Weyl blocks; the blocks come from rho.eigen and sigma.eigen
-    "stein_threshold": (34, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
-    # 2 dmax bounds of 3x3 and 33 grid points of 81x81; the dense powers
-    # are built by kron and not validated again
-    "stein_threshold-qutrit": (35, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
-    # one 16x16 eigh per rate on the qubit Schur-Weyl blocks
-    "curve_points": (13, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
+    "reverse_estimation_1param": (1, 1, lambda: reverse_estimation_1param(RHO, X)),
+    # 2 dmax bounds, then one stacked eigh of 16x16 qubit Schur-Weyl blocks
+    # per grid level: 17 + 15 + 15 rates, the 2 ends of a refined level
+    # being known. A level is decomposed whole, though a rate-at-a-time
+    # scan would stop at its first hit (32 rates); the blocks come from
+    # rho.eigen and sigma.eigen
+    "stein_threshold": (49, 5, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
+    # 2 dmax bounds of 3x3 and 33 grid points of 81x81, one per call since
+    # two 81x81 matrices pass STACK_BYTES: the scan stops at each level's
+    # first hit. The dense powers are built by kron and not validated again
+    "stein_threshold-qutrit": (35, 35, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
+    # all 13 rates in one stacked eigh on the qubit Schur-Weyl blocks
+    "curve_points": (13, 1, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
     # sigma^(x 4), validated for the certificate, the likelihood-ratio test,
     # the repaired candidate's positive part, the smoothed state and 1 dmax;
     # rho^(x 4) is a kron, and the support is checked on sigma.eigen
-    "smooth_state": (5, lambda: smooth_state(*QUBIT_A, MID, 4)),
+    "smooth_state": (5, 5, lambda: smooth_state(*QUBIT_A, MID, 4)),
     # the one-copy frame's compressed sigma only; the powers are krons of the
     # frame, the ratios and the states, the certificate is read off the
     # capped ratios, and no 64x64 state is validated until the preparation
     # is read
-    "asymptotic_reverse_test": (1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    "asymptotic_reverse_test": (1, 1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # the eigenbases of rho - sigma and rho + sqrt(2) sigma for the starts,
-    # and one Ginibre draw per local evaluation: 20 - 8 starts
-    "measured_div_lower": (14, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
-    # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level
-    "integral_divergence": (65, lambda: integral_divergence(BKM, *QUTRIT)),
+    # and one Ginibre draw per local evaluation: 20 - 8 starts, in one stack
+    "measured_div_lower": (14, 3, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
+    # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level,
+    # one stacked eigh per level
+    "integral_divergence": (65, 4, lambda: integral_divergence(BKM, *QUTRIT)),
+    # the same nodes once for all five specs, which all converge there;
+    # one call per spec would decompose them five times
+    "integral_divergences": (65, 4, lambda: integral_divergences(FIVE_SPECS, *QUTRIT)),
     # 1 likelihood-ratio test on the 9x9 source blocks and the target's
     # one-copy frame. The output on rho0^(x n) is read off the reverse test's
     # frame, not validated; the source's dense powers and measurement are
     # built only when the channel is first applied
-    "state_conversion": (2, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    "state_conversion": (2, 2, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -106,7 +121,8 @@ def _errors(brt):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Matrices decomposed so far, by numpy.linalg function name."""
+    """Matrices decomposed so far, by numpy.linalg function name, and the
+    calls that decomposed them under "<name> calls"."""
     tally = {"eigh": 0, "eigvalsh": 0, "svd": 0}
 
     def counting(name):
@@ -114,19 +130,21 @@ def counts(monkeypatch):
 
         def wrapper(a, *args, **kwargs):
             tally[name] += len(a) if np.ndim(a) == 3 else 1
+            tally[f"{name} calls"] += 1
             return original(a, *args, **kwargs)
         return wrapper
 
-    for name in tally:
+    for name in list(tally):
+        tally[f"{name} calls"] = 0
         monkeypatch.setattr(np.linalg, name, counting(name))
     return tally
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_eigh_count(name, counts):
-    expected, call = CASES[name]
+    matrices, calls, call = CASES[name]
     call()
-    assert counts["eigh"] == expected
+    assert (counts["eigh"], counts["eigh calls"]) == (matrices, calls)
 
 
 @pytest.mark.parametrize("name", list(EIGVALSH_CASES))
@@ -233,6 +251,26 @@ def test_stein_threshold_decomposes_blocks_only(eigh_dims):
     # the qubit block direct sum at n = 6 is 16x16; the dense powers are 64x64
     stein_threshold(*QUBIT_A, n=6, eps=0.5)
     assert max(eigh_dims) == 16
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5),
+    lambda: stein_threshold(*QUTRIT, n=4, eps=0.5),
+    lambda: curve_points(*QUTRIT, 3, np.linspace(-1.5, 2.0, 41)),
+    lambda: integral_divergences(FIVE_SPECS, *QUTRIT),
+], ids=["stein_threshold", "stein_threshold-qutrit", "curve_points-qutrit", "integral_divergences"])
+def test_stacks_stay_within_stack_bytes(call, monkeypatch):
+    stacks = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.asarray(a).nbytes)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    call()
+    assert max(stacks, default=0) <= STACK_BYTES
 
 
 def test_qutrit_powers_are_not_validated(eigh_dims):

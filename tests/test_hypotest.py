@@ -10,6 +10,7 @@ import pytest
 
 from qdiv import fixtures, hypotest
 from qdiv.cli import main
+from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.divergences import dmax, umegaki
 from qdiv.errors import DimensionCapError, QdivError, SupportViolationError
 from qdiv.hypotest import (asymptotic_reverse_test, np_projector,
@@ -132,8 +133,99 @@ def _dense_thresholds(rho, sigma, n, epss):
     """stein_threshold's scan at each eps, over np_projector on the dense
     tensor powers, each rate evaluated once."""
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    accept = functools.cache(lambda a: np_projector(rho, sigma, a, n)[1].type1_accept)
-    return [threshold_scan(accept, lo, hi, n, eps) for eps in epss]
+    dense = functools.cache(lambda a: np_projector(rho, sigma, a, n)[1].type1_accept)
+    return [threshold_scan(lambda rates: map(dense, rates), lo, hi, n, eps) for eps in epss]
+
+
+def _bits(pt) -> bytes:
+    return np.array([pt.a, pt.type1_accept, pt.type2]).tobytes()
+
+
+STACK_CASES = [(name, n) for name in QUBIT_PAIRS for n in range(1, 9)] + [("QUTRIT", 2), ("QUTRIT", 3)]
+
+
+class TestStackedRatioTest:
+    @pytest.mark.parametrize("name,n", STACK_CASES)
+    def test_stacked_kernel_equals_one_rate_calls(self, name, n):
+        # 41 rates: one stack on the small blocks, stacks of 12 on the 25x25
+        # qubit blocks at n = 8, of 10 on the 27x27 qutrit power at n = 3
+        rho, sigma = getattr(fixtures, name)
+        r, s, weights = hypotest._compressed_powers(rho, sigma, n)
+        rates = [float(a) for a in np.linspace(-1.5, 2.0, 41)]
+        stacked = list(hypotest._ratio_test(r, s, weights, rates, n))
+        assert len(stacked) == len(rates)
+        for a, (es, cols, pt) in zip(rates, stacked):
+            (es1, cols1, pt1), = hypotest._ratio_test(r, s, weights, [a], n)
+            assert _bits(pt) == _bits(pt1)
+            assert np.array_equal(cols, cols1)
+            assert np.array_equal(es.eigenvalues, es1.eigenvalues)
+            assert np.array_equal(es.eigenvectors, es1.eigenvectors)
+        assert [_bits(pt) for pt in curve_points(rho, sigma, n, rates)] == [_bits(pt) for _, _, pt in stacked]
+
+    def test_rates_before_one_past_double_range_are_tested(self):
+        r, s, weights = hypotest._compressed_powers(*fixtures.QUBIT_A, 2)
+        seen = []
+        with pytest.raises(ValueError, match="rate 1000.0"):
+            for _, _, pt in hypotest._ratio_test(r, s, weights, [0.1, 0.2, 1000.0, 0.3], 2):
+                seen.append(pt.a)
+        assert seen == [0.1, 0.2]
+
+
+def _one_rate_scan(f, lo, hi, eps):
+    """threshold_scan's grid refinement, one rate at a time."""
+    f = functools.cache(f)
+    width = DEFAULT_TOLERANCES["stein_grid_width"]
+    while True:
+        grid = np.linspace(lo, hi, 17)
+        hit = next(i for i, a in enumerate(grid) if f(float(a)) >= 1 - eps)
+        step = float(grid[1] - grid[0])
+        if step <= width:
+            return float(grid[hit])
+        hi = float(grid[hit])
+        lo = float(grid[hit - 1]) if hit > 0 else hi - step
+
+
+class TestThresholdScan:
+    @staticmethod
+    def _accept(f, size, asked, evaluated):
+        """f on each stack of `size` rates, evaluated when its first rate is read."""
+        def accept(rates):
+            asked.append(list(rates))
+            evaluated.append([])
+            for i in range(0, len(rates), size):
+                evaluated[-1] += rates[i:i + size]
+                yield from [f(a) for a in rates[i:i + size]]
+        return accept
+
+    @pytest.mark.parametrize("size", [1, 4, 17])
+    def test_stacked_accept_finds_first_hit_in_grid_order(self, size):
+        # acceptance on bands of rates, not monotone in the rate
+        def f(a):
+            return 0.9 if math.sin(9.0 * a) > 0.3 else 0.1
+
+        asked, evaluated = [], []
+        got = threshold_scan(self._accept(f, size, asked, evaluated), -1.0, 2.0, 1, 0.5)
+        assert got == _one_rate_scan(f, -1.0, 2.0, 0.5)
+        assert f(got) >= 0.5 and not all(f(a) >= 0.5 for a in np.linspace(got, 2.0, 50))
+        flat = [a for level in evaluated for a in level]
+        assert len(flat) == len(set(flat))
+        for fresh, done in zip(asked, evaluated):
+            # every stack up to the one that holds the level's first hit
+            first = next((i for i, a in enumerate(fresh) if f(a) >= 0.5), len(fresh))
+            assert done == fresh[:min(len(fresh), size * (first // size + 1))]
+
+    def test_lazy_accept_stops_after_the_hit(self):
+        # every level hits at its first rate and reads none after it
+        reads = []
+
+        def accept(rates):
+            reads.append(0)
+            for a in rates:
+                reads[-1] += 1
+                yield 1.0
+
+        assert threshold_scan(accept, 0.0, 1.0, 1, 0.5) == _one_rate_scan(lambda a: 1.0, 0.0, 1.0, 0.5)
+        assert len(reads) > 1 and set(reads) == {1}
 
 
 class TestSchurWeylBlocks:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qdiv.errors import MatrixDomainError
-from qdiv.linalg import (eigh, logm_support, matrix_function,
-                         off_support_residual, pinv_psd, sqrtm_psd,
-                         support_projector, trace_norm)
+from qdiv.linalg import (check_hermitian, eigh, logm_support,
+                         matrix_function, off_support_residual, pinv_psd,
+                         sqrtm_psd, support_projector, trace_norm)
 from qdiv.states import ginibre
 
 from oracles import eig2_closed_form
@@ -58,6 +58,37 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_equals_each_matrix_alone(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 3, 16):
+            g = np.stack([ginibre(d, d, rng) for _ in range(7)])
+            stack = g + g.conj().swapaxes(-1, -2)
+            w, v = eigh(stack)
+            herm = check_hermitian(stack)
+            for k, m in enumerate(stack):
+                wk, vk = eigh(m)
+                assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+                assert np.array_equal(herm[k], check_hermitian(m))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (2, 3), (4, 2, 3), (3,)])
+    def test_rejects_empty_or_non_square(self, shape):
+        with pytest.raises(ValueError, match="must be square and nonempty"):
+            check_hermitian(np.zeros(shape))
+
+    def test_stacked_check_scales_each_matrix(self):
+        # the defect 1e-9 is far below 1e-12 of the stack's largest entry,
+        # but not of its own matrix's
+        rng = np.random.default_rng(6)
+        g = ginibre(3, 3, rng)
+        big = 1e6 * (g + g.conj().T)
+        bad = np.eye(3, dtype=complex)
+        bad[0, 1] = 1e-9
+        check_hermitian(big)
+        with pytest.raises(ValueError, match=r"not Hermitian \(matrix 2 of the stack\): defect 1\.000e-09"):
+            check_hermitian(np.stack([big, 2 * big, bad]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh(np.stack([big, bad, big]))
 
 
 class TestMatrixFunction:

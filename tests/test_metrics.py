@@ -12,10 +12,11 @@ from qdiv.config import derive_seed
 from qdiv.divergences import rld_entropy, umegaki
 from qdiv.errors import ConvergenceError, RankError, SupportViolationError
 from qdiv import metrics
-from qdiv.metrics import (alpha_metric, bkm_metric, classical_fisher,
+from qdiv.metrics import (MetricSpec, alpha_metric, bkm_metric, classical_fisher,
                           classical_fisher_scalar, f_alpha, holevo_rld_bound,
                           holevo_rld_minimizer, integral_divergence,
-                          metric_scalar, named_metric, petz_metric,
+                          integral_divergences, metric_scalar, named_metric,
+                          petz_metric,
                           rld_matrix, rld_metric, rld_operator, sld_metric,
                           sld_operator, sld_optimal_measurement, wy_metric)
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
@@ -194,6 +195,28 @@ class TestPetzMetric:
         op_form = float(np.trace(rho.matrix @ l.conj().T @ l).real)
         assert metric_scalar(rld_metric(), rho, x) == pytest.approx(op_form, abs=1e-9)
 
+    @pytest.mark.parametrize("pair", [
+        fixtures.QUTRIT,
+        random_commuting_pair(3, seed=20)[:2],
+        (random_density(4, seed=1), random_density(4, seed=2)),
+        # rld converges one halving after the other four specs
+        (random_density(2, seed=1009), random_density(2, seed=2009)),
+    ], ids=["qutrit", "commuting", "d4", "rld-converges-later"])
+    def test_several_specs_equal_one_spec_calls_bitwise(self, pair):
+        specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
+        together = integral_divergences(specs, *pair)
+        alone = [integral_divergence(spec, *pair) for spec in specs]
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+    def test_convergence_error_names_the_spec(self):
+        # a metric function with fresh noise on every call never settles;
+        # bkm beside it converges and is not named
+        rng = np.random.default_rng(0)
+        noisy = MetricSpec("noisy", lambda x: bkm_metric().f(x) * rng.uniform(0.5, 1.5, np.shape(x)))
+        with pytest.raises(ConvergenceError, match="did not converge for noisy") as err:
+            integral_divergences((bkm_metric(), noisy), *fixtures.QUBIT_A)
+        assert "bkm" not in str(err.value)
+
     def test_singular_rejected(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         x = TangentDirection(np.array([[0, 0.1], [0.1, 0]], dtype=complex))
@@ -352,6 +375,28 @@ class TestIntegralDivergence:
         rho, sigma = fixtures.QUBIT_A
         with pytest.raises(ConvergenceError, match="did not converge"):
             integral_divergence(bkm_metric(), rho, sigma)
+
+    @pytest.mark.parametrize("pair", [
+        fixtures.QUTRIT,
+        random_commuting_pair(3, seed=20)[:2],
+        (random_density(4, seed=1), random_density(4, seed=2)),
+        # rld converges one halving after the other four specs
+        (random_density(2, seed=1009), random_density(2, seed=2009)),
+    ], ids=["qutrit", "commuting", "d4", "rld-converges-later"])
+    def test_several_specs_equal_one_spec_calls_bitwise(self, pair):
+        specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
+        together = integral_divergences(specs, *pair)
+        alone = [integral_divergence(spec, *pair) for spec in specs]
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+    def test_convergence_error_names_the_spec(self):
+        # a metric function with fresh noise on every call never settles;
+        # bkm beside it converges and is not named
+        rng = np.random.default_rng(0)
+        noisy = MetricSpec("noisy", lambda x: bkm_metric().f(x) * rng.uniform(0.5, 1.5, np.shape(x)))
+        with pytest.raises(ConvergenceError, match="did not converge for noisy") as err:
+            integral_divergences((bkm_metric(), noisy), *fixtures.QUBIT_A)
+        assert "bkm" not in str(err.value)
 
     def test_singular_rejected(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))

@@ -117,6 +117,15 @@ class TestRunSuite:
         rec = payload["suites"][0]["records"][0]
         assert set(rec) == {"name", "seed", "inputs_digest", "measured", "bound", "margin", "passed"}
 
+    def test_records_serialize_as_asdict(self):
+        # same keys, order and values as dataclasses.asdict, so the report
+        # JSON is unchanged
+        cfg = SuiteConfig(seed=19, trials=1, dims=(2,), suites=("sandwich",))
+        report, = run_suite(cfg)
+        records = report.to_dict()["records"]
+        assert records == [dataclasses.asdict(r) for r in report.records]
+        assert [list(r) for r in records] == [list(dataclasses.asdict(r)) for r in report.records]
+
     def test_stein_trend_builds_each_power_once(self, monkeypatch):
         # sigma's powers at n = 2, 4 only, which smooth_state validates for
         # its certificate; rho's are krons. stein_threshold, the commuting
