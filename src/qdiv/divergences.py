@@ -40,8 +40,12 @@ class DivergenceReport:
 
 
 def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
-    """Classify supp(rho) vs supp(sigma) by projector residuals."""
+    """Classify supp(rho) vs supp(sigma) by projector residuals. A full-rank
+    sigma supports every state, and its support equals rho's exactly when
+    rho is full rank too, so no projector is built."""
     check_dims(rho, sigma)
+    if sigma.full_rank:
+        return SUPPORT_EQUAL if rho.full_rank else SUPPORT_CONTAINED
     proj_s = support_projector(sigma.eigen)
     if off_support_residual(proj_s, rho.matrix) > SUPPORT_TOL:
         return SUPPORT_VIOLATED
@@ -49,6 +53,13 @@ def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     if frobenius(proj_r - proj_s) <= SUPPORT_TOL:
         return SUPPORT_EQUAL
     return SUPPORT_CONTAINED
+
+
+def support_escapes(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
+    """Whether supp rho escapes supp sigma: rho's part off sigma's support
+    projector exceeds SUPPORT_TOL. A full-rank sigma supports every state,
+    so its projector is not built."""
+    return not sigma.full_rank and off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL
 
 
 def kl(p: ClassicalDistribution, q: ClassicalDistribution) -> float:
@@ -109,7 +120,7 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     carry rho.
     """
     check_dims(rho, sigma)
-    if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
+    if support_escapes(rho, sigma):
         return math.inf
     isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
     inner = isq @ rho.matrix @ isq

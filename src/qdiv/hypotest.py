@@ -5,13 +5,18 @@ reverse test, and the measure-and-prepare state conversion channel.
 Every entry point takes the one-copy pair (rho, sigma) and n; the n-copy
 matrices are built here, after the checks. One kernel, _ratio_test, runs
 every likelihood-ratio test, at a sequence of rates whose matrices
-r - e^{na} s it decomposes in stacked eigh calls: on the powers that
+r - e^{na} s it decomposes in stacked eigh calls, and whose traces it reads
+per stack from two products and masked sums: on the powers that
 states.power_blocks compresses where only its traces are read
 (stein_threshold a grid level at a time, curve_points all its rates at
 once, state_conversion one rate), on dense krons where a dense operator is
 returned (np_projector, smooth_state: one rate). The asymptotic reverse
-test is the n-fold power of the one-copy frame of reverse.support_frame;
-its errors and states are built only when read.
+test is the n-fold power of the one-copy frame of reverse.support_frame,
+kept in support coordinates. Its errors, and the conversion's, are trace
+norms of w^{x n} diag(x) w^{x n dag} with x a function of the type: on the
+qubit Schur-Weyl blocks of states.sym_powers when the frame is 2x2, one
+eigvalsh per block, and dense otherwise. Its states are built only when
+read.
 Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
@@ -24,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DATTA1_SLACK, DEFAULT_TOLERANCES, SUPPORT_TOL
-from .divergences import dmax, umegaki
+from .config import DATTA1_SLACK, DEFAULT_TOLERANCES
+from .divergences import dmax, support_escapes, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
-from .linalg import (STACK_BYTES, EigenSystem, eigh, off_support_residual,
-                     positive_part, support_projector, trace_norm)
+from .linalg import STACK_BYTES, EigenSystem, eigh, positive_part, trace_norm
 from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
-                     kron_power, measure, power_blocks, tensor_power)
+                     kron_power, measure, power_blocks, power_trace_norms,
+                     tensor_power)
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,10 @@ def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequen
 
     The matrices r - e^{na} s are checked and decomposed in stacks of at
     most STACK_BYTES, one numpy.linalg.eigh call per stack, each matrix bit
-    for bit as on its own."""
-    # W r and W s, stacked so that each rate's two traces take one product:
-    # two matrices whatever the number of rates
+    for bit as on its own. Each stack's traces come from one product of its
+    eigenvectors with W r, one with W s, and masked sums over the accepted
+    eigenvectors; a lone rate runs the same code as a stack of one, so its
+    results are the stacked ones bit for bit."""
     wrs = weights[:, None] * np.array((r, s))
     trace_ws = float(wrs[1].trace().real)
     d = len(r)
@@ -91,11 +97,15 @@ def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequen
         # fewer numpy calls than a stack of one
         m = r - stack[0] * s if len(stack) == 1 else r - np.array(stack)[:, None, None] * s
         w, v = eigh(m)
-        for a, wa, va in zip(rates[start:start + chunk], w.reshape(-1, d), v.reshape(-1, d, d)):
-            # eigenvalues ascend, so the largest magnitude sits at an end
-            cols = va[:, wa <= 1e-12 * max(-float(wa[0]), float(wa[-1]), 1e-300)]
-            t1, t2_in = basis_weights(cols, wrs).sum(axis=-1)
-            yield EigenSystem(wa, va), cols, TestCurvePoint(a, float(t1), trace_ws - float(t2_in))
+        w, v = w.reshape(-1, d), v.reshape(-1, d, d)
+        # eigenvalues ascend, so the largest magnitude sits at an end
+        accepted = w <= 1e-12 * np.maximum(np.maximum(-w[:, :1], w[:, -1:]), 1e-300)
+        # each eigenvector's weight under W r, then under W s, summed over
+        # the accepted ones; each product is one stack's size
+        t1, t2_in = (np.where(accepted, basis_weights(v, wm), 0.0).sum(axis=-1) for wm in wrs)
+        for i, a in enumerate(rates[start:start + len(stack)]):
+            yield (EigenSystem(w[i], v[i]), v[i][:, accepted[i]],
+                   TestCurvePoint(a, float(t1[i]), trace_ws - float(t2_in[i])))
     if good < len(rates):
         raise ValueError(f"rate {rates[good]} at n={n}: e^(n rate) is not a finite double")
 
@@ -205,7 +215,7 @@ def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> 
     """
     check_dims(rho, sigma)
     check_power(rho.dim, n)
-    if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
+    if support_escapes(rho, sigma):
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
     rho_n, sigma_n = kron_power(rho.matrix, n), tensor_power(sigma, n)
     (delta_eigen, _, point), = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), [a], n)
@@ -233,26 +243,43 @@ def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> 
 
 @dataclass(frozen=True, eq=False)
 class BinaryReverseTest:
-    """Binary reverse test whose input p is always (1, 0), kept on the frame
-    B^{x n}: symbol x prepares B^{x n} diag(weights[x]) B^{x n dag}. Its
-    errors are computed on first read, its two states on each read."""
+    """Binary reverse test whose input p is always (1, 0), kept on its
+    one-copy frame in support coordinates: with V the isometry onto supp
+    sigma and B = V w, symbol x prepares B^{x n} diag(weights[x]) B^{x n dag},
+    and rho^{x n}, sigma^{x n} are B^{x n} diag(ratios or ones) B^{x n dag}.
+    Each error is a trace norm in support coordinates, of w^{x n} times a
+    difference of weight rows (states.power_trace_norms), computed on first
+    read; B^{x n} is built on the first read of an output or the
+    preparation."""
 
-    frame: np.ndarray           # B^{x n}, with sigma^{x n} = B^{x n} B^{x n dag}
+    iso: np.ndarray             # V, the isometry onto supp sigma
+    w: np.ndarray               # sigma = V w w^dag V^dag
+    ratios: np.ndarray          # t^{x n}, with rho = V w diag(t) w^dag V^dag
     weights: np.ndarray         # rows: capped g, complement h / (h . q_n)
     q: ClassicalDistribution    # (e^{-n rate}, 1 - e^{-n rate})
     rate: float
     certificate: float
-    rho: np.ndarray             # the one-copy pair, whose kron powers
-    sigma: np.ndarray           # the errors are measured against
     n: int
+
+    def errors(self, p0s: Sequence[float], targets: Sequence) -> list[float]:
+        """|| output(p0) - B^{x n} diag(target) B^{x n dag} ||_1 for each p0
+        and target, with target = ratios for rho^{x n} and 1 for sigma^{x n}:
+        all from one set of blocks, each error bit for bit as on its own."""
+        xs = [p0 * self.weights[0] + (1 - p0) * self.weights[1] - target for p0, target in zip(p0s, targets)]
+        return [float(v) for v in power_trace_norms(self.w, np.array(xs), self.n)]
 
     @functools.cached_property
     def rho_error(self) -> float:   # || output(1) - rho^{x n} ||_1
-        return trace_norm(self.output(1.0) - kron_power(self.rho, self.n))
+        return self.errors([1.0], [self.ratios])[0]
 
     @functools.cached_property
     def sigma_error(self) -> float:   # || output(q(0)) - sigma^{x n} ||_1, ~0 by design
-        return trace_norm(self.output(float(self.q.probs[0])) - kron_power(self.sigma, self.n))
+        return self.errors([float(self.q.probs[0])], [1.0])[0]
+
+    @functools.cached_property
+    def frame(self) -> np.ndarray:
+        """B^{x n}, with sigma^{x n} = B^{x n} B^{x n dag}."""
+        return kron_power(self.iso @ self.w, self.n)
 
     def output(self, p0: float) -> np.ndarray:
         """The mixture prepared at input (p0, 1 - p0), as a dense matrix."""
@@ -286,10 +313,9 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
     q0 = math.exp(-n * rate) if rate > 0 else 1.0
     if q0 >= 1 - 1e-12:
         raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
-    if off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL:
+    if support_escapes(rho, sigma):
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
     iso, w, t = support_frame(rho, sigma)
-    b_n = kron_power(iso @ w, n)
     t_n, q_n = kron_power(t, n), kron_power(np.sum(np.abs(w) ** 2, axis=0), n)
     cap = _exp(n * rate)
     g = np.minimum(t_n, cap)
@@ -303,9 +329,8 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
         raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
                                   min_rate=cert)
     h = np.maximum(1.0 - q0 * g, 0.0)
-    return BinaryReverseTest(b_n, np.stack((g, h / float(h @ q_n))),
-                             ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert,
-                             rho.matrix, sigma.matrix, n)
+    return BinaryReverseTest(iso, w, t_n, np.stack((g, h / float(h @ q_n))),
+                             ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert, n)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +403,5 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
-    return (ConversionChannel(rho0, sigma0, n, a, brt),
-            ConversionReport(n, True, rate, accept, trace_norm(brt.output(accept) - kron_power(rho.matrix, n)),
-                             brt.sigma_error))
+    rho_error, sigma_error = brt.errors([accept, float(brt.q.probs[0])], [brt.ratios, 1.0])
+    return ConversionChannel(rho0, sigma0, n, a, brt), ConversionReport(n, True, rate, accept, rho_error, sigma_error)

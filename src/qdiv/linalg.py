@@ -156,6 +156,13 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def hermitian_trace_norm(h: np.ndarray) -> np.ndarray:
+    """The trace norm of a Hermitian matrix, or of each matrix of a stack
+    (..., d, d), as its sum of |eigenvalues|: one eigvalsh, which reads the
+    lower triangle, instead of an SVD."""
+    return np.abs(np.linalg.eigvalsh(h)).sum(axis=-1)
+
+
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 

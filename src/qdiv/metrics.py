@@ -147,7 +147,8 @@ def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     """Right logarithmic derivative L = X rho^-1; exists iff X lives on the
     support of rho."""
     proj = support_projector(rho.eigen)
-    resid = off_support_residual(proj, x.matrix)
+    # every tangent lives on the support of a full-rank rho
+    resid = 0.0 if rho.full_rank else off_support_residual(proj, x.matrix)
     if resid > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support of rho (residual {resid:.3e}): RLD does not exist")
@@ -277,16 +278,32 @@ def integral_divergences(specs: Sequence[MetricSpec], rho: DensityMatrix,
     diff = rho.matrix - sigma.matrix
     chunk = max(1, STACK_BYTES // (16 * rho.dim ** 2))
 
+    ends = np.stack((rho.matrix, sigma.matrix)).reshape(2, 1, -1).view(np.uint64)
+    end_w, end_v = (np.stack(parts) for parts in zip(rho.eigen, sigma.eigen))
+
     def node_sums(t: np.ndarray, todo: list) -> list:
         totals = [0.0] * len(todo)
         for tc in np.split(t, range(chunk, t.size, chunk)):
             e = np.exp(np.pi * np.sinh(tc))
             s, sc = 1 / (1 + 1 / e), 1 / (1 + e)   # s and 1 - s, neither by cancellation
-            nodes = np.linalg.eigh(s[:, None, None] * rho.matrix + sc[:, None, None] * sigma.matrix)
+            nodes = s[:, None, None] * rho.matrix + sc[:, None, None] * sigma.matrix
             # (1 - s) g(s) ds, with ds = pi cosh(t) s (1 - s) dt
             ds = np.pi * np.cosh(tc) * s * sc * sc
-            for i, form in enumerate(_petz_forms(todo, nodes, diff, diff)):
-                totals[i] += np.sum(ds * form.real)
+            # far out (|t| >= 3.15) a node rounds to rho or sigma bit for bit;
+            # it is not decomposed, and its ds weighs the eigensystem that
+            # state carries, appended to the stack in its place, so the
+            # stack stays within STACK_BYTES
+            same = (nodes.reshape(len(nodes), -1).view(np.uint64) == ends).all(axis=-1)
+            hit = same.any(axis=1)
+            if hit.any():
+                fresh = ~same.any(axis=0)
+                w, v = np.linalg.eigh(nodes[fresh])
+                eigen = EigenSystem(np.concatenate((w, end_w[hit])), np.concatenate((v, end_v[hit])))
+                weights = np.concatenate((ds[fresh], same[hit] @ ds))
+            else:
+                eigen, weights = np.linalg.eigh(nodes), ds
+            for i, form in enumerate(_petz_forms(todo, eigen, diff, diff)):
+                totals[i] += np.sum(weights * form.real)
         return totals
 
     est = node_sums(np.arange(-_TS_SPAN, _TS_SPAN + 1.0), list(specs))

@@ -143,7 +143,8 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
     lam, e = rho.eigen
     keep = lam > support_cutoff(lam)
     lam, e = lam[keep], e[:, keep]
-    leak = off_support_residual(e @ e.conj().T, x.matrix)
+    # every tangent lives on the support of a full-rank rho
+    leak = 0.0 if rho.full_rank else off_support_residual(e @ e.conj().T, x.matrix)
     if leak > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support (residual {leak:.3e}): no reverse derivative exists")

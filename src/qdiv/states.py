@@ -9,7 +9,7 @@ import numpy as np
 from .config import COMPLETENESS_TOL, TRACE_TOL, dimension_cap
 from .errors import DimensionCapError, PSDViolationError, ValidationError
 from .linalg import (EigenSystem, check_hermitian, clip_psd_eigenvalues,
-                     eigh_hermitian)
+                     eigh_hermitian, hermitian_trace_norm, support_cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,11 +19,13 @@ class DensityMatrix:
     Roundoff-negative eigenvalues are clipped at construction; genuinely
     negative spectra are rejected. `eigen` is the eigendecomposition that
     validation computed, with the clipped eigenvalues, so that
-    (v * w) @ v^dag is `matrix`.
+    (v * w) @ v^dag is `matrix`; `full_rank` says whether every eigenvalue
+    is above the support cutoff, so that the support is the whole space.
     """
 
     matrix: np.ndarray
     eigen: EigenSystem = field(init=False, repr=False)
+    full_rank: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         m = check_hermitian(self.matrix, what="density matrix")
@@ -39,6 +41,7 @@ class DensityMatrix:
             m = (v * w) @ v.conj().T
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigen", EigenSystem(w, v))
+        object.__setattr__(self, "full_rank", bool(w[0] > support_cutoff(w)))
 
     @property
     def dim(self) -> int:
@@ -230,15 +233,28 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     return DensityMatrix(kron_power(rho.matrix, n))
 
 
-def _sym_power(x: list, y: list, m: int) -> np.ndarray:
-    """Sym^m(v) of a 2x2 matrix v, in the orthonormal basis
-    sqrt(C(m,i)) x^{m-i} y^i of the binary forms of degree m: column j holds
-    the y-coefficients of (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j, read off
-    the tables x[p], y[p] of the y-coefficients of (v00 x + v10 y)^p and
-    (v01 x + v11 y)^p for p up to at least m."""
-    coeffs = np.column_stack([np.convolve(x[m - j], y[j]) for j in range(m + 1)])
-    root_binom = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
-    return coeffs * root_binom / root_binom[:, None]
+def sym_powers(v: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """The qubit Schur-Weyl blocks of v^{(x)n} for a 2x2 matrix v, without
+    their det(v)^k factors: for k = 0..n//2, the multiplicity
+    C(n,k) - C(n,k-1) of the block and Sym^{n-2k}(v), in the orthonormal
+    basis sqrt(C(m,i)) x^{m-i} y^i of the binary forms of degree m, whose
+    vector i has weight k + i (that many second basis vectors among the n
+    factors). Column j of Sym^m(v) holds the y-coefficients of
+    (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j, read off tables of the
+    y-coefficients of (v00 x + v10 y)^p and (v01 x + v11 y)^p, built once
+    up to degree n."""
+    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for _ in range(n):
+        x.append(np.convolve(x[-1], v[:, 0]))
+        y.append(np.convolve(y[-1], v[:, 1]))
+    blocks = []
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        coeffs = np.column_stack([np.convolve(x[m - j], y[j]) for j in range(m + 1)])
+        root_binom = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+        # C(n,k) - C(n,k-1), by the hook length formula
+        blocks.append((math.comb(n, k) * (m + 1) // (n - k + 1), coeffs * root_binom / root_binom[:, None]))
+    return blocks
 
 
 def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,33 +264,50 @@ def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
     way from the compressed matrices.
 
     For a qubit the matrix is the Schur-Weyl direct sum over k = 0..n//2 of
-    det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen without a new
-    eigendecomposition, and the rows of block k weigh its multiplicity
-    C(n,k) - C(n,k-1); its size is 16 at n = 6. Every block reads the
-    binary-form power tables of _sym_power, built once up to degree n. For
-    d >= 3 it is the dense power, not validated again, with unit weights.
-    Both obey the tensor-power dimension cap."""
+    det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen and the blocks of
+    sym_powers without a new eigendecomposition, and the rows of block k
+    weigh its multiplicity; its size is 16 at n = 6. For d >= 3 it is the
+    dense power, not validated again, with unit weights. Both obey the
+    tensor-power dimension cap."""
     check_power(rho.dim, n)
     if rho.dim != 2:
         return kron_power(rho.matrix, n), np.ones(rho.dim ** n)
     (l0, l1), v = rho.eigen
-    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
-    for _ in range(n):
-        x.append(np.convolve(x[-1], v[:, 0]))
-        y.append(np.convolve(y[-1], v[:, 1]))
-    sizes = [n - 2 * k + 1 for k in range(n // 2 + 1)]
-    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    blocks = sym_powers(v, n)
+    total = sum(len(sym) for _, sym in blocks)
+    out = np.zeros((total, total), dtype=complex)
     weights = []
     start = 0
-    for k, size in enumerate(sizes):
-        sym = _sym_power(x, y, size - 1)
+    for k, (mult, sym) in enumerate(blocks):
+        size = len(sym)
         i = np.arange(size)
         eig = l0 ** (size - 1 - i + k) * l1 ** (i + k)   # det^k times Sym's eigenvalues
         out[start:start + size, start:start + size] = (sym * eig) @ sym.conj().T
-        # C(n,k) - C(n,k-1), by the hook length formula
-        weights += [float(math.comb(n, k) * size // (n - k + 1))] * size
+        weights += [float(mult)] * size
         start += size
     return out, np.array(weights)
+
+
+def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
+    """|| w^{(x)n} diag(x) w^{(x)n dag} ||_1 for a square w and each row x of
+    xs, a weight row over the product basis of kron_power that is a function
+    of the type: x at an index depends only on how often each column of w
+    occurs among its n factors.
+
+    For a 2x2 w the operator commutes with the permutations of the factors,
+    so its trace norm is sum_k mult_k || |det w|^{2k} Sym^{n-2k}(w)
+    diag(x_k..x_{n-k}) Sym^{n-2k}(w)^dag ||_1 over the blocks of sym_powers,
+    with x_j read at index 2^j - 1 (the last j factors the second): one
+    eigvalsh call per block for all rows, each block of size at most n + 1.
+    Any other w takes the eigvalsh trace norms of the dense Hermitian
+    operators."""
+    if len(w) != 2:
+        b = kron_power(w, n)
+        return hermitian_trace_norm((b * xs[:, None, :]) @ b.conj().T)
+    xs = xs[:, (1 << np.arange(n + 1)) - 1]
+    det2 = abs(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]) ** 2
+    return sum(mult * hermitian_trace_norm((sym * (det2 ** k * xs[:, None, k:n - k + 1])) @ sym.conj().T)
+               for k, (mult, sym) in enumerate(sym_powers(w, n)))
 
 
 # ---------------------------------------------------------------------------

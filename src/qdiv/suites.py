@@ -386,8 +386,12 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # carries the implied measured relative entropy
     c = 0.3
     slack2 = DEFAULT_TOLERANCES["type2_slack"]
+    # n_max's point and the three points of the converse witness below, from
+    # one call
+    n_max = ns[-1]
+    top, *witness_points = curve_points(rho, sigma, n_max, [d - c, d - 0.2, d - 0.1, d - 0.05])
     for n in ns:
-        pt, = curve_points(rho, sigma, n, [d - c])
+        pt = top if n == n_max else curve_points(rho, sigma, n, [d - c])[0]
         accept = 1 - pt.type1_accept
         _record(records, f"type2-bound-n={n}", cfg.seed, dig,
                 pt.type2, math.exp(-n * (d - c)) * (1 + slack2), slack=0.0)
@@ -400,7 +404,8 @@ def _suite_stein_trend(cfg: SuiteConfig):
             _record(records, f"binary-kl-floor-n={n}", cfg.seed, dig,
                     binary_kl / n, floor, lower_is_pass=False, slack=1e-12)
     # smoothing certificates at a mid rate
-    mid = (d + dmax(rho, sigma)) / 2
+    dm = dmax(rho, sigma)
+    mid = (d + dm) / 2
     for n in ns[:2]:
         sm = smooth_state(rho, sigma, mid, n)
         _record(records, f"datta-distance-bound-n={n}", cfg.seed, dig,
@@ -409,14 +414,12 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # the type-2 exponent of every test that keeps accepting the first state:
     # sigma^n >= e^{-nr} * (smoothed rho), so
     # exponent <= r - ln(accept - err/2)/n for each feasible rate r
-    n_max = ns[-1]
-    dm = dmax(rho, sigma)
     witnesses = []
     for r in np.linspace(d + 0.05, dm + 0.1, 6):
         brt = asymptotic_reverse_test(rho, sigma, n_max, float(r))
         witnesses.append((float(r), brt.rho_error))
     slack_w = DEFAULT_TOLERANCES["converse_witness_slack"]
-    for k, pt in enumerate(curve_points(rho, sigma, n_max, [d - 0.2, d - 0.1, d - 0.05])):
+    for k, pt in enumerate(witness_points):
         accept = 1 - pt.type1_accept
         if pt.type2 <= 0:
             continue

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from qdiv import divergences, fixtures
-from qdiv.config import derive_seed
+from qdiv.config import SUPPORT_TOL, derive_seed
 from qdiv.errors import ConvergenceError
 from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL,
                               SUPPORT_VIOLATED, _projective_kls, dmax,
                               fidelity_logdiv, kl, measured_div_lower,
-                              rld_entropy, umegaki)
+                              rld_entropy, support_escapes, support_relation,
+                              umegaki)
+from qdiv.linalg import frobenius, off_support_residual, support_projector
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
                          random_commuting_pair, random_density)
 
@@ -154,6 +156,43 @@ class TestDmax:
         rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
         sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         assert dmax(rho, sigma) == math.inf
+
+
+def _inside(sigma, seed):
+    """A state inside the support of sigma."""
+    proj = support_projector(sigma.eigen)
+    inner = proj @ random_density(sigma.dim, seed=seed).matrix @ proj
+    return DensityMatrix(inner / np.trace(inner).real)
+
+
+_RANK2 = random_density(3, rank=2, seed=71)
+_TOP = _RANK2.eigen.eigenvectors[:, -1]
+SUPPORT_PAIRS = {
+    "full-full": (random_density(3, seed=72), random_density(3, seed=73)),
+    "rank2-full": (random_density(3, rank=2, seed=74), random_density(3, seed=75)),
+    "pure-full": (random_density(3, rank=1, seed=76), random_density(3, seed=77)),
+    "full-rank2": (random_density(3, seed=78), _RANK2),
+    "inside-rank2": (_inside(_RANK2, 79), _RANK2),
+    "pure-inside-rank2": (DensityMatrix(np.outer(_TOP, _TOP.conj())), _RANK2),
+    "rank2-self": (_RANK2, _RANK2),
+}
+
+
+class TestSupportChecks:
+    @pytest.mark.parametrize("name", list(SUPPORT_PAIRS))
+    def test_relation_matches_projector_residuals(self, name):
+        # the projector classification, which a full-rank sigma skips
+        rho, sigma = SUPPORT_PAIRS[name]
+        proj_r, proj_s = (support_projector(state.eigen) for state in (rho, sigma))
+        if off_support_residual(proj_s, rho.matrix) > SUPPORT_TOL:
+            expect = SUPPORT_VIOLATED
+        elif frobenius(proj_r - proj_s) <= SUPPORT_TOL:
+            expect = SUPPORT_EQUAL
+        else:
+            expect = SUPPORT_CONTAINED
+        assert support_relation(rho, sigma) == expect
+        assert support_escapes(rho, sigma) == (expect == SUPPORT_VIOLATED)
+        assert (dmax(rho, sigma) == math.inf) == (expect == SUPPORT_VIOLATED)
 
 
 class TestTensorAdditivity:

@@ -9,7 +9,7 @@ means a stack was split."""
 import numpy as np
 import pytest
 
-from qdiv import divergences, hypotest, metrics
+from qdiv import divergences, metrics
 from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
@@ -23,7 +23,8 @@ from qdiv.metrics import (alpha_metric, bkm_metric, integral_divergence,
                           wy_metric)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_test, reverse_estimation_1param)
-from qdiv.states import DensityMatrix, random_cptp, random_tangent
+from qdiv.states import (DensityMatrix, random_cptp, random_density,
+                         random_tangent)
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
@@ -80,11 +81,16 @@ CASES = {
     # and one Ginibre draw per local evaluation: 20 - 8 starts, in one stack
     "measured_div_lower": (14, 3, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level,
-    # one stacked eigh per level
+    # one stacked eigh per level. No node rounds to rho or sigma bit for bit
+    # here: rho's (0, 2) entry is an exact 0 and sigma's is not
     "integral_divergence": (65, 4, lambda: integral_divergence(BKM, *QUTRIT)),
     # the same nodes once for all five specs, which all converge there;
     # one call per spec would decompose them five times
     "integral_divergences": (65, 4, lambda: integral_divergences(FIVE_SPECS, *QUTRIT)),
+    # 65 nodes again, 7 of which (t <= -3.25) round to sigma bit for bit and
+    # take the eigensystem sigma carries: 58, where every node was
+    # decomposed before
+    "integral_divergences-qubit": (58, 4, lambda: integral_divergences(FIVE_SPECS, *QUBIT_A)),
     # 1 likelihood-ratio test on the 9x9 source blocks and the target's
     # one-copy frame. The output on rho0^(x n) is read off the reverse test's
     # frame, not validated; the source's dense powers and measurement are
@@ -93,10 +99,20 @@ CASES = {
 }
 
 
-# a basis is kept as its unitary, so no rank-1 effect is validated
 EIGVALSH_CASES = {
+    # a basis is kept as its unitary, so no rank-1 effect is validated
     "sld_optimal_measurement": (0, lambda: sld_optimal_measurement(RHO, X)),
     "measured_div_lower": (0, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
+    # no error is computed until it is read
+    "asymptotic_reverse_test": (0, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # one per Schur-Weyl block of the qubit frame's 6th power (sizes 7, 5,
+    # 3, 1) per error read, rho's and sigma's: 8, where each error was one
+    # SVD of a 64x64 difference
+    "asymptotic_reverse_test-errors": (8, lambda: _errors(asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7))),
+    # the reverse test's sigma error and the output error on rho0^(x 4),
+    # one per block (sizes 5, 3, 1) each, in one stacked call per block: 6,
+    # where each error was one 16x16 SVD
+    "state_conversion": (6, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 # sigma^-1/2 rho^1/2 on the common support, whose left singular vectors
@@ -106,12 +122,12 @@ SVD_CASES = {
     # the same one-copy SVD for the frame only; the errors are computed when
     # they are read
     "asymptotic_reverse_test": (1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
-    # the frame, then one trace norm per error read: rho's and sigma's
-    "asymptotic_reverse_test-errors": (3, lambda: _errors(asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7))),
-    # the target's one-copy frame, the reverse test's sigma error, and the
-    # trace norm of the output error on rho0^(x n); the reverse test's own
-    # rho error is not read
-    "state_conversion": (3, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # the frame only: both errors are read off the blocks by eigvalsh,
+    # where each was a dense SVD (3 before)
+    "asymptotic_reverse_test-errors": (1, lambda: _errors(asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7))),
+    # the target's one-copy frame only: the sigma error and the output error
+    # are read off the blocks (3 before)
+    "state_conversion": (1, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -183,11 +199,21 @@ def test_measured_div_lower_stacks_its_lapack_calls(monkeypatch):
 
 
 # support projectors built from eigensystems the states already carry: only
-# sigma's, since the support checks need containment, not equality
+# sigma's, since the support checks need containment, not equality, and none
+# when sigma is full rank, since it then supports every state
+RANK2 = random_density(3, rank=2, seed=61)
+IN_RANK2 = DensityMatrix(support_projector(RANK2.eigen) @ RHO.matrix @ support_projector(RANK2.eigen) /
+                         np.trace(support_projector(RANK2.eigen) @ RHO.matrix).real)
+
 PROJECTOR_CASES = {
-    # sigma's, for the support check at one copy
-    "asymptotic_reverse_test": (1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
-    "dmax": (1, lambda: dmax(RHO, SIGMA)),
+    # QUBIT_A's sigma is full rank: 0, where the support check at one copy
+    # built sigma's projector (1 before)
+    "asymptotic_reverse_test": (0, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # QUTRIT's sigma is full rank: 0 (1 before)
+    "dmax": (0, lambda: dmax(RHO, SIGMA)),
+    # a rank-2 sigma in d = 3 still builds its one projector
+    "dmax-rank-deficient": (1, lambda: dmax(IN_RANK2, RANK2)),
+    "asymptotic_reverse_test-rank-deficient": (1, lambda: asymptotic_reverse_test(IN_RANK2, RANK2, n=2, rate=0.7)),
 }
 
 
@@ -199,7 +225,7 @@ def test_support_projector_count(name, monkeypatch):
         calls.append(h)
         return support_projector(h)
 
-    for module in (divergences, hypotest, metrics):
+    for module in (divergences, metrics):
         monkeypatch.setattr(module, "support_projector", counting)
     expected, call = PROJECTOR_CASES[name]
     call()

@@ -16,11 +16,11 @@ from qdiv.errors import DimensionCapError, QdivError, SupportViolationError
 from qdiv.hypotest import (asymptotic_reverse_test, np_projector,
                            smooth_state, state_conversion, stein_threshold,
                            threshold_scan, curve_points, write_curve_csv)
-from qdiv.linalg import trace_norm
+from qdiv.linalg import support_projector, trace_norm
 from qdiv.reverse import support_frame
 from qdiv.serialize import dump, state_to_dict
-from qdiv.states import (DensityMatrix, cq_apply, power_blocks, random_density,
-                         tensor_power)
+from qdiv.states import (DensityMatrix, cq_apply, kron_power, power_blocks,
+                         power_trace_norms, random_density, tensor_power)
 from qdiv.suites import classical_threshold_oracle
 
 import oracles
@@ -491,6 +491,28 @@ def _assert_certified(rho, sigma, n, rate):
     assert brt.sigma_error <= 1e-9
 
 
+# every 2x2 frame at n = 1..8; the 3x3 frame to n = 4, where the dense
+# oracle is 81x81 (3^8 is past the dimension cap), and the rank-2 qutrit
+# sigma to n = 5, where its dense oracle is 243x243
+FRAME_CASES = ([(name, n) for name in ("qubit_a", "qubit_b", "commuting", "pure") for n in range(1, 9)]
+               + [("qutrit", n) for n in range(1, 5)] + [("rank2_qutrit", n) for n in range(1, 6)])
+
+
+def _frame_pair(name):
+    """A fixture pair, a rank-2 sigma in d = 3 with rho inside its support
+    (a 2x2 frame in support coordinates), or a pure qubit pair rho = sigma
+    (a 1x1 frame)."""
+    if name == "rank2_qutrit":
+        sigma = random_density(3, rank=2, seed=61)
+        proj = support_projector(sigma.eigen)
+        inner = proj @ random_density(3, seed=62).matrix @ proj
+        return DensityMatrix(inner / np.trace(inner).real), sigma
+    if name == "pure":
+        pure = random_density(2, rank=1, seed=63)
+        return pure, pure
+    return fixtures.PAIRS[name]
+
+
 class TestProductFrame:
     @pytest.mark.parametrize("name", ["qubit_a", "qubit_b", "qutrit", "commuting"])
     def test_frame_factors_the_pair(self, name):
@@ -500,14 +522,14 @@ class TestProductFrame:
         assert np.abs(b @ b.conj().T - sigma.matrix).max() <= 1e-12
         assert np.abs((b * t) @ b.conj().T - rho.matrix).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("name", ["qubit_a", "qubit_b", "qutrit", "commuting"])
+    @pytest.mark.parametrize("name,n", FRAME_CASES)
     def test_matches_dense_capped_construction(self, name, n):
-        rho, sigma = fixtures.PAIRS[name]
+        rho, sigma = _frame_pair(name)
         d, dm = umegaki(rho, sigma).value, dmax(rho, sigma)
         rho_n, sigma_n = (functools.reduce(np.kron, [s.matrix] * n) for s in (rho, sigma))
-        # capped well below dmax, halfway, and nothing capped
-        for rate in (d + 0.05, (d + dm) / 2, dm + 0.02):
+        # capped well below dmax, halfway, and nothing capped; the pure pair
+        # has D = dmax = 0, so its halfway rate is not a rate
+        for rate in [r for r in (d + 0.05, (d + dm) / 2, dm + 0.02) if r > 0]:
             brt = asymptotic_reverse_test(rho, sigma, n, rate)
             ref = oracles.dense_reverse_test(rho_n, sigma_n, rate, n)
             state, complement = brt.preparation.states
@@ -516,6 +538,44 @@ class TestProductFrame:
             assert abs(brt.certificate - ref["certificate"]) <= 1e-12
             assert abs(brt.rho_error - ref["rho_error"]) <= 1e-12
             assert abs(brt.sigma_error - ref["sigma_error"]) <= 1e-12
+
+    @pytest.mark.parametrize("name,frame", [("qubit_a", 2), ("rank2_qutrit", 2), ("qutrit", 3), ("pure", 1)])
+    def test_frame_is_in_support_coordinates(self, name, frame):
+        # the frame is rank(sigma) x rank(sigma): 2x2 frames take the
+        # Schur-Weyl blocks, the others the dense r^n path
+        brt = asymptotic_reverse_test(*_frame_pair(name), 2, 0.5)
+        assert brt.w.shape == (frame, frame)
+        assert brt.iso.shape == (_frame_pair(name)[1].dim, frame)
+
+
+class TestPowerTraceNorm:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocks_equal_dense_svd(self, n, seed):
+        # a random 2x2 B and three random functions x of the type, of both
+        # signs; the type of product-basis index i is its number of second
+        # factors
+        rng = np.random.default_rng(100 * n + seed)
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b /= np.linalg.norm(b, 2)
+        xs = rng.standard_normal((3, n + 1))[:, [bin(i).count("1") for i in range(2 ** n)]]
+        norms = power_trace_norms(b, xs, n)
+        b_n = kron_power(b, n)
+        for x, norm in zip(xs, norms):
+            dense = float(np.linalg.svd((b_n * x) @ b_n.conj().T, compute_uv=False).sum())
+            assert abs(norm - dense) <= 1e-12 * max(1.0, dense)
+        # each row bit for bit as on its own
+        assert [power_trace_norms(b, x[None], n)[0].hex() for x in xs] == [v.hex() for v in norms]
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_other_frames_take_the_dense_path(self, r):
+        rng = np.random.default_rng(r)
+        b = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        xs = rng.standard_normal((2, r ** 3))
+        b_n = kron_power(b, 3)
+        for x, norm in zip(xs, power_trace_norms(b, xs, 3)):
+            dense = float(np.linalg.svd((b_n * x) @ b_n.conj().T, compute_uv=False).sum())
+            assert abs(norm - dense) <= 1e-12 * max(1.0, dense)
 
 
 class TestStatesBuiltOnRead:
@@ -573,17 +633,17 @@ class TestStateConversion:
         state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
         assert built == []
 
-    def test_builds_target_power_once(self, monkeypatch):
-        # the frame, its ratios and squared norms, rho^(x n) for the report's
-        # output error and sigma^(x n) for the reverse test's sigma error; its
-        # rho error is not read, so rho^(x n) is built once
+    def test_builds_no_dense_target_power(self, monkeypatch):
+        # the ratios t^(x n) and squared norms q^(x n) only: both errors are
+        # read off the Schur-Weyl blocks of the qubit target's one-copy frame,
+        # so neither rho^(x n), sigma^(x n) nor the frame's power is built
         built = []
         build = hypotest.kron_power
         monkeypatch.setattr(hypotest, "kron_power", lambda x, n: built.append(x) or build(x, n))
         rho, sigma = fixtures.QUBIT_A
         state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
-        assert len(built) == 5
-        assert sum(x is rho.matrix for x in built) == 1
+        assert len(built) == 2
+        assert all(x.ndim == 1 for x in built)
 
     def test_measurement_built_once(self, monkeypatch):
         rho0, sigma0 = fixtures.CONVERSION_SOURCE
@@ -607,6 +667,15 @@ class TestStateConversion:
         channel, rep = state_conversion(rho0, sigma0, rho, sigma, n, _conversion_gap(rho, sigma))
         out = channel.apply(tensor_power(rho0, n))
         assert abs(trace_norm(out.matrix - tensor_power(rho, n).matrix) - rep.rho_error) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_report_reads_the_errors_together(self, n):
+        # the output error and the sigma error come from one set of blocks,
+        # each bit for bit as the reverse test's own reads
+        rho, sigma = fixtures.QUBIT_B
+        channel, rep = state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, n, _conversion_gap(rho, sigma))
+        assert rep.sigma_error.hex() == channel.test.sigma_error.hex()
+        assert rep.rho_error.hex() == channel.test.errors([rep.accept_prob], [channel.test.ratios])[0].hex()
 
     def test_gap_hypothesis_enforced(self):
         rho, sigma = fixtures.QUBIT_A

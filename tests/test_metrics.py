@@ -208,6 +208,24 @@ class TestPetzMetric:
         alone = [integral_divergence(spec, *pair) for spec in specs]
         assert [v.hex() for v in together] == [v.hex() for v in alone]
 
+    @pytest.mark.parametrize("pair", [
+        fixtures.QUBIT_A,
+        _random_pair(3, 18394453892175749232),
+        random_commuting_pair(3, seed=20)[:2],
+    ], ids=["qubit_a", "verify-seed-pair", "commuting"])
+    def test_nodes_that_round_to_a_state_are_not_decomposed(self, pair, monkeypatch):
+        # far out, s rho + (1 - s) sigma rounds to rho or sigma bit for bit;
+        # such a node takes the eigensystem that state carries
+        decomposed = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args, **kw: decomposed.extend(a.reshape(-1, *a.shape[-2:]))
+                            or eigh(a, *args, **kw))
+        specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
+        integral_divergences(specs, *pair)
+        states = {state.matrix.tobytes() for state in pair}
+        assert decomposed and not any(m.tobytes() in states for m in decomposed)
+
     def test_convergence_error_names_the_spec(self):
         # a metric function with fresh noise on every call never settles;
         # bkm beside it converges and is not named
@@ -388,6 +406,24 @@ class TestIntegralDivergence:
         together = integral_divergences(specs, *pair)
         alone = [integral_divergence(spec, *pair) for spec in specs]
         assert [v.hex() for v in together] == [v.hex() for v in alone]
+
+    @pytest.mark.parametrize("pair", [
+        fixtures.QUBIT_A,
+        _random_pair(3, 18394453892175749232),
+        random_commuting_pair(3, seed=20)[:2],
+    ], ids=["qubit_a", "verify-seed-pair", "commuting"])
+    def test_nodes_that_round_to_a_state_are_not_decomposed(self, pair, monkeypatch):
+        # far out, s rho + (1 - s) sigma rounds to rho or sigma bit for bit;
+        # such a node takes the eigensystem that state carries
+        decomposed = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args, **kw: decomposed.extend(a.reshape(-1, *a.shape[-2:]))
+                            or eigh(a, *args, **kw))
+        specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
+        integral_divergences(specs, *pair)
+        states = {state.matrix.tobytes() for state in pair}
+        assert decomposed and not any(m.tobytes() in states for m in decomposed)
 
     def test_convergence_error_names_the_spec(self):
         # a metric function with fresh noise on every call never settles;

@@ -44,6 +44,14 @@ class TestConstructors:
         assert w.min() >= 0.0
         np.testing.assert_allclose((v * w) @ v.conj().T, rho.matrix, rtol=0, atol=1e-15)
 
+    def test_density_records_full_rank(self):
+        assert random_density(3, seed=17).full_rank
+        assert not random_density(3, rank=2, seed=17).full_rank
+        assert not DensityMatrix(np.diag([1.0, 0.0]).astype(complex)).full_rank
+        # against the 1e-12 relative support cutoff
+        assert not DensityMatrix(np.diag([1.0 - 1e-13, 1e-13]).astype(complex)).full_rank
+        assert DensityMatrix(np.diag([1.0 - 1e-11, 1e-11]).astype(complex)).full_rank
+
     def test_density_eigensystem_is_frozen(self):
         rho = random_density(2, seed=3)
         with pytest.raises(FrozenInstanceError):
