@@ -10,13 +10,14 @@ per stack from two products and masked sums: on the powers that
 states.power_blocks compresses where only its traces are read
 (stein_threshold a grid level at a time, curve_points all its rates at
 once, state_conversion one rate), on dense krons where a dense operator is
-returned (np_projector, smooth_state: one rate). The asymptotic reverse
-test is the n-fold power of the one-copy frame of reverse.support_frame,
-kept in support coordinates. Its errors, and the conversion's, are trace
-norms of w^{x n} diag(x) w^{x n dag} with x a function of the type: on the
-qubit Schur-Weyl blocks of states.sym_powers when the frame is 2x2, one
-eigvalsh per block, and dense otherwise. Its states are built only when
-read.
+returned (np_projector, smooth_state: one rate). It yields per stack the
+eigen arrays, acceptance mask and trace rows, which it range-checks. The
+asymptotic reverse test is the n-fold power of the one-copy frame of
+reverse.support_frame, kept in support coordinates. Its errors, and the
+conversion's, are trace norms of w^{x n} diag(x) w^{x n dag} with x a
+function of the type: one eigvalsh call on the zero-padded qubit Schur-Weyl
+blocks of states.sym_powers when the frame is 2x2, and dense otherwise. Its
+states are built only when read.
 Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
@@ -46,20 +47,16 @@ class TestCurvePoint:
     type1_accept: float   # tr rho_n {rho_n - e^{na} sigma_n <= 0}
     type2: float          # tr sigma_n (1 - P)
 
-    def __post_init__(self):
-        for name, val in (("type1_accept", self.type1_accept), ("type2", self.type2)):
-            if not -1e-10 <= val <= 1 + 1e-10:
-                raise QdivError(f"{name} = {val!r} escapes [0, 1]")
-
 
 def np_projector(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
     """Projector onto the non-positive eigenspace of rho^{x n} - e^{na} sigma^{x n}, on
     their dense krons, with the exact acceptance/error traces at threshold a."""
     check_dims(rho, sigma)
     check_power(rho.dim, n)
-    (_, cols, point), = _ratio_test(kron_power(rho.matrix, n), kron_power(sigma.matrix, n),
-                                    np.ones(rho.dim ** n), [a], n)
-    return cols @ cols.conj().T, point
+    ((_, v), accepted, t1, t2), = _ratio_test(kron_power(rho.matrix, n), kron_power(sigma.matrix, n),
+                                              np.ones(rho.dim ** n), [a], n)
+    cols = v[0][:, accepted[0]]
+    return cols @ cols.conj().T, TestCurvePoint(a, float(t1[0]), float(t2[0]))
 
 
 def _exp(x: float) -> float:
@@ -70,13 +67,15 @@ def _exp(x: float) -> float:
 
 
 def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequence[float],
-                n: int) -> Iterator[tuple[EigenSystem, np.ndarray, TestCurvePoint]]:
+                n: int) -> Iterator[tuple[EigenSystem, np.ndarray, np.ndarray, np.ndarray]]:
     """The likelihood-ratio test at each rate a of rates, where e^{na} is a
-    finite double, in order and lazily: from the eigh of r - e^{na} s, that
-    eigensystem, the eigenvectors it accepts on (eigenvalues at most 1e-12
-    of the largest magnitude), and the traces t1 = tr(W r P),
+    finite double, in order and lazily, one stack of rates at a time: the
+    eigensystems of r - e^{na} s as (b, d) and (b, d, d) arrays, the (b, d)
+    mask of the eigenvectors each accepts on (eigenvalues at most 1e-12 of
+    the largest magnitude), and the (b,) rows of the traces t1 = tr(W r P),
     t2 = tr(W s) - tr(W s P) for the projector P onto them and the row
-    weights W of power_blocks, which commute with r, s and P.
+    weights W of power_blocks, which commute with r, s and P. Raises
+    QdivError if a trace escapes [0, 1] by more than 1e-10.
 
     The matrices r - e^{na} s are checked and decomposed in stacks of at
     most STACK_BYTES, one numpy.linalg.eigh call per stack, each matrix bit
@@ -103,9 +102,12 @@ def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequen
         # each eigenvector's weight under W r, then under W s, summed over
         # the accepted ones; each product is one stack's size
         t1, t2_in = (np.where(accepted, basis_weights(v, wm), 0.0).sum(axis=-1) for wm in wrs)
-        for i, a in enumerate(rates[start:start + len(stack)]):
-            yield (EigenSystem(w[i], v[i]), v[i][:, accepted[i]],
-                   TestCurvePoint(a, float(t1[i]), trace_ws - float(t2_in[i])))
+        t2 = trace_ws - t2_in
+        for name, val in (("type1_accept", t1), ("type2", t2)):
+            escapes = ~((val >= -1e-10) & (val <= 1 + 1e-10))   # NaN-safe
+            if escapes.any():
+                raise QdivError(f"{name} = {float(val[escapes][0])!r} escapes [0, 1]")
+        yield EigenSystem(w, v), accepted, t1, t2
     if good < len(rates):
         raise ValueError(f"rate {rates[good]} at n={n}: e^(n rate) is not a finite double")
 
@@ -158,11 +160,11 @@ def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float
     fixed grid resolution stein_grid_width (1e-3). Each grid level is tested
     in stacks of at most STACK_BYTES, up to the stack that holds its first
     hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
-    rate on an 81x81 dense power. The compressed powers are built at the
-    first level, once threshold_scan has checked its arguments."""
+    rate on an 81x81 dense power, each acceptance read off its stack's row.
+    The powers are compressed at the first level, after threshold_scan's checks."""
     powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    return threshold_scan(lambda rates: (pt.type1_accept for _, _, pt in _ratio_test(*powers(), rates, n)),
+    return threshold_scan(lambda rates: (t for _, _, t1, _ in _ratio_test(*powers(), rates, n) for t in t1),
                           lo, hi, n, eps)
 
 
@@ -170,8 +172,9 @@ def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> lis
     """np_projector's traces at each rate, on the powers compressed by
     power_blocks, from stacked eighs of at most STACK_BYTES: one call for
     all 13 rates on the 16x16 qubit blocks at n = 6."""
-    powers = _compressed_powers(rho, sigma, n)
-    return [pt for _, _, pt in _ratio_test(*powers, [float(a) for a in rates], n)]
+    powers, rates = _compressed_powers(rho, sigma, n), [float(a) for a in rates]
+    rows = [row for _, _, t1, t2 in _ratio_test(*powers, rates, n) for row in zip(t1.tolist(), t2.tolist())]
+    return [TestCurvePoint(a, *row) for a, row in zip(rates, rows)]
 
 
 def _compressed_powers(rho: DensityMatrix, sigma: DensityMatrix,
@@ -218,8 +221,8 @@ def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> 
     if support_escapes(rho, sigma):
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
     rho_n, sigma_n = kron_power(rho.matrix, n), tensor_power(sigma, n)
-    (delta_eigen, _, point), = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), [a], n)
-    cand = rho_n - positive_part(delta_eigen)
+    (es, _, t1, _), = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), [a], n)
+    cand = rho_n - positive_part(EigenSystem(es.eigenvalues[0], es.eigenvectors[0]))
     apos = positive_part((cand + cand.conj().T) / 2)
     tr = float(np.trace(apos).real)
     if tr < 1e-12:
@@ -229,7 +232,7 @@ def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> 
     cert = dmax(state, sigma_n) / n
     if math.isinf(cert):
         raise SupportViolationError("supp rho escapes supp sigma: the smoothed state has no rate certificate")
-    shortfall = 1.0 - point.type1_accept
+    shortfall = 1.0 - float(t1[0])
     bound = 4 * math.sqrt(2 * max(shortfall, 0.0)) + DATTA1_SLACK
     witness = math.exp(n * cert) * sigma_n.matrix - state.matrix
     if float(np.linalg.eigvalsh(witness).min()) < -1e-9:
@@ -264,7 +267,7 @@ class BinaryReverseTest:
     def errors(self, p0s: Sequence[float], targets: Sequence) -> list[float]:
         """|| output(p0) - B^{x n} diag(target) B^{x n dag} ||_1 for each p0
         and target, with target = ratios for rho^{x n} and 1 for sigma^{x n}:
-        all from one set of blocks, each error bit for bit as on its own."""
+        all from one eigvalsh call, each error bit for bit as on its own."""
         xs = [p0 * self.weights[0] + (1 - p0) * self.weights[1] - target for p0, target in zip(p0s, targets)]
         return [float(v) for v in power_trace_norms(self.w, np.array(xs), self.n)]
 

@@ -1,8 +1,10 @@
 """Density matrices, tangent directions, channels, measurements, classical
 distributions, preparations, and seeded random generators."""
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,28 +235,52 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     return DensityMatrix(kron_power(rho.matrix, n))
 
 
-def sym_powers(v: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+class _SymTables(NamedTuple):   # the index tables of sym_powers at n, which depend on n only
+    mult: np.ndarray     # (K,) C(n,k) - C(n,k-1), the multiplicity of block k
+    level: np.ndarray    # (K, n+1) k + i, the weight of vector i of block k; n in the padding
+    direct: np.ndarray   # flat stack index of each direct-sum entry; K (n+1)^2, an appended zero, between blocks
+    coef: np.ndarray     # (T,) the coefficient of each term of the stack's entries
+    powers: np.ndarray   # (4, T) flat indices of its powers of v00, v10, v01, v11 in a (4, n+1) table
+    entry: np.ndarray    # (T,) the flat index of its entry in the (K, n+1, n+1) stack
+
+
+@functools.cache
+def _sym_tables(n: int) -> _SymTables:
+    blocks = n // 2 + 1
+    # entry (k, i, j) of Sym^m(v), m = n - 2k, is the sum over p of the terms
+    # sqrt(C(m,j)/C(m,i)) C(m-j,p) C(j,i-p) a^(m-j-p) b^p c^(j-i+p) d^(i-p), v = [[a, c], [b, d]]
+    k, i, j, p = np.ogrid[:blocks, :n + 1, :n + 1, :n + 1]
+    k, i, j, p = np.nonzero((p <= n - 2 * k - j) & (p <= i) & (i - p <= j))   # so i, j <= n - 2k
+    m = n - 2 * k
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+    kr, ir = np.divmod(np.flatnonzero(np.arange(n + 1) <= n - 2 * np.arange(blocks)[:, None]), n + 1)
+    tables = _SymTables(np.diff(binom[n, :blocks], prepend=0.0),
+                        np.minimum(np.arange(blocks)[:, None] + np.arange(n + 1), n),
+                        np.where(kr[:, None] == kr, (kr * (n + 1) + ir)[:, None] * (n + 1) + ir,
+                                 blocks * (n + 1) ** 2),
+                        binom[m - j, p] * binom[j, i - p] * np.sqrt(binom[m, j]) / np.sqrt(binom[m, i]),
+                        np.stack((m - j - p, p, j - i + p, i - p)) + (n + 1) * np.arange(4)[:, None],
+                        (k * (n + 1) + i) * (n + 1) + j)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def sym_powers(v: np.ndarray, n: int) -> np.ndarray:
     """The qubit Schur-Weyl blocks of v^{(x)n} for a 2x2 matrix v, without
-    their det(v)^k factors: for k = 0..n//2, the multiplicity
-    C(n,k) - C(n,k-1) of the block and Sym^{n-2k}(v), in the orthonormal
-    basis sqrt(C(m,i)) x^{m-i} y^i of the binary forms of degree m, whose
-    vector i has weight k + i (that many second basis vectors among the n
-    factors). Column j of Sym^m(v) holds the y-coefficients of
-    (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j, read off tables of the
-    y-coefficients of (v00 x + v10 y)^p and (v01 x + v11 y)^p, built once
-    up to degree n."""
-    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
-    for _ in range(n):
-        x.append(np.convolve(x[-1], v[:, 0]))
-        y.append(np.convolve(y[-1], v[:, 1]))
-    blocks = []
-    for k in range(n // 2 + 1):
-        m = n - 2 * k
-        coeffs = np.column_stack([np.convolve(x[m - j], y[j]) for j in range(m + 1)])
-        root_binom = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
-        # C(n,k) - C(n,k-1), by the hook length formula
-        blocks.append((math.comb(n, k) * (m + 1) // (n - k + 1), coeffs * root_binom / root_binom[:, None]))
-    return blocks
+    their det(v)^k factors, as one zero-padded (n//2 + 1, n + 1, n + 1)
+    stack: block k is Sym^{n-2k}(v) in its top-left corner, in the
+    orthonormal basis sqrt(C(m,i)) x^{m-i} y^i of the binary forms of degree
+    m, whose vector i has weight k + i (that many second basis vectors among
+    the n factors), and exact zeros elsewhere. Its column j holds the
+    y-coefficients of (v00 x + v10 y)^{m-j} (v01 x + v11 y)^j, sums of
+    binomial multiples of powers of v's entries read off closed-form index
+    tables that depend on n only and are built once per n."""
+    tables = _sym_tables(n)
+    terms = tables.coef * (v.T.reshape(4, 1) ** np.arange(n + 1)).ravel()[tables.powers].prod(axis=0)
+    out = np.zeros((len(tables.mult), n + 1, n + 1), dtype=complex)
+    np.add.at(out.reshape(-1), tables.entry, terms)
+    return out
 
 
 def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,28 +290,19 @@ def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
     way from the compressed matrices.
 
     For a qubit the matrix is the Schur-Weyl direct sum over k = 0..n//2 of
-    det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen and the blocks of
-    sym_powers without a new eigendecomposition, and the rows of block k
-    weigh its multiplicity; its size is 16 at n = 6. For d >= 3 it is the
-    dense power, not validated again, with unit weights. Both obey the
-    tensor-power dimension cap."""
+    det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen and the stack of
+    sym_powers without a new eigendecomposition, all blocks from one batched
+    product, and the rows of block k weigh its multiplicity; its size is 16
+    at n = 6. For d >= 3 it is the dense power, not validated again, with
+    unit weights. Both obey the tensor-power dimension cap."""
     check_power(rho.dim, n)
     if rho.dim != 2:
         return kron_power(rho.matrix, n), np.ones(rho.dim ** n)
     (l0, l1), v = rho.eigen
-    blocks = sym_powers(v, n)
-    total = sum(len(sym) for _, sym in blocks)
-    out = np.zeros((total, total), dtype=complex)
-    weights = []
-    start = 0
-    for k, (mult, sym) in enumerate(blocks):
-        size = len(sym)
-        i = np.arange(size)
-        eig = l0 ** (size - 1 - i + k) * l1 ** (i + k)   # det^k times Sym's eigenvalues
-        out[start:start + size, start:start + size] = (sym * eig) @ sym.conj().T
-        weights += [float(mult)] * size
-        start += size
-    return out, np.array(weights)
+    tables, sym = _sym_tables(n), sym_powers(v, n)
+    # det^k times Sym's eigenvalues; the padding's columns of sym are zero
+    blocks = (sym * (l0 ** (n - tables.level) * l1 ** tables.level)[:, None, :]) @ sym.conj().swapaxes(-1, -2)
+    return np.append(blocks, 0.0)[tables.direct], np.repeat(tables.mult, n + 1 - 2 * np.arange(len(sym)))
 
 
 def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
@@ -298,16 +315,16 @@ def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
     so its trace norm is sum_k mult_k || |det w|^{2k} Sym^{n-2k}(w)
     diag(x_k..x_{n-k}) Sym^{n-2k}(w)^dag ||_1 over the blocks of sym_powers,
     with x_j read at index 2^j - 1 (the last j factors the second): one
-    eigvalsh call per block for all rows, each block of size at most n + 1.
-    Any other w takes the eigvalsh trace norms of the dense Hermitian
-    operators."""
+    batched product and one eigvalsh call on the zero-padded stack of all
+    rows and blocks, whose padding adds only zero eigenvalues. Any other w
+    takes the eigvalsh trace norms of the dense Hermitian operators."""
     if len(w) != 2:
         b = kron_power(w, n)
         return hermitian_trace_norm((b * xs[:, None, :]) @ b.conj().T)
-    xs = xs[:, (1 << np.arange(n + 1)) - 1]
+    tables, sym = _sym_tables(n), sym_powers(w, n)
     det2 = abs(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]) ** 2
-    return sum(mult * hermitian_trace_norm((sym * (det2 ** k * xs[:, None, k:n - k + 1])) @ sym.conj().T)
-               for k, (mult, sym) in enumerate(sym_powers(w, n)))
+    x = det2 ** np.arange(len(sym))[:, None] * xs[:, (1 << tables.level) - 1]
+    return (hermitian_trace_norm((sym * x[..., None, :]) @ sym.conj().swapaxes(-1, -2)) * tables.mult).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,25 @@ def dense_reverse_test(rho_n: np.ndarray, sigma_n: np.ndarray, rate: float, n: i
     }
 
 
+def convolution_sym_powers(v: np.ndarray, n: int) -> list[np.ndarray]:
+    """The qubit Schur-Weyl blocks of v^{(x)n} for a 2x2 matrix v by
+    polynomial convolution, one block at a time: for k = 0..n//2,
+    Sym^{n-2k}(v) in the orthonormal basis sqrt(C(m,i)) x^{m-i} y^i, whose
+    column j holds the y-coefficients of (v00 x + v10 y)^{m-j}
+    (v01 x + v11 y)^j."""
+    x, y = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for _ in range(n):
+        x.append(np.convolve(x[-1], v[:, 0]))
+        y.append(np.convolve(y[-1], v[:, 1]))
+    blocks = []
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        coeffs = np.column_stack([np.convolve(x[m - j], y[j]) for j in range(m + 1)])
+        root_binom = np.sqrt([float(math.comb(m, i)) for i in range(m + 1)])
+        blocks.append(coeffs * root_binom / root_binom[:, None])
+    return blocks
+
+
 def sequential_measured_search(rho, sigma, budget: int = 500, seed: int = 0):
     """The measured-divergence search one basis at a time: the deterministic
     starts (the eigenbases of rho, sigma, rho - sigma and rho + sqrt(2) sigma),

@@ -2,9 +2,9 @@
 their inputs are built, and their support-projector counts. A validated
 DensityMatrix carries its eigendecomposition, so a functional decomposes only
 the matrices it makes itself; a matrix count that rises means some matrix is
-decomposed again. A stacked call counts each matrix of the stack, and the
-eigh pins also count the numpy.linalg.eigh calls: a call count that rises
-means a stack was split."""
+decomposed again. A stacked call counts each matrix of the stack, of any
+number of stack dimensions, and the eigh and eigvalsh pins also count the
+calls: a call count that rises means a stack was split."""
 
 import numpy as np
 import pytest
@@ -99,20 +99,22 @@ CASES = {
 }
 
 
+# (matrices, calls) of numpy.linalg.eigvalsh
 EIGVALSH_CASES = {
     # a basis is kept as its unitary, so no rank-1 effect is validated
-    "sld_optimal_measurement": (0, lambda: sld_optimal_measurement(RHO, X)),
-    "measured_div_lower": (0, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
+    "sld_optimal_measurement": (0, 0, lambda: sld_optimal_measurement(RHO, X)),
+    "measured_div_lower": (0, 0, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
     # no error is computed until it is read
-    "asymptotic_reverse_test": (0, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
-    # one per Schur-Weyl block of the qubit frame's 6th power (sizes 7, 5,
-    # 3, 1) per error read, rho's and sigma's: 8, where each error was one
-    # SVD of a 64x64 difference
-    "asymptotic_reverse_test-errors": (8, lambda: _errors(asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7))),
-    # the reverse test's sigma error and the output error on rho0^(x 4),
-    # one per block (sizes 5, 3, 1) each, in one stacked call per block: 6,
-    # where each error was one 16x16 SVD
-    "state_conversion": (6, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    "asymptotic_reverse_test": (0, 0, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # the 4 Schur-Weyl blocks of the qubit frame's 6th power (sizes 7, 5, 3,
+    # 1), zero-padded to 7x7, in one call per error read, rho's and sigma's:
+    # 8 matrices in 2 calls, where there was one call per block (8 calls)
+    # and before that one SVD of a 64x64 difference per error
+    "asymptotic_reverse_test-errors": (8, 2, lambda: _errors(asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7))),
+    # the reverse test's sigma error and the output error on rho0^(x 4): the
+    # 3 blocks (sizes 5, 3, 1) of both rows in one call, where there was one
+    # call per block (3 calls) and before that one 16x16 SVD per error
+    "state_conversion": (6, 1, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 # sigma^-1/2 rho^1/2 on the common support, whose left singular vectors
@@ -145,7 +147,7 @@ def counts(monkeypatch):
         original = getattr(np.linalg, name)
 
         def wrapper(a, *args, **kwargs):
-            tally[name] += len(a) if np.ndim(a) == 3 else 1
+            tally[name] += int(np.prod(np.shape(a)[:-2]))
             tally[f"{name} calls"] += 1
             return original(a, *args, **kwargs)
         return wrapper
@@ -165,9 +167,9 @@ def test_eigh_count(name, counts):
 
 @pytest.mark.parametrize("name", list(EIGVALSH_CASES))
 def test_eigvalsh_count(name, counts):
-    expected, call = EIGVALSH_CASES[name]
+    matrices, calls, call = EIGVALSH_CASES[name]
     call()
-    assert counts["eigvalsh"] == expected
+    assert (counts["eigvalsh"], counts["eigvalsh calls"]) == (matrices, calls)
 
 
 @pytest.mark.parametrize("name", list(SVD_CASES))

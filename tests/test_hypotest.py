@@ -20,7 +20,8 @@ from qdiv.linalg import support_projector, trace_norm
 from qdiv.reverse import support_frame
 from qdiv.serialize import dump, state_to_dict
 from qdiv.states import (DensityMatrix, cq_apply, kron_power, power_blocks,
-                         power_trace_norms, random_density, tensor_power)
+                         power_trace_norms, random_density, sym_powers,
+                         tensor_power)
 from qdiv.suites import classical_threshold_oracle
 
 import oracles
@@ -152,23 +153,33 @@ class TestStackedRatioTest:
         rho, sigma = getattr(fixtures, name)
         r, s, weights = hypotest._compressed_powers(rho, sigma, n)
         rates = [float(a) for a in np.linspace(-1.5, 2.0, 41)]
-        stacked = list(hypotest._ratio_test(r, s, weights, rates, n))
-        assert len(stacked) == len(rates)
-        for a, (es, cols, pt) in zip(rates, stacked):
-            (es1, cols1, pt1), = hypotest._ratio_test(r, s, weights, [a], n)
-            assert _bits(pt) == _bits(pt1)
-            assert np.array_equal(cols, cols1)
-            assert np.array_equal(es.eigenvalues, es1.eigenvalues)
-            assert np.array_equal(es.eigenvectors, es1.eigenvectors)
-        assert [_bits(pt) for pt in curve_points(rho, sigma, n, rates)] == [_bits(pt) for _, _, pt in stacked]
+        # each stack's rows, one per rate: eigenvalues, eigenvectors, the
+        # accepted mask and the two traces
+        rows = [row for stack in hypotest._ratio_test(r, s, weights, rates, n)
+                for row in zip(stack[0].eigenvalues, stack[0].eigenvectors, *stack[1:])]
+        assert len(rows) == len(rates)
+        for a, row in zip(rates, rows):
+            (es, accepted, t1, t2), = hypotest._ratio_test(r, s, weights, [a], n)
+            one = (es.eigenvalues[0], es.eigenvectors[0], accepted[0], t1[0], t2[0])
+            assert [np.asarray(x).tobytes() for x in row] == [np.asarray(y).tobytes() for y in one]
+        assert [_bits(pt) for pt in curve_points(rho, sigma, n, rates)] == [
+            np.array([a, t1, t2]).tobytes() for a, (*_, t1, t2) in zip(rates, rows)]
 
     def test_rates_before_one_past_double_range_are_tested(self):
         r, s, weights = hypotest._compressed_powers(*fixtures.QUBIT_A, 2)
         seen = []
         with pytest.raises(ValueError, match="rate 1000.0"):
-            for _, _, pt in hypotest._ratio_test(r, s, weights, [0.1, 0.2, 1000.0, 0.3], 2):
-                seen.append(pt.a)
-        assert seen == [0.1, 0.2]
+            for _, _, t1, _ in hypotest._ratio_test(r, s, weights, [0.1, 0.2, 1000.0, 0.3], 2):
+                seen += list(t1)
+        assert len(seen) == 2
+
+    def test_threshold_scan_checks_every_acceptance(self, monkeypatch):
+        # stein_threshold builds no curve point, so the [0, 1] check on each
+        # stack is what catches an acceptance above 1
+        weights = hypotest.basis_weights
+        monkeypatch.setattr(hypotest, "basis_weights", lambda v, m: 2 * weights(v, m))
+        with pytest.raises(QdivError, match=r"escapes \[0, 1\]"):
+            stein_threshold(*fixtures.QUBIT_A, n=4, eps=0.5)
 
 
 def _one_rate_scan(f, lo, hi, eps):
@@ -566,6 +577,23 @@ class TestPowerTraceNorm:
             assert abs(norm - dense) <= 1e-12 * max(1.0, dense)
         # each row bit for bit as on its own
         assert [power_trace_norms(b, x[None], n)[0].hex() for x in xs] == [v.hex() for v in norms]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_call_equals_per_block_norms(self, n):
+        # the one eigvalsh call on the zero-padded stack against one call per
+        # unpadded block of the same tables: the padding adds zero eigenvalues
+        rng = np.random.default_rng(300 + n)
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        xs = rng.standard_normal((3, n + 1))
+        det2 = abs(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]) ** 2
+        per_block = np.zeros(len(xs))
+        for k, sym in enumerate(sym_powers(b, n)):
+            s = sym[:n - 2 * k + 1, :n - 2 * k + 1]
+            mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            ops = (s * (det2 ** k * xs[:, None, k:n - k + 1])) @ s.conj().T
+            per_block += mult * np.abs(np.linalg.eigvalsh(ops)).sum(axis=-1)
+        norms = power_trace_norms(b, xs[:, [bin(i).count("1") for i in range(2 ** n)]], n)
+        assert np.all(np.abs(norms - per_block) <= 1e-15 * per_block)
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_other_frames_take_the_dense_path(self, r):

@@ -8,15 +8,20 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from qdiv import fixtures
 from qdiv.config import derive_seed
 from qdiv.errors import DimensionCapError, ValidationError
 from qdiv.linalg import eigh
+from qdiv.reverse import support_frame
 from qdiv.states import (ClassicalDistribution, DensityMatrix, Measurement,
                          Preparation, QuantumChannel, TangentDirection,
                          apply_channel, apply_channel_tangent, basis_weights,
-                         check_power, cq_apply, kron_power, measure, random_commuting_pair,
-                         random_cptp, random_density, random_tangent,
-                         random_unitary, tensor_power)
+                         check_power, cq_apply, ginibre, kron_power, measure,
+                         random_commuting_pair, random_cptp, random_density,
+                         random_tangent, random_unitary, sym_powers,
+                         tensor_power)
+
+import oracles
 
 
 class TestConstructors:
@@ -267,6 +272,50 @@ class TestTensorPower:
         with pytest.raises(DimensionCapError, match=rf"{dim}\^{n} exceeds the dimension cap 4096"):
             check_power(dim, n)
         assert time.perf_counter() - start < 0.1
+
+
+def _sym_cases() -> dict:
+    """2x2 matrices for the Sym^m tables: Haar unitaries, complex Ginibre
+    matrices, singular ones, and the qubit fixtures' eigenbases and frames."""
+    rng = np.random.default_rng(41)
+    cases = {f"haar-{i}": random_unitary(2, rng) for i in range(3)}
+    cases.update({f"ginibre-{i}": ginibre(2, 2, rng) for i in range(3)})
+    cases["rank-1"] = ginibre(2, 1, rng) @ ginibre(1, 2, rng)
+    cases["zero-column"] = np.array([[0.6, 0.0], [0.8j, 0.0]])
+    cases["zero"] = np.zeros((2, 2), dtype=complex)
+    for name, (rho, sigma) in fixtures.PAIRS.items():
+        if rho.dim == 2:
+            cases[f"{name}-rho-eigenbasis"] = rho.eigen.eigenvectors
+            cases[f"{name}-sigma-eigenbasis"] = sigma.eigen.eigenvectors
+            cases[f"{name}-frame"] = support_frame(rho, sigma)[1]
+    return cases
+
+
+SYM_CASES = _sym_cases()
+
+
+class TestSymPowers:
+    @pytest.mark.parametrize("name", list(SYM_CASES))
+    def test_tables_match_convolution(self, name):
+        # the closed-form tables against the convolution builder, block by
+        # block, relative to each block's largest entry; the padding is zero
+        v = SYM_CASES[name]
+        for n in range(13):
+            stack = sym_powers(v, n)
+            blocks = oracles.convolution_sym_powers(v, n)
+            assert stack.shape == (len(blocks), n + 1, n + 1)
+            for ref, block in zip(blocks, stack):
+                size = len(ref)
+                assert np.abs(block[:size, :size] - ref).max() <= 1e-13 * np.abs(ref).max(initial=0.0)
+                assert not block[size:].any() and not block[:, size:].any()
+
+    def test_unitaries_stay_unitary(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            stack = sym_powers(random_unitary(2, rng), 12)
+            for k, block in enumerate(stack):
+                s = block[:13 - 2 * k, :13 - 2 * k]
+                assert np.abs(s.conj().T @ s - np.eye(len(s))).max() <= 1e-13
 
 
 class TestRandomGenerators:
