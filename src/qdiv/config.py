@@ -19,13 +19,13 @@ HERMITICITY_RTOL = 1e-12
 
 # Fixed validation tolerances: unit trace or sum, Kraus and POVM completeness,
 # support and off-support residuals, the tanh-sinh stopping step, and the
-# slack added to the smoothing distance bound.
+# slack on smooth_state's gentle-measurement distance bound.
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 OPERATOR_RESIDUAL_TOL = 1e-10
 QUADRATURE_STEP_TOL = 1e-8
-DATTA1_SLACK = 1e-6
+SMOOTHING_SLACK = 1e-6
 
 _DEFAULT_DIM_CAP = 4096
 

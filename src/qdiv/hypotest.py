@@ -9,10 +9,11 @@ r - e^{na} s it decomposes in stacked eigh calls, and whose traces it reads
 per stack from two products and masked sums: on the powers that
 states.power_blocks compresses where only its traces are read
 (stein_threshold a grid level at a time, curve_points all its rates at
-once, state_conversion one rate), on dense krons where a dense operator is
-returned (np_projector, smooth_state: one rate). It yields per stack the
-eigen arrays, acceptance mask and trace rows, which it range-checks. The
-asymptotic reverse test is the n-fold power of the one-copy frame of
+once, state_conversion one rate), on dense krons where the projector is
+returned (np_projector). It yields per stack the eigen arrays, acceptance
+mask and trace rows, which it range-checks. The smoothing pinches rho^{x n}
+in sigma's eigenbasis, where sigma^{x n} is diagonal. The asymptotic
+reverse test is the n-fold power of the one-copy frame of
 reverse.support_frame, kept in support coordinates. Its errors, and the
 conversion's, are trace norms of w^{x n} diag(x) w^{x n dag} with x a
 function of the type: one eigvalsh call on the zero-padded qubit Schur-Weyl
@@ -30,15 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DATTA1_SLACK, DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, SMOOTHING_SLACK
 from .divergences import dmax, support_escapes, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
-from .linalg import STACK_BYTES, EigenSystem, eigh, positive_part, trace_norm
+from .linalg import STACK_BYTES, EigenSystem, eigh, hermitian_trace_norm, support_cutoff
 from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
-                     kron_power, measure, power_blocks, power_trace_norms,
-                     tensor_power)
+                     kron_power, measure, power_blocks, power_trace_norms)
 
 
 @dataclass(frozen=True)
@@ -202,42 +202,46 @@ def write_curve_csv(path: str, rows) -> None:
 class SmoothedState:
     state: DensityMatrix
     epsilon: float              # trace distance to the target power state
-    rate_certificate: float     # a' with state <= e^{n a'} sigma_n, verified
-    accept_shortfall: float     # 1 - type1_accept at the smoothing rate
-    datta_bound: float          # 4 sqrt(2 * shortfall) + slack
+    rate_certificate: float     # least a' with state <= e^{n a'} sigma_n; at most a + (ln #classes - ln T)/n
+    accept_shortfall: float     # 1 - T, with T = tr rho_n P the weight the projection keeps
+    distance_bound: float       # 2 sqrt(1 - T) + (1 - T) + slack, by gentle measurement
 
 
 def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> SmoothedState:
-    """Cut the part of rho^{x n} exceeding e^{na} sigma^{x n}, repair, renormalize.
+    """Hayashi's pinched smoothing of rho^{x n} at rate a: P rho_n P / T, T = tr rho_n P.
 
-    The certificate a' = dmax(state, sigma^{x n})/n is recomputed from the
-    output and is the only guarantee exported; the distance bound in
-    sqrt(shortfall) is checked and reported, not assumed. Only sigma^{x n} is
-    validated, since the certificate reads its eigensystem. Raises
-    SupportViolationError, at one copy, when supp rho escapes supp sigma.
-    """
+    In sigma's eigenbasis sigma_n is the diagonal q^{x n}, q zero below the
+    support cutoff, constant on each type class (the indices with the same
+    count of each eigenvector). In each class of nonzero weight P keeps the
+    eigenvectors of its block of r = (v^dag rho v)^{x n} with eigenvalue at
+    most e^{na} times the weight. The certificate ln lambda_max(q^{-1/2} s
+    q^{-1/2}) / n is exact for the smoothed s. Raises SupportViolationError,
+    at one copy, when supp rho escapes supp sigma."""
     check_dims(rho, sigma)
     check_power(rho.dim, n)
     if support_escapes(rho, sigma):
         raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
-    rho_n, sigma_n = kron_power(rho.matrix, n), tensor_power(sigma, n)
-    (es, _, t1, _), = _ratio_test(rho_n, sigma_n.matrix, np.ones(len(rho_n)), [a], n)
-    cand = rho_n - positive_part(EigenSystem(es.eigenvalues[0], es.eigenvectors[0]))
-    apos = positive_part((cand + cand.conj().T) / 2)
-    tr = float(np.trace(apos).real)
-    if tr < 1e-12:
-        raise QdivError(f"smoothing degenerate at rate {a}: cut removed the whole state")
-    state = DensityMatrix(apos / tr)
-    epsilon = trace_norm(state.matrix - rho_n)
-    cert = dmax(state, sigma_n) / n
-    if math.isinf(cert):
-        raise SupportViolationError("supp rho escapes supp sigma: the smoothed state has no rate certificate")
-    shortfall = 1.0 - float(t1[0])
-    bound = 4 * math.sqrt(2 * max(shortfall, 0.0)) + DATTA1_SLACK
-    witness = math.exp(n * cert) * sigma_n.matrix - state.matrix
-    if float(np.linalg.eigvalsh(witness).min()) < -1e-9:
-        raise QdivError("rate certificate failed its own PSD check")
-    return SmoothedState(state, epsilon, cert, shortfall, bound)
+    if not math.isfinite(scale := _exp(n * a)):
+        raise ValueError(f"rate {a} at n={n}: e^(n rate) is not a finite double")
+    q, v = sigma.eigen
+    # each index's type class, named by its one member c whose labels ascend: rep[c] == c
+    rep = np.ravel_multi_index(np.sort(np.indices((rho.dim,) * n).reshape(n, -1), axis=0), (rho.dim,) * n)
+    qn, r = kron_power(np.where(q > support_cutoff(q), q, 0.0), n)[rep], kron_power(v.conj().T @ rho.matrix @ v, n)
+    proj = np.zeros_like(r)
+    for c in np.flatnonzero((rep == np.arange(len(rep))) & (qn > 0.0)):
+        idx = np.flatnonzero(rep == c)
+        w, u = eigh(r[np.ix_(idx, idx)])
+        cols = u[:, w <= scale * qn[c]]
+        proj[np.ix_(idx, idx)] = cols @ cols.conj().T
+    prp = proj @ r @ proj
+    if (t := float(prp.trace().real)) < 1e-12:
+        raise QdivError(f"smoothing degenerate at rate {a}: the projection removed the whole state")
+    # s is zero on the indices of weight 0, which any scale there keeps
+    s, root = prp / t, np.where(qn > 0.0, qn, 1.0) ** -0.5
+    cert = math.log(float(np.linalg.eigvalsh(s * root[:, None] * root)[-1])) / n
+    shortfall, vn = max(1.0 - t, 0.0), kron_power(v, n)
+    return SmoothedState(DensityMatrix(vn @ s @ vn.conj().T), float(hermitian_trace_norm(s - r)), cert, shortfall,
+                         2 * math.sqrt(shortfall) + shortfall + SMOOTHING_SLACK)
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,6 @@ def logm_support(h: np.ndarray | EigenSystem) -> np.ndarray:
     return matrix_function(h, np.log, support_only=True)
 
 
-def positive_part(h: np.ndarray | EigenSystem) -> np.ndarray:
-    return matrix_function(h, lambda x: np.maximum(x, 0.0))
-
-
 def support_projector(h: np.ndarray | EigenSystem) -> np.ndarray:
     w, v = _eigen(h)
     keep = w > support_cutoff(w)

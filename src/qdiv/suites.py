@@ -409,7 +409,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     for n in ns[:2]:
         sm = smooth_state(rho, sigma, mid, n)
         _record(records, f"datta-distance-bound-n={n}", cfg.seed, dig,
-                sm.epsilon, sm.datta_bound, slack=0.0)
+                sm.epsilon, sm.distance_bound, slack=0.0)
     # converse witness: the constructed reverse test bounds, at this very n,
     # the type-2 exponent of every test that keeps accepting the first state:
     # sigma^n >= e^{-nr} * (smoothed rho), so

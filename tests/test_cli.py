@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from qdiv import cli, fixtures, hypotest, states
+from qdiv import cli, fixtures
 from qdiv.cli import main
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.serialize import dump, state_to_dict
@@ -141,11 +141,9 @@ class TestAsymCommands:
         header = csv_path.read_text().splitlines()[0]
         assert header == "n,a,type1_accept,type2,threshold"
 
-    def test_threshold_csv_at_n12_builds_no_power(self, capsys, files, monkeypatch):
+    def test_threshold_csv_at_n12_builds_no_power(self, capsys, files, validated_dims):
         # a qubit pair's threshold and curve run on its Schur-Weyl blocks, so
         # n = 12 (dense 4096x4096) neither builds nor decomposes a tensor power
-        calls = []
-        monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: calls.append(n))
         csv_path = files["dir"] / "curve12.csv"
         code, out = run_cli(capsys, "asym", "threshold", "--n", "12",
                             "--rho", files["rho"], "--sigma", files["sigma"],
@@ -154,25 +152,23 @@ class TestAsymCommands:
         assert json.loads(out)["n"] == 12
         rows = csv_path.read_text().splitlines()[1:]
         assert len(rows) == 13 and all(row.startswith("12,") for row in rows)
-        assert calls == []
+        assert validated_dims == [2, 2]
 
-    def test_threshold_csv_on_a_qutrit_validates_no_power(self, capsys, files, monkeypatch):
+    def test_threshold_csv_on_a_qutrit_validates_no_power(self, capsys, files, validated_dims):
         # a qutrit pair's powers are dense krons, built by stein_threshold and
-        # again by curve_points, and neither validates one as a tensor_power
+        # again by curve_points, and neither validates one as a state
         paths = {}
         for name, state in zip(("rho", "sigma"), fixtures.QUTRIT):
             paths[name] = str(files["dir"] / f"qutrit_{name}.json")
             dump(state_to_dict(state), paths[name])
-        calls = []
-        for module in (hypotest, states):
-            monkeypatch.setattr(module, "tensor_power", lambda state, n: calls.append(n))
+        validated_dims.clear()
         csv_path = files["dir"] / "curve_qutrit.csv"
         code, out = run_cli(capsys, "asym", "threshold", "--n", "4",
                             "--rho", paths["rho"], "--sigma", paths["sigma"],
                             "--eps", "0.5", "--csv", str(csv_path))
         assert code == 0
         assert len(csv_path.read_text().splitlines()) == 14
-        assert calls == []
+        assert validated_dims == [3, 3]
 
     def test_reverse_test_feasible(self, capsys, files):
         code, out = run_cli(capsys, "asym", "reverse-test", "--n", "3",

@@ -68,10 +68,10 @@ CASES = {
     "stein_threshold-qutrit": (35, 35, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
     # all 13 rates in one stacked eigh on the qubit Schur-Weyl blocks
     "curve_points": (13, 1, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
-    # sigma^(x 4), validated for the certificate, the likelihood-ratio test,
-    # the repaired candidate's positive part, the smoothed state and 1 dmax;
-    # rho^(x 4) is a kron, and the support is checked on sigma.eigen
-    "smooth_state": (5, 5, lambda: smooth_state(*QUBIT_A, MID, 4)),
+    # the pinching's 5 type classes in sigma's eigenbasis (blocks of 1, 4, 6,
+    # 4, 1), one call each, and the smoothed state's validation. sigma^(x 4)
+    # is neither built nor decomposed: (5, 5), all 16x16, before
+    "smooth_state": (6, 6, lambda: smooth_state(*QUBIT_A, MID, 4)),
     # the one-copy frame's compressed sigma only; the powers are krons of the
     # frame, the ratios and the states, the certificate is read off the
     # capped ratios, and no 64x64 state is validated until the preparation
@@ -115,6 +115,9 @@ EIGVALSH_CASES = {
     # 3 blocks (sizes 5, 3, 1) of both rows in one call, where there was one
     # call per block (3 calls) and before that one 16x16 SVD per error
     "state_conversion": (6, 1, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # the 16x16 trace distance and the certificate's q^(x 4)-scaled state;
+    # the witness check on sigma^(x 4) is gone (1 before)
+    "smooth_state": (2, 2, lambda: smooth_state(*QUBIT_A, MID, 4)),
 }
 
 # sigma^-1/2 rho^1/2 on the common support, whose left singular vectors
@@ -130,6 +133,8 @@ SVD_CASES = {
     # the target's one-copy frame only: the sigma error and the output error
     # are read off the blocks (3 before)
     "state_conversion": (1, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # the trace distance is an eigvalsh, where it was a 16x16 SVD (1 before)
+    "smooth_state": (0, lambda: smooth_state(*QUBIT_A, MID, 4)),
 }
 
 

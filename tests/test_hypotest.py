@@ -327,7 +327,7 @@ class TestSmoothState:
         for n in (2, 4):
             for a in (d + 0.05, (d + dmax(rho, sigma)) / 2):
                 sm = smooth_state(rho, sigma, a, n)
-                assert sm.epsilon <= sm.datta_bound
+                assert sm.epsilon <= sm.distance_bound
 
     def test_certificate_self_consistent(self):
         rho, sigma = fixtures.QUBIT_B
@@ -337,31 +337,47 @@ class TestSmoothState:
                                  - sm.state.matrix).min()
         assert gap >= -1e-9
 
-    def test_renormalization_overshoot_form(self):
-        # mildly skewed classical pair keeps the shortfall below 1/8 so the
-        # certificate obeys the inverse-shortfall overshoot bound
-        rho = DensityMatrix(np.diag([0.55, 0.45]).astype(complex))
-        sigma = DensityMatrix(np.diag([0.35, 0.65]).astype(complex))
-        n, a = 4, 0.35
-        sm = smooth_state(rho, sigma, a, n)
-        eps = sm.accept_shortfall
-        assert eps < 1 / 8
-        bound = a + math.log(1 / (1 - math.sqrt(8 * eps))) / n
-        assert sm.rate_certificate <= bound + 1e-6
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["QUBIT_A", "QUBIT_B", "COMMUTING", "QUTRIT", "ill-conditioned"])
+    def test_matches_dense_pinching_oracle(self, name, n):
+        rho, sigma = _ill_conditioned_pair() if name == "ill-conditioned" else getattr(fixtures, name)
+        d = umegaki(rho, sigma).value
+        for a in (d + 0.05, (d + dmax(rho, sigma)) / 2):
+            sm = smooth_state(rho, sigma, a, n)
+            state, t, epsilon, cert = oracles.pinched_smoothing(rho.matrix, sigma.matrix, n, a)
+            assert np.abs(sm.state.matrix - state).max() <= 1e-12
+            assert abs(1 - sm.accept_shortfall - t) <= 1e-12
+            assert abs(sm.epsilon - epsilon) <= 1e-12
+            assert abs(sm.rate_certificate - cert) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gentle_measurement_and_pinching_bounds(self, d):
+        # epsilon <= 2 sqrt(1 - T) + (1 - T) + slack, and the certificate
+        # obeys the pinching inequality rho_n <= #classes * E(rho_n), with
+        # C(n + d - 1, d - 1) type classes, on 35 seeded pairs
+        for seed in range(35):
+            rho, sigma = random_density(d, seed=300 + seed), random_density(d, seed=400 + seed)
+            D = umegaki(rho, sigma).value
+            for n in (2, 3, 4):
+                for a in (D + 0.05, (D + dmax(rho, sigma)) / 2):
+                    sm = smooth_state(rho, sigma, a, n)
+                    t = 1 - sm.accept_shortfall
+                    assert sm.epsilon <= sm.distance_bound
+                    assert sm.rate_certificate <= a + (math.log(math.comb(n + d - 1, d - 1)) - math.log(t)) / n
 
     def test_support_violation_raises(self):
         rho, sigma = _escaping_pair()
         with pytest.raises(SupportViolationError):
             smooth_state(rho, sigma, 0.5, 2)
 
-    # on the ill-conditioned pair the dense sigma^(x n) loses eigenvalues to
-    # the 1e-12 relative support cut: at n = 4 the certificate finds supp
-    # rho_n outside it (SupportViolationError), and at n = 3, rate 0.3 the
-    # certificate fails its own PSD check (QdivError)
-    @pytest.mark.xfail(raises=QdivError, strict=True,
-                       reason="dense sigma^(x n) support cut on an ill-conditioned sigma")
-    @pytest.mark.parametrize("n,rate", [(3, 0.3), (4, 0.3), (4, 1.0)])
+    def test_rate_that_keeps_nothing_raises(self):
+        # e^(na) is below every eigenvalue of every class block
+        with pytest.raises(QdivError, match="degenerate"):
+            smooth_state(*fixtures.QUBIT_A, -5.0, 2)
+
+    # sigma's smallest eigenvalue is 4.3e-4, so sigma^(x 4) spans 13 orders
+    # of magnitude; the certificate reads it as the diagonal q^(x n)
+    @pytest.mark.parametrize("n,rate", [(3, 0.3), (4, 0.3), (4, 1.0), (3, 1.0)])
     def test_ill_conditioned_sigma_certified(self, n, rate):
         rho, sigma = _ill_conditioned_pair()
         sm = smooth_state(rho, sigma, rate, n)
@@ -650,16 +666,13 @@ def _conversion_gap(rho, sigma):
 
 
 class TestStateConversion:
-    def test_builds_target_powers_only(self, monkeypatch):
+    def test_builds_target_powers_only(self, validated_dims):
         # the source's test traces come from its Schur-Weyl blocks and the
         # reverse test from the target's one-copy frame; the target powers
         # that the errors need are krons, not validated states
-        built = []
-        build = hypotest.tensor_power
-        monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: built.append(state) or build(state, n))
         rho, sigma = fixtures.QUBIT_A
         state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, 6, _conversion_gap(rho, sigma))
-        assert built == []
+        assert [d for d in validated_dims if d > 2] == []
 
     def test_builds_no_dense_target_power(self, monkeypatch):
         # the ratios t^(x n) and squared norms q^(x n) only: both errors are
@@ -673,18 +686,19 @@ class TestStateConversion:
         assert len(built) == 2
         assert all(x.ndim == 1 for x in built)
 
-    def test_measurement_built_once(self, monkeypatch):
+    def test_measurement_built_once(self, monkeypatch, validated_dims):
+        # a second application validates its output state only
         rho0, sigma0 = fixtures.CONVERSION_SOURCE
         rho, sigma = fixtures.QUBIT_A
         channel, _ = state_conversion(rho0, sigma0, rho, sigma, 6, _conversion_gap(rho, sigma))
         channel.apply(tensor_power(rho0, 6))
         sigma0_n = tensor_power(sigma0, 6)
-        built, spectra = [], []
-        monkeypatch.setattr(hypotest, "tensor_power", lambda state, n: built.append(n))
+        validated_dims.clear()
+        spectra = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: spectra.append(a) or eigvalsh(a, *args, **kw))
         channel.apply(sigma0_n)
-        assert built == [] and spectra == []
+        assert validated_dims == [2 ** 6] and spectra == []
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_channel_output_matches_reported_error(self, n):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qdiv import fixtures, hypotest, suites
+from qdiv import hypotest, suites
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.errors import ValidationError
 from qdiv.suites import (ALL_SUITES, SuiteConfig, report_from_json,
@@ -126,18 +126,14 @@ class TestRunSuite:
         assert records == [dataclasses.asdict(r) for r in report.records]
         assert [list(r) for r in records] == [list(dataclasses.asdict(r)) for r in report.records]
 
-    def test_stein_trend_builds_each_power_once(self, monkeypatch):
-        # sigma's powers at n = 2, 4 only, which smooth_state validates for
-        # its certificate; rho's are krons. stein_threshold, the commuting
-        # control included, works on Schur-Weyl blocks, and the reverse tests
-        # at n = 6 on the one-copy frame. The suite builds no power itself
-        calls = []
-        build = hypotest.tensor_power
-        monkeypatch.setattr(hypotest, "tensor_power",
-                            lambda state, n: calls.append((state, n)) or build(state, n))
+    def test_stein_trend_builds_no_power(self, validated_dims):
+        # stein_threshold, the commuting control included, works on
+        # Schur-Weyl blocks, the reverse tests at n = 6 on the one-copy frame,
+        # and smooth_state on krons in sigma's eigenbasis, whose certificate
+        # reads sigma^(x n) as a diagonal. The only states validated above
+        # one copy are the two smoothed states, at n = 2 and 4
         suites._suite_stein_trend(SuiteConfig())
-        assert [n for _, n in calls] == [2, 4]
-        assert all(state is fixtures.QUBIT_A[1] for state, _ in calls)
+        assert [d for d in validated_dims if d > 2] == [4, 16]
         assert not hasattr(suites, "tensor_power")
 
     def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
