@@ -16,8 +16,7 @@ import numpy as np
 from .divergences import (dmax, fidelity_logdiv, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import InfeasibleRateError, QdivError
-from .hypotest import (asymptotic_reverse_test, curve_points, state_conversion,
-                       stein_threshold, write_curve_csv)
+from .hypotest import CopyPair, state_conversion, write_curve_csv
 from .metrics import metric_scalar, named_metric
 from .reverse import optimal_reverse_test
 from .serialize import (dump, load_hermitian, load_state, reverse_test_to_dict)
@@ -70,11 +69,12 @@ def _cmd_reverse_test(args) -> int:
 
 def _cmd_asym_threshold(args) -> int:
     rho, sigma = load_state(args.rho), load_state(args.sigma)
-    thr = stein_threshold(rho, sigma, args.n, args.eps)
+    pair = CopyPair(rho, sigma, args.n)
+    thr = pair.threshold(args.eps)
     out = {"n": args.n, "eps": args.eps, "threshold": thr, "umegaki": umegaki(rho, sigma).value}
     if args.csv:
         rates = np.linspace(thr - 0.3, thr + 0.3, 13)
-        write_curve_csv(args.csv, [(args.n, pt, thr) for pt in curve_points(rho, sigma, args.n, rates)])
+        write_curve_csv(args.csv, [(args.n, pt, thr) for pt in pair.curve_points(rates)])
         out["csv"] = args.csv
     _emit(out)
     return 0
@@ -83,7 +83,7 @@ def _cmd_asym_threshold(args) -> int:
 def _cmd_asym_reverse_test(args) -> int:
     rho, sigma = load_state(args.rho), load_state(args.sigma)
     try:
-        brt = asymptotic_reverse_test(rho, sigma, args.n, args.rate)
+        brt = CopyPair(rho, sigma, args.n).reverse_test(args.rate)
     except InfeasibleRateError as exc:
         out = {"n": args.n, "rate": args.rate, "feasible": False, "min_rate": exc.min_rate}
     else:

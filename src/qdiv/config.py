@@ -19,7 +19,7 @@ HERMITICITY_RTOL = 1e-12
 
 # Fixed validation tolerances: unit trace or sum, Kraus and POVM completeness,
 # support and off-support residuals, the tanh-sinh stopping step, and the
-# slack on smooth_state's gentle-measurement distance bound.
+# slack on CopyPair.smooth's gentle-measurement distance bound.
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 SUPPORT_TOL = 1e-10

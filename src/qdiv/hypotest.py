@@ -1,25 +1,24 @@
-"""Finite-n hypothesis-testing machinery: likelihood-ratio projectors, the
-acceptance-threshold scan, certified smoothing, the binary asymptotic
-reverse test, and the measure-and-prepare state conversion channel.
+"""Finite-n hypothesis-testing machinery on one n-copy pair: likelihood-ratio
+projectors, the acceptance-threshold scan, certified smoothing, the binary
+asymptotic reverse test, and the measure-and-prepare state conversion channel.
 
-Every entry point takes the one-copy pair (rho, sigma) and n; the n-copy
-matrices are built here, after the checks. One kernel, _ratio_test, runs
-every likelihood-ratio test, at a sequence of rates whose matrices
-r - e^{na} s it decomposes in stacked eigh calls, and whose traces it reads
-per stack from two products and masked sums: on the powers that
-states.power_blocks compresses where only its traces are read
-(stein_threshold a grid level at a time, curve_points all its rates at
-once, state_conversion one rate), on dense krons where the projector is
-returned (np_projector). It yields per stack the eigen arrays, acceptance
-mask and trace rows, which it range-checks. The smoothing pinches rho^{x n}
-in sigma's eigenbasis, where sigma^{x n} is diagonal. The asymptotic
-reverse test is the n-fold power of the one-copy frame of
-reverse.support_frame, kept in support coordinates. Its errors, and the
-conversion's, are trace norms of w^{x n} diag(x) w^{x n dag} with x a
-function of the type: one eigvalsh call on the zero-padded qubit Schur-Weyl
-blocks of states.sym_powers when the frame is 2x2, and dense otherwise. Its
-states are built only when read.
-Every certificate is computed from the state it certifies; nothing is
+CopyPair(rho, sigma, n) is checked once when made (the dimensions, then n and
+the cap). Its methods are the constructions, and what they share is built on
+first read and kept: the powers that states.power_blocks compresses, and the
+one-copy frame of reverse.support_frame with its n-fold ratios and weights.
+One kernel, _ratio_test, runs every likelihood-ratio test, at a sequence of
+rates whose matrices r - e^{na} s it decomposes in stacked eigh calls, and
+whose traces it reads per stack from two products and masked sums: on the
+compressed powers (threshold a grid level at a time, curve_points all its
+rates at once), on dense krons where the projector is returned. It yields
+per stack the eigen arrays, acceptance mask and trace rows, which it
+range-checks. The smoothing pinches rho^{x n} in sigma's eigenbasis, where
+sigma^{x n} is diagonal. The reverse test is the n-fold power of the frame,
+kept in support coordinates. Its errors, and the conversion's, are trace
+norms of w^{x n} diag(x) w^{x n dag} with x a function of the type: one
+eigvalsh call on the zero-padded qubit Schur-Weyl blocks of states.sym_powers
+when the frame is 2x2, and dense otherwise. Its states are built only when
+read. Every certificate is computed from the state it certifies; nothing is
 trusted from a printed constant.
 """
 
@@ -28,6 +27,7 @@ import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,17 +46,6 @@ class TestCurvePoint:
     a: float
     type1_accept: float   # tr rho_n {rho_n - e^{na} sigma_n <= 0}
     type2: float          # tr sigma_n (1 - P)
-
-
-def np_projector(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> tuple[np.ndarray, TestCurvePoint]:
-    """Projector onto the non-positive eigenspace of rho^{x n} - e^{na} sigma^{x n}, on
-    their dense krons, with the exact acceptance/error traces at threshold a."""
-    check_dims(rho, sigma)
-    check_power(rho.dim, n)
-    ((_, v), accepted, t1, t2), = _ratio_test(kron_power(rho.matrix, n), kron_power(sigma.matrix, n),
-                                              np.ones(rho.dim ** n), [a], n)
-    cols = v[0][:, accepted[0]]
-    return cols @ cols.conj().T, TestCurvePoint(a, float(t1[0]), float(t2[0]))
 
 
 def _exp(x: float) -> float:
@@ -154,36 +143,6 @@ def threshold_scan(accept: Callable[[Sequence[float]], Iterable[float]], lo: flo
         lo = grid[hit - 1] if hit > 0 else hi - step
 
 
-def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
-    """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
-    the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5, at the
-    fixed grid resolution stein_grid_width (1e-3). Each grid level is tested
-    in stacks of at most STACK_BYTES, up to the stack that holds its first
-    hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
-    rate on an 81x81 dense power, each acceptance read off its stack's row.
-    The powers are compressed at the first level, after threshold_scan's checks."""
-    powers = functools.cache(lambda: _compressed_powers(rho, sigma, n))
-    lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    return threshold_scan(lambda rates: (t for _, _, t1, _ in _ratio_test(*powers(), rates, n) for t in t1),
-                          lo, hi, n, eps)
-
-
-def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
-    """np_projector's traces at each rate, on the powers compressed by
-    power_blocks, from stacked eighs of at most STACK_BYTES: one call for
-    all 13 rates on the 16x16 qubit blocks at n = 6."""
-    powers, rates = _compressed_powers(rho, sigma, n), [float(a) for a in rates]
-    rows = [row for _, _, t1, t2 in _ratio_test(*powers, rates, n) for row in zip(t1.tolist(), t2.tolist())]
-    return [TestCurvePoint(a, *row) for a, row in zip(rates, rows)]
-
-
-def _compressed_powers(rho: DensityMatrix, sigma: DensityMatrix,
-                       n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    check_dims(rho, sigma)
-    (r, weights), (s, _) = power_blocks(rho, n), power_blocks(sigma, n)
-    return r, s, weights
-
-
 def write_curve_csv(path: str, rows) -> None:
     """Rows of (n, point, threshold) to the curve CSV schema."""
     with open(path, "w", newline="") as fh:
@@ -195,7 +154,7 @@ def write_curve_csv(path: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# smoothing
+# the n-copy pair and its constructions
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,77 +166,39 @@ class SmoothedState:
     distance_bound: float       # 2 sqrt(1 - T) + (1 - T) + slack, by gentle measurement
 
 
-def smooth_state(rho: DensityMatrix, sigma: DensityMatrix, a: float, n: int) -> SmoothedState:
-    """Hayashi's pinched smoothing of rho^{x n} at rate a: P rho_n P / T, T = tr rho_n P.
-
-    In sigma's eigenbasis sigma_n is the diagonal q^{x n}, q zero below the
-    support cutoff, constant on each type class (the indices with the same
-    count of each eigenvector). In each class of nonzero weight P keeps the
-    eigenvectors of its block of r = (v^dag rho v)^{x n} with eigenvalue at
-    most e^{na} times the weight. The certificate ln lambda_max(q^{-1/2} s
-    q^{-1/2}) / n is exact for the smoothed s. Raises SupportViolationError,
-    at one copy, when supp rho escapes supp sigma."""
-    check_dims(rho, sigma)
-    check_power(rho.dim, n)
-    if support_escapes(rho, sigma):
-        raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
-    if not math.isfinite(scale := _exp(n * a)):
-        raise ValueError(f"rate {a} at n={n}: e^(n rate) is not a finite double")
-    q, v = sigma.eigen
-    # each index's type class, named by its one member c whose labels ascend: rep[c] == c
-    rep = np.ravel_multi_index(np.sort(np.indices((rho.dim,) * n).reshape(n, -1), axis=0), (rho.dim,) * n)
-    qn, r = kron_power(np.where(q > support_cutoff(q), q, 0.0), n)[rep], kron_power(v.conj().T @ rho.matrix @ v, n)
-    proj = np.zeros_like(r)
-    for c in np.flatnonzero((rep == np.arange(len(rep))) & (qn > 0.0)):
-        idx = np.flatnonzero(rep == c)
-        w, u = eigh(r[np.ix_(idx, idx)])
-        cols = u[:, w <= scale * qn[c]]
-        proj[np.ix_(idx, idx)] = cols @ cols.conj().T
-    prp = proj @ r @ proj
-    if (t := float(prp.trace().real)) < 1e-12:
-        raise QdivError(f"smoothing degenerate at rate {a}: the projection removed the whole state")
-    # s is zero on the indices of weight 0, which any scale there keeps
-    s, root = prp / t, np.where(qn > 0.0, qn, 1.0) ** -0.5
-    cert = math.log(float(np.linalg.eigvalsh(s * root[:, None] * root)[-1])) / n
-    shortfall, vn = max(1.0 - t, 0.0), kron_power(v, n)
-    return SmoothedState(DensityMatrix(vn @ s @ vn.conj().T), float(hermitian_trace_norm(s - r)), cert, shortfall,
-                         2 * math.sqrt(shortfall) + shortfall + SMOOTHING_SLACK)
-
-
-# ---------------------------------------------------------------------------
-# binary asymptotic reverse test
+class PowerFrame(NamedTuple):   # reverse.support_frame's one-copy frame and its n-fold diagonals
+    iso: np.ndarray             # V, the isometry onto supp sigma
+    w: np.ndarray               # sigma = V w w^dag V^dag
+    ratios: np.ndarray          # t^{x n}, with rho = V w diag(t) w^dag V^dag
+    q: np.ndarray               # q^{x n}, q the squared column norms of w
 
 
 @dataclass(frozen=True, eq=False)
 class BinaryReverseTest:
     """Binary reverse test whose input p is always (1, 0), kept on its
-    one-copy frame in support coordinates: with V the isometry onto supp
-    sigma and B = V w, symbol x prepares B^{x n} diag(weights[x]) B^{x n dag},
-    and rho^{x n}, sigma^{x n} are B^{x n} diag(ratios or ones) B^{x n dag}.
-    Each error is a trace norm in support coordinates, of w^{x n} times a
-    difference of weight rows (states.power_trace_norms), computed on first
-    read; B^{x n} is built on the first read of an output or the
-    preparation."""
+    pair's PowerFrame in support coordinates: with B = V w, symbol x prepares
+    B^{x n} diag(weights[x]) B^{x n dag}, and rho^{x n}, sigma^{x n} are
+    B^{x n} diag(ratios or ones) B^{x n dag}. Each error is a trace norm in
+    support coordinates, of w^{x n} times a difference of weight rows
+    (states.power_trace_norms), computed on first read; B^{x n} is built on
+    the first read of an output or the preparation."""
 
-    iso: np.ndarray             # V, the isometry onto supp sigma
-    w: np.ndarray               # sigma = V w w^dag V^dag
-    ratios: np.ndarray          # t^{x n}, with rho = V w diag(t) w^dag V^dag
+    pair: "CopyPair"
     weights: np.ndarray         # rows: capped g, complement h / (h . q_n)
     q: ClassicalDistribution    # (e^{-n rate}, 1 - e^{-n rate})
     rate: float
     certificate: float
-    n: int
 
     def errors(self, p0s: Sequence[float], targets: Sequence) -> list[float]:
         """|| output(p0) - B^{x n} diag(target) B^{x n dag} ||_1 for each p0
         and target, with target = ratios for rho^{x n} and 1 for sigma^{x n}:
         all from one eigvalsh call, each error bit for bit as on its own."""
         xs = [p0 * self.weights[0] + (1 - p0) * self.weights[1] - target for p0, target in zip(p0s, targets)]
-        return [float(v) for v in power_trace_norms(self.w, np.array(xs), self.n)]
+        return [float(v) for v in power_trace_norms(self.pair.frame.w, np.array(xs), self.pair.n)]
 
     @functools.cached_property
     def rho_error(self) -> float:   # || output(1) - rho^{x n} ||_1
-        return self.errors([1.0], [self.ratios])[0]
+        return self.errors([1.0], [self.pair.frame.ratios])[0]
 
     @functools.cached_property
     def sigma_error(self) -> float:   # || output(q(0)) - sigma^{x n} ||_1, ~0 by design
@@ -286,7 +207,7 @@ class BinaryReverseTest:
     @functools.cached_property
     def frame(self) -> np.ndarray:
         """B^{x n}, with sigma^{x n} = B^{x n} B^{x n dag}."""
-        return kron_power(self.iso @ self.w, self.n)
+        return kron_power(self.pair.frame.iso @ self.pair.frame.w, self.pair.n)
 
     def output(self, p0: float) -> np.ndarray:
         """The mixture prepared at input (p0, 1 - p0), as a dense matrix."""
@@ -298,46 +219,151 @@ class BinaryReverseTest:
         return Preparation((DensityMatrix(self.output(1.0)), DensityMatrix(self.output(0.0))))
 
 
-def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int,
-                            rate: float) -> BinaryReverseTest:
-    """Binary-input preparation with prep(q) = sigma^{x n} exactly and prep(p)
-    the capped state near rho^{x n}, at input weight q(0) = e^{-n rate}.
+@dataclass(frozen=True, eq=False)
+class CopyPair:
+    """The n-copy pair (rho^{x n}, sigma^{x n}), checked once: the dimensions
+    agree, then n is an integer, at least 1, with d^n within the dimension cap.
+    What its constructions share, `powers` and `frame`, is built on first read."""
 
-    The one-copy frame of reverse.support_frame, sigma = B B^dag and
-    rho = B diag(t) B^dag, gives the powers as B^{x n} with ratios t^{x n}.
-    The capped state is B^{x n} diag(g) B^{x n dag}: g = min(t^{x n},
-    e^{n rate}), refilled from the room e^{n rate} - g and normalized, so its
-    certificate dmax(state, sigma^{x n})/n is ln(max g)/n; a cap past double
-    range caps nothing. The complement (sigma^{x n} - q(0) state)/(1 - q(0))
-    is B^{x n} diag(1 - q(0) g) B^{x n dag} over its own trace: dividing by
-    1 - q(0), about n rate, would magnify roundoff at small rates. Raises
-    SupportViolationError if supp rho escapes supp sigma. The refill keeps g
-    at most e^{n rate}, so the certificate meets the rate up to roundoff; one
-    above rate + 1e-9 still raises InfeasibleRateError.
-    """
-    check_dims(rho, sigma)
-    check_power(rho.dim, n)
-    q0 = math.exp(-n * rate) if rate > 0 else 1.0
-    if q0 >= 1 - 1e-12:
-        raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
-    if support_escapes(rho, sigma):
-        raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
-    iso, w, t = support_frame(rho, sigma)
-    t_n, q_n = kron_power(t, n), kron_power(np.sum(np.abs(w) ** 2, axis=0), n)
-    cap = _exp(n * rate)
-    g = np.minimum(t_n, cap)
-    if cap < math.inf:
-        tr, tr_room = float(g @ q_n), float((cap - g) @ q_n)
-        if tr < 1.0 and tr_room > 1e-14:
-            g = g + ((1.0 - tr) / tr_room) * (cap - g)
-    g = g / float(g @ q_n)
-    cert = math.log(float(g.max())) / n
-    if not cert <= rate + 1e-9:
-        raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
-                                  min_rate=cert)
-    h = np.maximum(1.0 - q0 * g, 0.0)
-    return BinaryReverseTest(iso, w, t_n, np.stack((g, h / float(h @ q_n))),
-                             ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert, n)
+    rho: DensityMatrix
+    sigma: DensityMatrix
+    n: int
+
+    def __post_init__(self):
+        check_dims(self.rho, self.sigma)
+        check_power(self.rho.dim, self.n)
+
+    @functools.cached_property
+    def powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r, s, weights): rho^{x n} and sigma^{x n} compressed by
+        states.power_blocks, and their shared row weights."""
+        (r, weights), (s, _) = power_blocks(self.rho, self.n), power_blocks(self.sigma, self.n)
+        return r, s, weights
+
+    @functools.cached_property
+    def frame(self) -> PowerFrame:
+        """reverse.support_frame's one-copy frame, sigma = B B^dag and rho = B diag(t) B^dag
+        with B = V w, with t^{x n} and q^{x n}, the squared column norms of B^{x n}.
+        Raises SupportViolationError, at one copy, if supp rho escapes supp sigma."""
+        if support_escapes(self.rho, self.sigma):
+            raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
+        iso, w, t = support_frame(self.rho, self.sigma)
+        return PowerFrame(iso, w, kron_power(t, self.n), kron_power(np.sum(np.abs(w) ** 2, axis=0), self.n))
+
+    def projector(self, a: float) -> tuple[np.ndarray, TestCurvePoint]:
+        """Projector onto the non-positive eigenspace of rho^{x n} - e^{na} sigma^{x n}, on
+        their dense krons, with the exact acceptance/error traces at threshold a."""
+        n = self.n
+        ((_, v), accepted, t1, t2), = _ratio_test(kron_power(self.rho.matrix, n), kron_power(self.sigma.matrix, n),
+                                                  np.ones(self.rho.dim ** n), [a], n)
+        cols = v[0][:, accepted[0]]
+        return cols @ cols.conj().T, TestCurvePoint(a, float(t1[0]), float(t2[0]))
+
+    def threshold(self, eps: float) -> float:
+        """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
+        the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5, at the
+        fixed grid resolution stein_grid_width (1e-3). Each grid level is tested
+        in stacks of at most STACK_BYTES, up to the stack that holds its first
+        hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
+        rate on an 81x81 dense power, each acceptance read off its stack's row.
+        The powers are read at the first level, after threshold_scan's checks."""
+        lo, hi = -dmax(self.sigma, self.rho) - 0.5, dmax(self.rho, self.sigma) + 0.5
+        return threshold_scan(lambda rates: (t for _, _, t1, _ in _ratio_test(*self.powers, rates, self.n) for t in t1),
+                              lo, hi, self.n, eps)
+
+    def curve_points(self, rates) -> list[TestCurvePoint]:
+        """projector's traces at each rate, on the powers compressed by
+        power_blocks, from stacked eighs of at most STACK_BYTES: one call for
+        all 13 rates on the 16x16 qubit blocks at n = 6."""
+        rates = [float(a) for a in rates]
+        rows = [row for _, _, t1, t2 in _ratio_test(*self.powers, rates, self.n)
+                for row in zip(t1.tolist(), t2.tolist())]
+        return [TestCurvePoint(a, *row) for a, row in zip(rates, rows)]
+
+    def smooth(self, a: float) -> SmoothedState:
+        """Hayashi's pinched smoothing of rho^{x n} at rate a: P rho_n P / T, T = tr rho_n P.
+
+        In sigma's eigenbasis sigma_n is the diagonal q^{x n}, q zero below the
+        support cutoff, constant on each type class (the indices with the same
+        count of each eigenvector). In each class of nonzero weight P keeps the
+        eigenvectors of its block of r = (v^dag rho v)^{x n} with eigenvalue at
+        most e^{na} times the weight. The certificate ln lambda_max(q^{-1/2} s
+        q^{-1/2}) / n is exact for the smoothed s. Raises SupportViolationError,
+        at one copy, when supp rho escapes supp sigma."""
+        rho, sigma, n = self.rho, self.sigma, self.n
+        if support_escapes(rho, sigma):
+            raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n a} sigma is near rho")
+        if not math.isfinite(scale := _exp(n * a)):
+            raise ValueError(f"rate {a} at n={n}: e^(n rate) is not a finite double")
+        q, v = sigma.eigen
+        # each index's type class, named by its one member c whose labels ascend: rep[c] == c
+        rep = np.ravel_multi_index(np.sort(np.indices((rho.dim,) * n).reshape(n, -1), axis=0), (rho.dim,) * n)
+        qn, r = kron_power(np.where(q > support_cutoff(q), q, 0.0), n)[rep], kron_power(v.conj().T @ rho.matrix @ v, n)
+        proj = np.zeros_like(r)
+        for c in np.flatnonzero((rep == np.arange(len(rep))) & (qn > 0.0)):
+            idx = np.flatnonzero(rep == c)
+            w, u = eigh(r[np.ix_(idx, idx)])
+            cols = u[:, w <= scale * qn[c]]
+            proj[np.ix_(idx, idx)] = cols @ cols.conj().T
+        prp = proj @ r @ proj
+        if (t := float(prp.trace().real)) < 1e-12:
+            raise QdivError(f"smoothing degenerate at rate {a}: the projection removed the whole state")
+        # s is zero on the indices of weight 0, which any scale there keeps
+        s, root = prp / t, np.where(qn > 0.0, qn, 1.0) ** -0.5
+        cert = math.log(float(np.linalg.eigvalsh(s * root[:, None] * root)[-1])) / n
+        shortfall, vn = max(1.0 - t, 0.0), kron_power(v, n)
+        return SmoothedState(DensityMatrix(vn @ s @ vn.conj().T), float(hermitian_trace_norm(s - r)), cert, shortfall,
+                             2 * math.sqrt(shortfall) + shortfall + SMOOTHING_SLACK)
+
+    def reverse_test(self, rate: float) -> BinaryReverseTest:
+        """Binary-input preparation with prep(q) = sigma^{x n} exactly and prep(p)
+        the capped state near rho^{x n}, at input weight q(0) = e^{-n rate}.
+
+        On the frame, the capped state is B^{x n} diag(g) B^{x n dag}, with
+        g = min(t^{x n}, e^{n rate}) refilled from the room e^{n rate} - g and
+        normalized, so its certificate dmax(state, sigma^{x n})/n is
+        ln(max g)/n; a cap past double range caps nothing. The complement
+        (sigma^{x n} - q(0) state)/(1 - q(0)) is B^{x n} diag(1 - q(0) g)
+        B^{x n dag} over its own trace: dividing by 1 - q(0), about n rate,
+        would magnify roundoff at small rates. Raises SupportViolationError if
+        supp rho escapes supp sigma. The refill keeps g at most e^{n rate}, so
+        the certificate meets the rate up to roundoff; one above rate + 1e-9
+        still raises InfeasibleRateError.
+        """
+        n = self.n
+        q0 = math.exp(-n * rate) if rate > 0 else 1.0
+        if q0 >= 1 - 1e-12:
+            raise ValueError(f"rate must be positive with q(0) = e^(-n rate) below 1 - 1e-12, got {rate} at n={n}")
+        t_n, q_n = self.frame.ratios, self.frame.q
+        cap = _exp(n * rate)
+        g = np.minimum(t_n, cap)
+        if cap < math.inf:
+            tr, tr_room = float(g @ q_n), float((cap - g) @ q_n)
+            if tr < 1.0 and tr_room > 1e-14:
+                g = g + ((1.0 - tr) / tr_room) * (cap - g)
+        g = g / float(g @ q_n)
+        cert = math.log(float(g.max())) / n
+        if not cert <= rate + 1e-9:
+            raise InfeasibleRateError(f"rate {rate} infeasible at n={n}: minimal certified rate {cert}",
+                                      min_rate=cert)
+        h = np.maximum(1.0 - q0 * g, 0.0)
+        return BinaryReverseTest(self, np.stack((g, h / float(h @ q_n))),
+                                 ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert)
+
+
+# three CopyPair methods as functions of (rho, sigma, n), each on a pair of its own (bench/workloads.py calls them)
+
+
+def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
+    return CopyPair(rho, sigma, n).threshold(eps)
+
+
+def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> list[TestCurvePoint]:
+    return CopyPair(rho, sigma, n).curve_points(rates)
+
+
+def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int, rate: float) -> BinaryReverseTest:
+    return CopyPair(rho, sigma, n).reverse_test(rate)
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +376,14 @@ class ConversionChannel:
     on the n-th power of the source pair, then the output of the target's
     reverse test `test`; never materialized as a dense superoperator."""
 
-    rho0: DensityMatrix
-    sigma0: DensityMatrix
-    n: int
+    source: CopyPair
     a: float
     test: BinaryReverseTest
 
     @functools.cached_property
     def measurement(self) -> Measurement:
-        """The effects (1 - P, P) of np_projector on the source pair, built on first read."""
-        proj, _ = np_projector(self.rho0, self.sigma0, self.a, self.n)
+        """The effects (1 - P, P) of the source pair's projector, built on first read."""
+        proj, _ = self.source.projector(self.a)
         return Measurement((np.eye(len(proj)) - proj, proj))
 
     def apply(self, state_n: DensityMatrix) -> DensityMatrix:
@@ -398,7 +422,8 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
             f"gap hypothesis fails: D(source) = {d_src.value:.6f} must exceed "
             f"D(target) + 2c = {d_tgt.value + 2 * c:.6f}")
     a = d_tgt.value + c
-    pt, = curve_points(rho0, sigma0, n, [a])
+    source = CopyPair(rho0, sigma0, n)
+    pt, = source.curve_points([a])
     accept = 1.0 - pt.type1_accept          # weight of rho0^n on the accept effect 1 - P
     q0 = pt.type2
     if q0 <= 0:
@@ -406,9 +431,9 @@ def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
                                       "type-2 error vanished; rate unbounded")
     rate = -math.log(q0) / n
     try:
-        brt = asymptotic_reverse_test(rho, sigma, n, rate)
+        brt = CopyPair(rho, sigma, n).reverse_test(rate)
     except InfeasibleRateError as exc:
         return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                       f"not yet feasible at this n: {exc}")
-    rho_error, sigma_error = brt.errors([accept, float(brt.q.probs[0])], [brt.ratios, 1.0])
-    return ConversionChannel(rho0, sigma0, n, a, brt), ConversionReport(n, True, rate, accept, rho_error, sigma_error)
+    rho_error, sigma_error = brt.errors([accept, float(brt.q.probs[0])], [brt.pair.frame.ratios, 1.0])
+    return ConversionChannel(source, a, brt), ConversionReport(n, True, rate, accept, rho_error, sigma_error)

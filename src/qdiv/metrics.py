@@ -180,8 +180,7 @@ def _petz_forms(specs: Sequence[MetricSpec], eigen: EigenSystem, x: np.ndarray,
 
 def petz_metric(spec: MetricSpec, rho: DensityMatrix, x: TangentDirection) -> complex:
     """Metric value g^f_rho(X, X), real up to roundoff."""
-    lam = rho.eigen.eigenvalues
-    if lam[0] <= SUPPORT_RTOL * lam[-1]:
+    if not rho.full_rank:
         raise RankError("petz_metric needs full-rank rho; restrict to the support first")
     return complex(_petz_forms((spec,), rho.eigen, x.matrix, x.matrix)[0])
 
@@ -194,8 +193,7 @@ def sld_optimal_measurement(rho: DensityMatrix, x: TangentDirection) -> tuple[np
     """The SLD eigenbasis, as the unitary whose columns it is, and the
     classical Fisher information of measuring in it, which equals the SLD
     metric value."""
-    lam, _ = rho.eigen
-    if lam[0] <= SUPPORT_RTOL * lam[-1]:
+    if not rho.full_rank:
         raise RankError("sld_optimal_measurement needs full-rank rho")
     v = eigh(sld_operator(rho, x)).eigenvectors
     p = ClassicalDistribution(basis_weights(v, rho.matrix))
@@ -272,8 +270,7 @@ def integral_divergences(specs: Sequence[MetricSpec], rho: DensityMatrix,
     tolerance."""
     check_dims(rho, sigma)
     for nm, state in (("rho", rho), ("sigma", sigma)):
-        lam, _ = state.eigen
-        if lam[0] <= SUPPORT_RTOL * lam[-1]:
+        if not state.full_rank:
             raise RankError(f"integral_divergence needs full-rank states; {nm} is singular")
     diff = rho.matrix - sigma.matrix
     chunk = max(1, STACK_BYTES // (16 * rho.dim ** 2))

@@ -3,6 +3,7 @@ distributions, preparations, and seeded random generators."""
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -206,7 +207,10 @@ def basis_weights(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def check_power(dim: int, n: int) -> None:
-    """Raise unless 1 <= n and dim^n is within the tensor-power dimension cap."""
+    """Raise unless n is an integer (a numpy one too, not a bool), 1 <= n and
+    dim^n is within the tensor-power dimension cap."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"tensor power needs an integer n, got n={n!r}")
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got n={n}")
     cap = dimension_cap()

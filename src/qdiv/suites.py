@@ -19,8 +19,7 @@ from .config import DEFAULT_TOLERANCES, derive_seed
 from .divergences import (dmax, fidelity_logdiv, kl, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import DimensionCapError, ValidationError
-from .hypotest import (asymptotic_reverse_test, curve_points, smooth_state,
-                       state_conversion, stein_threshold, threshold_scan)
+from .hypotest import CopyPair, state_conversion, threshold_scan
 from .linalg import frobenius
 from .metrics import (alpha_metric, bkm_metric, classical_fisher_scalar,
                       holevo_rld_bound, holevo_rld_minimizer,
@@ -360,10 +359,10 @@ def _suite_stein_trend(cfg: SuiteConfig):
     d = umegaki(rho, sigma).value
     ns = _even_ns(cfg.n_range)
     dig = _digest(rho.matrix, sigma.matrix)
-    gaps = []
-    for n in ns:
-        a = stein_threshold(rho, sigma, n, 0.5)
-        gaps.append(abs(a - d))
+    # one n-copy pair per n, shared by the threshold, the curve points, the
+    # smoothing and the reverse tests at that n
+    pairs = {n: CopyPair(rho, sigma, n) for n in ns}
+    gaps = [abs(pairs[n].threshold(0.5) - d) for n in ns]
     for i in range(len(ns) - 1):
         _record(records, f"gap-decreases-{ns[i]}->{ns[i + 1]}", cfg.seed, dig,
                 gaps[i + 1], gaps[i], slack=0.0)
@@ -375,7 +374,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     p = np.diag(crho.matrix).real
     q = np.diag(csigma.matrix).real
     n_cl = min(cfg.n_range[1], 6)
-    a_q = stein_threshold(crho, csigma, n_cl, 0.5)
+    a_q = CopyPair(crho, csigma, n_cl).threshold(0.5)
     a_c = classical_threshold_oracle(p, q, n_cl, 0.5)
     _record(records, "commuting-matches-classical", cfg.seed, _digest(crho.matrix, csigma.matrix),
             abs(a_q - a_c), 0.0, slack=1e-9)
@@ -389,9 +388,9 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # n_max's point and the three points of the converse witness below, from
     # one call
     n_max = ns[-1]
-    top, *witness_points = curve_points(rho, sigma, n_max, [d - c, d - 0.2, d - 0.1, d - 0.05])
+    top, *witness_points = pairs[n_max].curve_points([d - c, d - 0.2, d - 0.1, d - 0.05])
     for n in ns:
-        pt = top if n == n_max else curve_points(rho, sigma, n, [d - c])[0]
+        pt = top if n == n_max else pairs[n].curve_points([d - c])[0]
         accept = 1 - pt.type1_accept
         _record(records, f"type2-bound-n={n}", cfg.seed, dig,
                 pt.type2, math.exp(-n * (d - c)) * (1 + slack2), slack=0.0)
@@ -407,7 +406,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     dm = dmax(rho, sigma)
     mid = (d + dm) / 2
     for n in ns[:2]:
-        sm = smooth_state(rho, sigma, mid, n)
+        sm = pairs[n].smooth(mid)
         _record(records, f"datta-distance-bound-n={n}", cfg.seed, dig,
                 sm.epsilon, sm.distance_bound, slack=0.0)
     # converse witness: the constructed reverse test bounds, at this very n,
@@ -416,7 +415,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
     # exponent <= r - ln(accept - err/2)/n for each feasible rate r
     witnesses = []
     for r in np.linspace(d + 0.05, dm + 0.1, 6):
-        brt = asymptotic_reverse_test(rho, sigma, n_max, float(r))
+        brt = pairs[n_max].reverse_test(float(r))
         witnesses.append((float(r), brt.rho_error))
     slack_w = DEFAULT_TOLERANCES["converse_witness_slack"]
     for k, pt in enumerate(witness_points):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from qdiv import cli, fixtures
+from qdiv import cli, fixtures, hypotest
 from qdiv.cli import main
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.serialize import dump, state_to_dict
@@ -154,9 +154,12 @@ class TestAsymCommands:
         assert len(rows) == 13 and all(row.startswith("12,") for row in rows)
         assert validated_dims == [2, 2]
 
-    def test_threshold_csv_on_a_qutrit_validates_no_power(self, capsys, files, validated_dims):
-        # a qutrit pair's powers are dense krons, built by stein_threshold and
-        # again by curve_points, and neither validates one as a state
+    def test_threshold_csv_on_a_qutrit_validates_no_power(self, capsys, files, validated_dims, monkeypatch):
+        # a qutrit pair's powers are dense krons, built once for the threshold
+        # and the curve, and not validated as states
+        built = []
+        build = hypotest.power_blocks
+        monkeypatch.setattr(hypotest, "power_blocks", lambda rho, n: built.append(n) or build(rho, n))
         paths = {}
         for name, state in zip(("rho", "sigma"), fixtures.QUTRIT):
             paths[name] = str(files["dir"] / f"qutrit_{name}.json")
@@ -169,6 +172,7 @@ class TestAsymCommands:
         assert code == 0
         assert len(csv_path.read_text().splitlines()) == 14
         assert validated_dims == [3, 3]
+        assert built == [4, 4]
 
     def test_reverse_test_feasible(self, capsys, files):
         code, out = run_cli(capsys, "asym", "reverse-test", "--n", "3",

@@ -14,8 +14,8 @@ from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
 from qdiv.fixtures import CONVERSION_SOURCE, QUBIT_A, QUTRIT
-from qdiv.hypotest import (asymptotic_reverse_test, curve_points, np_projector,
-                           smooth_state, state_conversion, stein_threshold)
+from qdiv.hypotest import (CopyPair, asymptotic_reverse_test, curve_points,
+                           state_conversion, stein_threshold)
 from qdiv.linalg import STACK_BYTES, support_projector
 from qdiv.metrics import (alpha_metric, bkm_metric, integral_divergence,
                           integral_divergences, petz_metric, rld_metric,
@@ -71,7 +71,7 @@ CASES = {
     # the pinching's 5 type classes in sigma's eigenbasis (blocks of 1, 4, 6,
     # 4, 1), one call each, and the smoothed state's validation. sigma^(x 4)
     # is neither built nor decomposed: (5, 5), all 16x16, before
-    "smooth_state": (6, 6, lambda: smooth_state(*QUBIT_A, MID, 4)),
+    "smooth_state": (6, 6, lambda: CopyPair(*QUBIT_A, 4).smooth(MID)),
     # the one-copy frame's compressed sigma only; the powers are krons of the
     # frame, the ratios and the states, the certificate is read off the
     # capped ratios, and no 64x64 state is validated until the preparation
@@ -117,7 +117,7 @@ EIGVALSH_CASES = {
     "state_conversion": (6, 1, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
     # the 16x16 trace distance and the certificate's q^(x 4)-scaled state;
     # the witness check on sigma^(x 4) is gone (1 before)
-    "smooth_state": (2, 2, lambda: smooth_state(*QUBIT_A, MID, 4)),
+    "smooth_state": (2, 2, lambda: CopyPair(*QUBIT_A, 4).smooth(MID)),
 }
 
 # sigma^-1/2 rho^1/2 on the common support, whose left singular vectors
@@ -134,7 +134,7 @@ SVD_CASES = {
     # are read off the blocks (3 before)
     "state_conversion": (1, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
     # the trace distance is an eigvalsh, where it was a 16x16 SVD (1 before)
-    "smooth_state": (0, lambda: smooth_state(*QUBIT_A, MID, 4)),
+    "smooth_state": (0, lambda: CopyPair(*QUBIT_A, 4).smooth(MID)),
 }
 
 
@@ -251,10 +251,11 @@ ERROR_CASES = {
     "asymptotic_reverse_test-q0": (ValueError, "rate", lambda: asymptotic_reverse_test(*QUBIT_A, n=8, rate=1e-14)),
     "asymptotic_reverse_test-dims": (ValueError, "dimension mismatch",
                                      lambda: asymptotic_reverse_test(QUBIT_A[0], QUTRIT[1], n=8, rate=0.5)),
-    "np_projector-dims": (ValueError, "dimension mismatch", lambda: np_projector(QUBIT_A[0], QUTRIT[1], 0.5, 8)),
-    "smooth_state-dims": (ValueError, "dimension mismatch", lambda: smooth_state(QUBIT_A[0], QUTRIT[1], 0.5, 8)),
+    "np_projector-dims": (ValueError, "dimension mismatch", lambda: CopyPair(QUBIT_A[0], QUTRIT[1], 8).projector(0.5)),
+    # the dimensions are checked before the cap: 3^8 is past it
+    "smooth_state-dims": (ValueError, "dimension mismatch", lambda: CopyPair(QUTRIT[0], QUBIT_A[1], 8).smooth(0.5)),
     "smooth_state-support": (SupportViolationError, "supp rho escapes",
-                             lambda: smooth_state(*ESCAPING, 0.5, 8)),
+                             lambda: CopyPair(*ESCAPING, 8).smooth(0.5)),
 }
 
 

@@ -4,18 +4,19 @@ and the conversion channel."""
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qdiv import fixtures, hypotest
+from qdiv import fixtures, hypotest, states
 from qdiv.cli import main
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.divergences import dmax, umegaki
 from qdiv.errors import DimensionCapError, QdivError, SupportViolationError
-from qdiv.hypotest import (asymptotic_reverse_test, np_projector,
-                           smooth_state, state_conversion, stein_threshold,
-                           threshold_scan, curve_points, write_curve_csv)
+from qdiv.hypotest import (CopyPair, asymptotic_reverse_test, state_conversion,
+                           stein_threshold, threshold_scan, curve_points,
+                           write_curve_csv)
 from qdiv.linalg import support_projector, trace_norm
 from qdiv.reverse import support_frame
 from qdiv.serialize import dump, state_to_dict
@@ -30,13 +31,13 @@ import oracles
 class TestNPProjector:
     def test_large_rate_accepts_everything(self):
         rho, sigma = fixtures.QUBIT_A
-        proj, pt = np_projector(rho, sigma, 10.0, 1)
+        proj, pt = CopyPair(rho, sigma, 1).projector(10.0)
         np.testing.assert_allclose(proj, np.eye(2), atol=1e-12)
         assert pt.type1_accept == pytest.approx(1.0, abs=1e-12)
 
     def test_very_negative_rate_accepts_nothing(self):
         rho, sigma = fixtures.QUBIT_A
-        proj, pt = np_projector(rho, sigma, -10.0, 1)
+        proj, pt = CopyPair(rho, sigma, 1).projector(-10.0)
         np.testing.assert_allclose(proj, 0.0, atol=1e-12)
         assert pt.type1_accept == pytest.approx(0.0, abs=1e-12)
 
@@ -45,7 +46,7 @@ class TestNPProjector:
         p = np.diag(rho.matrix).real
         q = np.diag(sigma.matrix).real
         for a in (-0.3, 0.1, 0.4):
-            _, pt = np_projector(rho, sigma, a, 1)
+            _, pt = CopyPair(rho, sigma, 1).projector(a)
             region, accept, type2 = oracles.classical_np_region(p, q, 1, a)
             assert pt.type1_accept == pytest.approx(accept, abs=1e-12)
             assert pt.type2 == pytest.approx(type2, abs=1e-12)
@@ -56,7 +57,7 @@ class TestNPProjector:
         rho, sigma = fixtures.QUBIT_B
         for n in (2, 4):
             for a in (0.2, 0.4):
-                _, pt = np_projector(rho, sigma, a, n)
+                _, pt = CopyPair(rho, sigma, n).projector(a)
                 assert pt.type2 <= math.exp(-n * a) * (1 + 1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -66,16 +67,16 @@ class TestNPProjector:
         # product, here the validated powers themselves, is tested at n = 1
         rho, sigma = getattr(fixtures, name)
         for a in (-0.2, 0.1, 0.4):
-            proj, pt = np_projector(rho, sigma, a, n)
-            ref_proj, ref = np_projector(tensor_power(rho, n), tensor_power(sigma, n), n * a, 1)
+            proj, pt = CopyPair(rho, sigma, n).projector(a)
+            ref_proj, ref = CopyPair(tensor_power(rho, n), tensor_power(sigma, n), 1).projector(n * a)
             assert np.array_equal(proj, ref_proj)
             assert (pt.type1_accept, pt.type2) == (ref.type1_accept, ref.type2)
 
     @pytest.mark.parametrize("rate", [1e6, math.inf, math.nan])
     @pytest.mark.parametrize("call", [
         lambda rho, sigma, rate: curve_points(rho, sigma, 2, [rate]),
-        lambda rho, sigma, rate: np_projector(rho, sigma, rate, 2),
-        lambda rho, sigma, rate: smooth_state(rho, sigma, rate, 2),
+        lambda rho, sigma, rate: CopyPair(rho, sigma, 2).projector(rate),
+        lambda rho, sigma, rate: CopyPair(rho, sigma, 2).smooth(rate),
     ], ids=["curve_points", "np_projector", "smooth_state"])
     def test_rate_past_double_range_raises(self, call, rate):
         # e^(n rate) is not a finite double, so there is no test to run
@@ -131,10 +132,11 @@ QUBIT_PAIRS = {name: getattr(fixtures, name) for name in ("QUBIT_A", "QUBIT_B", 
 
 
 def _dense_thresholds(rho, sigma, n, epss):
-    """stein_threshold's scan at each eps, over np_projector on the dense
+    """stein_threshold's scan at each eps, over CopyPair.projector on the dense
     tensor powers, each rate evaluated once."""
     lo, hi = -dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5
-    dense = functools.cache(lambda a: np_projector(rho, sigma, a, n)[1].type1_accept)
+    pair = CopyPair(rho, sigma, n)
+    dense = functools.cache(lambda a: pair.projector(a)[1].type1_accept)
     return [threshold_scan(lambda rates: map(dense, rates), lo, hi, n, eps) for eps in epss]
 
 
@@ -145,13 +147,75 @@ def _bits(pt) -> bytes:
 STACK_CASES = [(name, n) for name in QUBIT_PAIRS for n in range(1, 9)] + [("QUTRIT", 2), ("QUTRIT", 3)]
 
 
+class TestCopyPair:
+    @pytest.mark.parametrize("n", [2.0, 2.5, True])
+    @pytest.mark.parametrize("call", [
+        lambda n: stein_threshold(*fixtures.QUBIT_A, n, 0.5),
+        lambda n: asymptotic_reverse_test(*fixtures.QUBIT_A, n, 0.7).rho_error,
+        lambda n: tensor_power(fixtures.QUBIT_A[0], n),
+    ], ids=["stein_threshold", "asymptotic_reverse_test", "tensor_power"])
+    def test_rejects_a_non_integer_n_by_name(self, call, n, monkeypatch):
+        built = []
+        for module, name in ((hypotest, "kron_power"), (hypotest, "power_blocks"), (states, "kron_power")):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, build=build: built.append(args) or build(*args))
+        with pytest.raises(ValueError, match=re.escape(f"integer n, got n={n!r}")):
+            call(n)
+        assert built == []
+
+    def test_accepts_a_numpy_integer_n(self):
+        assert stein_threshold(*fixtures.QUBIT_A, np.int64(4), 0.5) == stein_threshold(*fixtures.QUBIT_A, 4, 0.5)
+
+    def test_checks_dimensions_before_the_cap(self):
+        # 3^8 is past the default cap of 4096
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            CopyPair(fixtures.QUTRIT[0], fixtures.QUBIT_A[1], 8)
+        with pytest.raises(DimensionCapError):
+            CopyPair(*fixtures.QUTRIT, 8)
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda pair: pair.threshold(1.5), ValueError, "eps"),
+        (lambda pair: pair.reverse_test(0.0), ValueError, "rate"),
+        (lambda pair: pair.smooth(math.inf), SupportViolationError, "supp rho escapes"),
+    ], ids=["threshold", "reverse_test", "smooth"])
+    def test_each_method_checks_its_arguments_in_order(self, call, error, match):
+        # on a pair whose support escapes, with an argument that is also bad:
+        # the eps and the rate come before the support, the support before
+        # the smoothing's rate
+        with pytest.raises(error, match=match):
+            call(CopyPair(*_escaping_pair(), 2))
+
+    def test_threshold_and_curve_build_the_powers_once(self, monkeypatch):
+        calls = []
+        build = hypotest.power_blocks
+        monkeypatch.setattr(hypotest, "power_blocks", lambda rho, n: calls.append(n) or build(rho, n))
+        pair = CopyPair(*fixtures.QUBIT_A, 6)
+        thr = pair.threshold(0.5)
+        pair.curve_points(np.linspace(thr - 0.3, thr + 0.3, 13))
+        assert calls == [6, 6]
+
+    def test_reverse_tests_share_one_frame(self, monkeypatch):
+        calls = []
+        build = hypotest.support_frame
+        monkeypatch.setattr(hypotest, "support_frame", lambda rho, sigma: calls.append(1) or build(rho, sigma))
+        rho, sigma = fixtures.QUBIT_A
+        pair = CopyPair(rho, sigma, 6)
+        d = umegaki(rho, sigma).value
+        tests = [pair.reverse_test(float(r)) for r in np.linspace(d + 0.05, dmax(rho, sigma) + 0.1, 6)]
+        assert len(calls) == 1
+        # each equal bit for bit to the reverse test on a pair of its own
+        for brt in tests:
+            ref = asymptotic_reverse_test(rho, sigma, 6, brt.rate)
+            assert (brt.rho_error.hex(), brt.certificate.hex()) == (ref.rho_error.hex(), ref.certificate.hex())
+
+
 class TestStackedRatioTest:
     @pytest.mark.parametrize("name,n", STACK_CASES)
     def test_stacked_kernel_equals_one_rate_calls(self, name, n):
         # 41 rates: one stack on the small blocks, stacks of 12 on the 25x25
         # qubit blocks at n = 8, of 10 on the 27x27 qutrit power at n = 3
         rho, sigma = getattr(fixtures, name)
-        r, s, weights = hypotest._compressed_powers(rho, sigma, n)
+        r, s, weights = CopyPair(rho, sigma, n).powers
         rates = [float(a) for a in np.linspace(-1.5, 2.0, 41)]
         # each stack's rows, one per rate: eigenvalues, eigenvectors, the
         # accepted mask and the two traces
@@ -166,7 +230,7 @@ class TestStackedRatioTest:
             np.array([a, t1, t2]).tobytes() for a, (*_, t1, t2) in zip(rates, rows)]
 
     def test_rates_before_one_past_double_range_are_tested(self):
-        r, s, weights = hypotest._compressed_powers(*fixtures.QUBIT_A, 2)
+        r, s, weights = CopyPair(*fixtures.QUBIT_A, 2).powers
         seen = []
         with pytest.raises(ValueError, match="rate 1000.0"):
             for _, _, t1, _ in hypotest._ratio_test(r, s, weights, [0.1, 0.2, 1000.0, 0.3], 2):
@@ -268,7 +332,7 @@ class TestSchurWeylBlocks:
         rho, sigma = QUBIT_PAIRS[name]
         rates = np.linspace(-1.5, 2.0, 41)
         for pt in curve_points(rho, sigma, n, rates):
-            ref = np_projector(rho, sigma, pt.a, n)[1]
+            ref = CopyPair(rho, sigma, n).projector(pt.a)[1]
             assert abs(pt.type1_accept - ref.type1_accept) <= 1e-12
             assert abs(pt.type2 - ref.type2) <= 1e-12
 
@@ -283,7 +347,7 @@ class TestSchurWeylBlocks:
     def test_qutrit_stays_dense(self, n):
         rho, sigma = fixtures.QUTRIT
         for pt in curve_points(rho, sigma, n, [-0.2, 0.1, 0.3, 0.6]):
-            ref = np_projector(rho, sigma, pt.a, n)[1]
+            ref = CopyPair(rho, sigma, n).projector(pt.a)[1]
             assert pt.type1_accept == pytest.approx(ref.type1_accept, abs=1e-12)
             assert pt.type2 == pytest.approx(ref.type2, abs=1e-12)
         assert [stein_threshold(rho, sigma, n, 0.5)] == _dense_thresholds(rho, sigma, n, [0.5])
@@ -306,7 +370,7 @@ class TestSmoothState:
     def test_rate_above_dmax_is_identity(self):
         rho, sigma = fixtures.QUBIT_A
         n = 2
-        sm = smooth_state(rho, sigma, dmax(rho, sigma) + 0.05, n)
+        sm = CopyPair(rho, sigma, n).smooth(dmax(rho, sigma) + 0.05)
         assert sm.epsilon == pytest.approx(0.0, abs=1e-12)
         assert sm.accept_shortfall == pytest.approx(0.0, abs=1e-10)
         np.testing.assert_allclose(sm.state.matrix, tensor_power(rho, n).matrix, atol=1e-12)
@@ -316,7 +380,7 @@ class TestSmoothState:
         p = np.diag(rho.matrix).real
         q = np.diag(sigma.matrix).real
         n, a = 3, 0.25
-        sm = smooth_state(rho, sigma, a, n)
+        sm = CopyPair(rho, sigma, n).smooth(a)
         tilde, _, _ = oracles.classical_smooth(p, q, n, a)
         np.testing.assert_allclose(np.sort(np.diag(sm.state.matrix).real),
                                    np.sort(tilde), atol=1e-12)
@@ -326,13 +390,13 @@ class TestSmoothState:
         d = umegaki(rho, sigma).value
         for n in (2, 4):
             for a in (d + 0.05, (d + dmax(rho, sigma)) / 2):
-                sm = smooth_state(rho, sigma, a, n)
+                sm = CopyPair(rho, sigma, n).smooth(a)
                 assert sm.epsilon <= sm.distance_bound
 
     def test_certificate_self_consistent(self):
         rho, sigma = fixtures.QUBIT_B
         n = 4
-        sm = smooth_state(rho, sigma, 0.6, n)
+        sm = CopyPair(rho, sigma, n).smooth(0.6)
         gap = np.linalg.eigvalsh(math.exp(n * sm.rate_certificate) * tensor_power(sigma, n).matrix
                                  - sm.state.matrix).min()
         assert gap >= -1e-9
@@ -343,7 +407,7 @@ class TestSmoothState:
         rho, sigma = _ill_conditioned_pair() if name == "ill-conditioned" else getattr(fixtures, name)
         d = umegaki(rho, sigma).value
         for a in (d + 0.05, (d + dmax(rho, sigma)) / 2):
-            sm = smooth_state(rho, sigma, a, n)
+            sm = CopyPair(rho, sigma, n).smooth(a)
             state, t, epsilon, cert = oracles.pinched_smoothing(rho.matrix, sigma.matrix, n, a)
             assert np.abs(sm.state.matrix - state).max() <= 1e-12
             assert abs(1 - sm.accept_shortfall - t) <= 1e-12
@@ -360,7 +424,7 @@ class TestSmoothState:
             D = umegaki(rho, sigma).value
             for n in (2, 3, 4):
                 for a in (D + 0.05, (D + dmax(rho, sigma)) / 2):
-                    sm = smooth_state(rho, sigma, a, n)
+                    sm = CopyPair(rho, sigma, n).smooth(a)
                     t = 1 - sm.accept_shortfall
                     assert sm.epsilon <= sm.distance_bound
                     assert sm.rate_certificate <= a + (math.log(math.comb(n + d - 1, d - 1)) - math.log(t)) / n
@@ -368,19 +432,19 @@ class TestSmoothState:
     def test_support_violation_raises(self):
         rho, sigma = _escaping_pair()
         with pytest.raises(SupportViolationError):
-            smooth_state(rho, sigma, 0.5, 2)
+            CopyPair(rho, sigma, 2).smooth(0.5)
 
     def test_rate_that_keeps_nothing_raises(self):
         # e^(na) is below every eigenvalue of every class block
         with pytest.raises(QdivError, match="degenerate"):
-            smooth_state(*fixtures.QUBIT_A, -5.0, 2)
+            CopyPair(*fixtures.QUBIT_A, 2).smooth(-5.0)
 
     # sigma's smallest eigenvalue is 4.3e-4, so sigma^(x 4) spans 13 orders
     # of magnitude; the certificate reads it as the diagonal q^(x n)
     @pytest.mark.parametrize("n,rate", [(3, 0.3), (4, 0.3), (4, 1.0), (3, 1.0)])
     def test_ill_conditioned_sigma_certified(self, n, rate):
         rho, sigma = _ill_conditioned_pair()
-        sm = smooth_state(rho, sigma, rate, n)
+        sm = CopyPair(rho, sigma, n).smooth(rate)
         sigma_n = functools.reduce(np.kron, [sigma.matrix] * n)
         witness = math.exp(n * sm.rate_certificate) * sigma_n - sm.state.matrix
         assert float(np.linalg.eigvalsh(witness).min()) >= -1e-9
@@ -463,8 +527,8 @@ class TestAsymptoticReverseTest:
 
     @pytest.mark.parametrize("call", [
         lambda: asymptotic_reverse_test(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 2, 0.5),
-        lambda: np_projector(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 0.5, 1),
-        lambda: smooth_state(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 0.5, 1),
+        lambda: CopyPair(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 1).projector(0.5),
+        lambda: CopyPair(fixtures.QUBIT_A[0], fixtures.QUTRIT[1], 1).smooth(0.5),
     ], ids=["asymptotic_reverse_test", "np_projector", "smooth_state"])
     def test_dimension_mismatch_raises(self, call):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -571,8 +635,8 @@ class TestProductFrame:
         # the frame is rank(sigma) x rank(sigma): 2x2 frames take the
         # Schur-Weyl blocks, the others the dense r^n path
         brt = asymptotic_reverse_test(*_frame_pair(name), 2, 0.5)
-        assert brt.w.shape == (frame, frame)
-        assert brt.iso.shape == (_frame_pair(name)[1].dim, frame)
+        assert brt.pair.frame.w.shape == (frame, frame)
+        assert brt.pair.frame.iso.shape == (_frame_pair(name)[1].dim, frame)
 
 
 class TestPowerTraceNorm:
@@ -717,7 +781,7 @@ class TestStateConversion:
         rho, sigma = fixtures.QUBIT_B
         channel, rep = state_conversion(*fixtures.CONVERSION_SOURCE, rho, sigma, n, _conversion_gap(rho, sigma))
         assert rep.sigma_error.hex() == channel.test.sigma_error.hex()
-        assert rep.rho_error.hex() == channel.test.errors([rep.accept_prob], [channel.test.ratios])[0].hex()
+        assert rep.rho_error.hex() == channel.test.errors([rep.accept_prob], [channel.test.pair.frame.ratios])[0].hex()
 
     def test_gap_hypothesis_enforced(self):
         rho, sigma = fixtures.QUBIT_A

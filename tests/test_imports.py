@@ -1,4 +1,5 @@
-"""Module boundaries: no qdiv module imports another module's private names."""
+"""Module boundaries: no qdiv module imports another module's private names,
+and the finite-n layer checks its pairs in one place."""
 
 import ast
 import pathlib
@@ -13,4 +14,17 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qdiv")):
                 found += [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_hypotest_checks_pairs_only_in_copy_pair():
+    # the dimension, n and cap checks and the one-copy support check run
+    # where an n-copy pair is made or its frame built, and nowhere else
+    checks = {"check_dims", "check_power", "support_escapes"}
+    found = []
+    for node in ast.parse((SRC / "hypotest.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and node.name == "CopyPair":
+            continue
+        found += [f"line {call.lineno}: {name}" for call in ast.walk(node) if isinstance(call, ast.Call)
+                  and (name := getattr(call.func, "id", getattr(call.func, "attr", None))) in checks]
     assert found == []

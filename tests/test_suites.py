@@ -1,6 +1,7 @@
 """Verification harness framework: determinism, schema stability, and
 failure reproducibility."""
 
+import collections
 import dataclasses
 import json
 
@@ -127,26 +128,37 @@ class TestRunSuite:
         assert [list(r) for r in records] == [list(dataclasses.asdict(r)) for r in report.records]
 
     def test_stein_trend_builds_no_power(self, validated_dims):
-        # stein_threshold, the commuting control included, works on
+        # the threshold, the commuting control included, works on
         # Schur-Weyl blocks, the reverse tests at n = 6 on the one-copy frame,
-        # and smooth_state on krons in sigma's eigenbasis, whose certificate
+        # and the smoothing on krons in sigma's eigenbasis, whose certificate
         # reads sigma^(x n) as a diagonal. The only states validated above
         # one copy are the two smoothed states, at n = 2 and 4
         suites._suite_stein_trend(SuiteConfig())
         assert [d for d in validated_dims if d > 2] == [4, 16]
         assert not hasattr(suites, "tensor_power")
 
+    def test_stein_trend_builds_each_pair_once(self, monkeypatch):
+        # one n-copy pair per n: the threshold and the curve points share its
+        # powers, and the six reverse tests at n = 6 its one-copy frame; the
+        # commuting control is one more pair
+        calls = collections.Counter()
+        for name in ("power_blocks", "support_frame"):
+            build = getattr(hypotest, name)
+            monkeypatch.setattr(hypotest, name,
+                                lambda *args, name=name, build=build: calls.update([name]) or build(*args))
+        suites._suite_stein_trend(SuiteConfig())
+        assert calls == {"power_blocks": 8, "support_frame": 1}
+
     def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
         # every trace record reads curve_points on the Schur-Weyl blocks
         calls = []
-        dense = hypotest.np_projector
+        dense = hypotest.CopyPair.projector
 
         def counting(*args):
             calls.append(args)
             return dense(*args)
 
-        for module in (suites, hypotest):
-            monkeypatch.setattr(module, "np_projector", counting, raising=False)
+        monkeypatch.setattr(hypotest.CopyPair, "projector", counting)
         suites._suite_stein_trend(SuiteConfig())
         assert calls == []
 
