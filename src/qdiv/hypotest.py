@@ -3,9 +3,11 @@ projectors, the acceptance-threshold scan, certified smoothing, the binary
 asymptotic reverse test, and the measure-and-prepare state conversion channel.
 
 CopyPair(rho, sigma, n) is checked once when made (the dimensions, then n and
-the cap). Its methods are the constructions, and what they share is built on
-first read and kept: the powers that states.power_blocks compresses, and the
-one-copy frame of reverse.support_frame with its n-fold ratios and weights.
+the cap). Its methods are the constructions, the conversion toward a target
+pair included, and what they share is built on first read and kept: the
+powers that states.power_blocks compresses, and the one-copy frame of
+reverse.support_frame with its n-fold ratios and weights and, for a 2x2
+frame, the Schur-Weyl blocks that every error read takes.
 One kernel, _ratio_test, runs every likelihood-ratio test, at a sequence of
 rates whose matrices r - e^{na} s it decomposes in stacked eigh calls, and
 whose traces it reads per stack from two products and masked sums: on the
@@ -17,9 +19,10 @@ sigma^{x n} is diagonal. The reverse test is the n-fold power of the frame,
 kept in support coordinates. Its errors, and the conversion's, are trace
 norms of w^{x n} diag(x) w^{x n dag} with x a function of the type: one
 eigvalsh call on the zero-padded qubit Schur-Weyl blocks of states.sym_powers
-when the frame is 2x2, and dense otherwise. Its states are built only when
-read. Every certificate is computed from the state it certifies; nothing is
-trusted from a printed constant.
+when the frame is 2x2, and dense otherwise. Its preparation is B^{x n} with
+the two weight rows, and its states are built only when read. Every
+certificate is computed from the state it certifies; nothing is trusted from
+a printed constant.
 """
 
 import csv
@@ -38,7 +41,8 @@ from .linalg import STACK_BYTES, EigenSystem, eigh, hermitian_trace_norm, suppor
 from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
-                     kron_power, measure, power_blocks, power_trace_norms)
+                     cq_apply, kron_power, measure, power_blocks,
+                     power_trace_norms, sym_powers)
 
 
 @dataclass(frozen=True)
@@ -171,6 +175,7 @@ class PowerFrame(NamedTuple):   # reverse.support_frame's one-copy frame and its
     w: np.ndarray               # sigma = V w w^dag V^dag
     ratios: np.ndarray          # t^{x n}, with rho = V w diag(t) w^dag V^dag
     q: np.ndarray               # q^{x n}, q the squared column norms of w
+    sym: np.ndarray | None      # states.sym_powers(w, n) for a 2x2 w, read by every error
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +186,8 @@ class BinaryReverseTest:
     B^{x n} diag(ratios or ones) B^{x n dag}. Each error is a trace norm in
     support coordinates, of w^{x n} times a difference of weight rows
     (states.power_trace_norms), computed on first read; B^{x n} is built on
-    the first read of an output or the preparation."""
+    the first read of the preparation, whose frame it is with the two
+    weight rows."""
 
     pair: "CopyPair"
     weights: np.ndarray         # rows: capped g, complement h / (h . q_n)
@@ -194,7 +200,8 @@ class BinaryReverseTest:
         and target, with target = ratios for rho^{x n} and 1 for sigma^{x n}:
         all from one eigvalsh call, each error bit for bit as on its own."""
         xs = [p0 * self.weights[0] + (1 - p0) * self.weights[1] - target for p0, target in zip(p0s, targets)]
-        return [float(v) for v in power_trace_norms(self.pair.frame.w, np.array(xs), self.pair.n)]
+        frame = self.pair.frame
+        return [float(v) for v in power_trace_norms(frame.w, np.array(xs), self.pair.n, frame.sym)]
 
     @functools.cached_property
     def rho_error(self) -> float:   # || output(1) - rho^{x n} ||_1
@@ -209,14 +216,10 @@ class BinaryReverseTest:
         """B^{x n}, with sigma^{x n} = B^{x n} B^{x n dag}."""
         return kron_power(self.pair.frame.iso @ self.pair.frame.w, self.pair.n)
 
-    def output(self, p0: float) -> np.ndarray:
-        """The mixture prepared at input (p0, 1 - p0), as a dense matrix."""
-        return (self.frame * (p0 * self.weights[0] + (1 - p0) * self.weights[1])) @ self.frame.conj().T
-
     @property
     def preparation(self) -> Preparation:
-        """The capped state and the complement, validated, built on each read."""
-        return Preparation((DensityMatrix(self.output(1.0)), DensityMatrix(self.output(0.0))))
+        """B^{x n} with the rows of the capped state and the complement."""
+        return Preparation(self.frame, self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +251,8 @@ class CopyPair:
         if support_escapes(self.rho, self.sigma):
             raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
         iso, w, t = support_frame(self.rho, self.sigma)
-        return PowerFrame(iso, w, kron_power(t, self.n), kron_power(np.sum(np.abs(w) ** 2, axis=0), self.n))
+        return PowerFrame(iso, w, kron_power(t, self.n), kron_power(np.sum(np.abs(w) ** 2, axis=0), self.n),
+                          sym_powers(w, self.n) if len(w) == 2 else None)
 
     def projector(self, a: float) -> tuple[np.ndarray, TestCurvePoint]:
         """Projector onto the non-positive eigenspace of rho^{x n} - e^{na} sigma^{x n}, on
@@ -350,8 +354,42 @@ class CopyPair:
         return BinaryReverseTest(self, np.stack((g, h / float(h @ q_n))),
                                  ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert)
 
+    def conversion(self, rho: DensityMatrix, sigma: DensityMatrix,
+                   c: float) -> tuple["ConversionChannel | None", "ConversionReport"]:
+        """Channel taking this pair toward (rho, sigma)^{x n}: likelihood-ratio
+        test at rate umegaki(rho, sigma) + c, on this pair's powers, then the
+        binary reverse test at the measured type-2 exponent.
 
-# three CopyPair methods as functions of (rho, sigma, n), each on a pair of its own (bench/workloads.py calls them)
+        Requires the strict gap umegaki(self.rho, self.sigma) > umegaki(rho, sigma) + 2c;
+        a reverse-test rate that is infeasible at small n is reported, not raised.
+        """
+        if not 0 < c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {c}")
+        d_src, d_tgt = umegaki(self.rho, self.sigma), umegaki(rho, sigma)
+        if not (d_src.finite and d_tgt.finite):
+            raise ValueError("conversion needs finite divergences on both pairs")
+        if d_src.value <= d_tgt.value + 2 * c:
+            raise ValueError(
+                f"gap hypothesis fails: D(source) = {d_src.value:.6f} must exceed "
+                f"D(target) + 2c = {d_tgt.value + 2 * c:.6f}")
+        n, a = self.n, d_tgt.value + c
+        pt, = self.curve_points([a])
+        accept = 1.0 - pt.type1_accept          # weight of this pair's rho^{x n} on the accept effect 1 - P
+        q0 = pt.type2
+        if q0 <= 0:
+            return None, ConversionReport(n, False, math.inf, accept, math.nan, math.nan,
+                                          "type-2 error vanished; rate unbounded")
+        rate = -math.log(q0) / n
+        try:
+            brt = CopyPair(rho, sigma, n).reverse_test(rate)
+        except InfeasibleRateError as exc:
+            return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
+                                          f"not yet feasible at this n: {exc}")
+        rho_error, sigma_error = brt.errors([accept, float(brt.q.probs[0])], [brt.pair.frame.ratios, 1.0])
+        return ConversionChannel(self, a, brt), ConversionReport(n, True, rate, accept, rho_error, sigma_error)
+
+
+# four CopyPair methods as functions of (rho, sigma, n), each on a pair of its own (bench/workloads.py calls them)
 
 
 def stein_threshold(rho: DensityMatrix, sigma: DensityMatrix, n: int, eps: float) -> float:
@@ -364,6 +402,11 @@ def curve_points(rho: DensityMatrix, sigma: DensityMatrix, n: int, rates) -> lis
 
 def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int, rate: float) -> BinaryReverseTest:
     return CopyPair(rho, sigma, n).reverse_test(rate)
+
+
+def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix, rho: DensityMatrix, sigma: DensityMatrix,
+                     n: int, c: float) -> tuple["ConversionChannel | None", "ConversionReport"]:
+    return CopyPair(rho0, sigma0, n).conversion(rho, sigma, c)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +431,7 @@ class ConversionChannel:
 
     def apply(self, state_n: DensityMatrix) -> DensityMatrix:
         probs = measure(self.measurement, state_n).probs
-        return DensityMatrix(self.test.output(float(probs[0] / probs.sum())))
+        return cq_apply(self.test.preparation, ClassicalDistribution(probs / probs.sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,40 +443,3 @@ class ConversionReport:
     rho_error: float
     sigma_error: float
     detail: str = ""
-
-
-def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix,
-                     rho: DensityMatrix, sigma: DensityMatrix,
-                     n: int, c: float) -> tuple[ConversionChannel | None, ConversionReport]:
-    """Channel taking (rho0, sigma0)^{x n} toward (rho, sigma)^{x n}:
-    likelihood-ratio test at rate umegaki(rho, sigma) + c, then the binary
-    reverse test at the measured type-2 exponent.
-
-    Requires the strict gap umegaki(rho0, sigma0) > umegaki(rho, sigma) + 2c;
-    a reverse-test rate that is infeasible at small n is reported, not raised.
-    """
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be positive and finite, got {c}")
-    d_src, d_tgt = umegaki(rho0, sigma0), umegaki(rho, sigma)
-    if not (d_src.finite and d_tgt.finite):
-        raise ValueError("conversion needs finite divergences on both pairs")
-    if d_src.value <= d_tgt.value + 2 * c:
-        raise ValueError(
-            f"gap hypothesis fails: D(source) = {d_src.value:.6f} must exceed "
-            f"D(target) + 2c = {d_tgt.value + 2 * c:.6f}")
-    a = d_tgt.value + c
-    source = CopyPair(rho0, sigma0, n)
-    pt, = source.curve_points([a])
-    accept = 1.0 - pt.type1_accept          # weight of rho0^n on the accept effect 1 - P
-    q0 = pt.type2
-    if q0 <= 0:
-        return None, ConversionReport(n, False, math.inf, accept, math.nan, math.nan,
-                                      "type-2 error vanished; rate unbounded")
-    rate = -math.log(q0) / n
-    try:
-        brt = CopyPair(rho, sigma, n).reverse_test(rate)
-    except InfeasibleRateError as exc:
-        return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
-                                      f"not yet feasible at this n: {exc}")
-    rho_error, sigma_error = brt.errors([accept, float(brt.q.probs[0])], [brt.pair.frame.ratios, 1.0])
-    return ConversionChannel(source, a, brt), ConversionReport(n, True, rate, accept, rho_error, sigma_error)

@@ -4,7 +4,9 @@ decomposition over one frame, and optimal one-parameter reverse estimation.
 A reverse test of (rho, sigma) is a preparation Phi and a classical pair
 (p, q) with Phi(p) = rho, Phi(q) = sigma; the minimal achievable KL input
 equals the RLD divergence, attained by decomposing both states over one
-linearly independent frame of pure states.
+linearly independent frame of pure states. That frame is the test's
+states.Preparation as it stands, one unit weight per symbol, and a channel's
+image of it is the frame of Kraus images: neither builds a state per symbol.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from .linalg import (canonical_phases, eigh, eigh_hermitian, frobenius,
                      support_cutoff)
 from .metrics import classical_fisher_scalar
 from .states import (ClassicalDistribution, DensityMatrix, Preparation,
-                     QuantumChannel, TangentDirection)
+                     QuantumChannel, TangentDirection, cq_apply)
 
 _RECON_TOL = DEFAULT_TOLERANCES["reconstruction"]
 
@@ -38,13 +40,11 @@ class ReverseTest:
 
     @property
     def preparation(self) -> Preparation:
-        """The frame's pure states, validated, built on each read."""
-        f = self.frame
-        return Preparation(tuple(DensityMatrix(np.outer(f[:, x], f[:, x].conj())) for x in range(f.shape[1])))
+        """The frame itself, one unit weight per symbol; no state is built."""
+        return Preparation(self.frame, np.eye(self.frame.shape[1]))
 
     def state_at(self, t: float) -> DensityMatrix:
-        w = t * self.p.probs + (1 - t) * self.q.probs
-        return DensityMatrix((self.frame * w) @ self.frame.conj().T)
+        return cq_apply(self.preparation, ClassicalDistribution(t * self.p.probs + (1 - t) * self.q.probs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,14 +111,15 @@ def optimal_reverse_test(rho: DensityMatrix, sigma: DensityMatrix) -> ReverseTes
 
 def pushforward_reverse_test(rt: ReverseTest, channel: QuantumChannel) -> Preparation:
     """The preparation post-composed with a channel, symbol x preparing
-    sum_k K_k |phi_x><phi_x| K_k^dag. With rt.p and rt.q it is a reverse test
-    of the image pair at input KL rt.input_kl, witnessing monotonicity of the
-    RLD divergence."""
+    sum_k K_k |phi_x><phi_x| K_k^dag: its frame is the Kraus images K_k |phi_x>,
+    column k m + x for m symbols, each of unit weight in row x. With rt.p and
+    rt.q it is a reverse test of the image pair at input KL rt.input_kl,
+    witnessing monotonicity of the RLD divergence."""
     if channel.dim_in != rt.frame.shape[0]:
         raise ValueError(f"channel input dim {channel.dim_in} != frame dim {rt.frame.shape[0]}")
     images = np.stack(channel.kraus) @ rt.frame     # images[k][:, x] = K_k |phi_x>
-    return Preparation(tuple(DensityMatrix(images[:, :, x].T @ images[:, :, x].conj())
-                             for x in range(rt.frame.shape[1])))
+    m = rt.frame.shape[1]
+    return Preparation(images.transpose(1, 0, 2).reshape(channel.dim_out, -1), np.tile(np.eye(m), len(images)))
 
 
 def refine_reverse_test(rt: ReverseTest, splits: int = 2, seed: int = 0) -> ReverseTest:

@@ -1,5 +1,9 @@
 """Density matrices, tangent directions, channels, measurements, classical
-distributions, preparations, and seeded random generators."""
+distributions, preparations, and seeded random generators, each validated
+once, at construction. A Preparation is one frame F with nonnegative weight
+rows W, symbol x preparing F diag(W[x]) F^dag: a reverse test's frame is its
+preparation, cq_apply is one product, and a symbol's state is built only
+when `states` is read."""
 
 import functools
 import math
@@ -140,25 +144,55 @@ class ClassicalDistribution:
 
 @dataclass(frozen=True, eq=False)
 class Preparation:
-    """Classical-to-quantum map: one state per classical symbol."""
+    """Classical-to-quantum map over one frame: symbol x prepares
+    F diag(W[x]) F^dag, F the d x m `frame` and W the k x m `weights`.
+    Checked in O(d m) work: the shapes agree, W >= 0 and each row's trace
+    sum_j W[x, j] |F_j|^2 is within TRACE_TOL of 1."""
 
-    states: tuple
+    frame: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        sts = tuple(self.states)
+        f = np.ascontiguousarray(self.frame, dtype=complex)
+        w = np.ascontiguousarray(self.weights, dtype=float)
+        if f.ndim != 2 or w.ndim != 2 or w.shape[1] != f.shape[1] or not w.size:
+            raise ValidationError(f"preparation frame {f.shape} and weights {w.shape} do not agree: "
+                                  f"need a d x m frame and k x m weights, k, m >= 1")
+        if not (w >= 0.0).all():   # NaN-safe
+            raise ValidationError(f"negative preparation weight {w.min():.3e}")
+        traces = w @ np.sum(f.real ** 2 + f.imag ** 2, axis=0)
+        off = np.abs(traces - 1.0)
+        if not (off <= TRACE_TOL).all():   # NaN-safe
+            x = int(np.argmax(~(off <= TRACE_TOL)))
+            raise ValidationError(f"preparation row {x} has trace {float(traces[x])!r}, off by {off[x]:.3e}")
+        object.__setattr__(self, "frame", f)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def of_states(cls, states) -> "Preparation":
+        """The preparation of the given states, one symbol each, over the
+        frame of their eigenvectors, read off each state's `eigen`."""
+        sts = tuple(states)
         if not sts:
             raise ValidationError("preparation needs at least one state")
         d = sts[0].dim
         if any(s.dim != d for s in sts):
             raise ValidationError("preparation states must share one dimension")
-        object.__setattr__(self, "states", sts)
+        values, vectors = zip(*(s.eigen for s in sts))
+        # row x holds state x's eigenvalues on its own d columns
+        return cls(np.hstack(vectors), np.eye(len(sts)).repeat(d, axis=1) * np.concatenate(values))
+
+    @property
+    def states(self) -> tuple:
+        """Each symbol's state, validated, built on each read."""
+        return tuple(DensityMatrix((self.frame * w) @ self.frame.conj().T) for w in self.weights)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.frame.shape[0]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +214,10 @@ def apply_channel_tangent(ch: QuantumChannel, x: TangentDirection) -> TangentDir
 
 
 def cq_apply(prep: Preparation, p: ClassicalDistribution) -> DensityMatrix:
+    """sum_x p(x) F diag(W[x]) F^dag as the one product F diag(p W) F^dag."""
     if len(prep) != len(p):
         raise ValueError(f"preparation has {len(prep)} symbols, distribution {len(p)}")
-    out = sum(pi * s.matrix for pi, s in zip(p.probs, prep.states))
-    return DensityMatrix(out)
+    return DensityMatrix((prep.frame * (p.probs @ prep.weights)) @ prep.frame.conj().T)
 
 
 def measure(m: Measurement, rho: DensityMatrix) -> ClassicalDistribution:
@@ -309,7 +343,7 @@ def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.append(blocks, 0.0)[tables.direct], np.repeat(tables.mult, n + 1 - 2 * np.arange(len(sym)))
 
 
-def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
+def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int, sym: np.ndarray | None = None) -> np.ndarray:
     """|| w^{(x)n} diag(x) w^{(x)n dag} ||_1 for a square w and each row x of
     xs, a weight row over the product basis of kron_power that is a function
     of the type: x at an index depends only on how often each column of w
@@ -320,12 +354,14 @@ def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int) -> np.ndarray:
     diag(x_k..x_{n-k}) Sym^{n-2k}(w)^dag ||_1 over the blocks of sym_powers,
     with x_j read at index 2^j - 1 (the last j factors the second): one
     batched product and one eigvalsh call on the zero-padded stack of all
-    rows and blocks, whose padding adds only zero eigenvalues. Any other w
-    takes the eigvalsh trace norms of the dense Hermitian operators."""
+    rows and blocks, whose padding adds only zero eigenvalues; sym, when
+    passed, is that stack sym_powers(w, n), so that reads on one w share it.
+    Any other w takes the eigvalsh trace norms of the dense Hermitian
+    operators."""
     if len(w) != 2:
         b = kron_power(w, n)
         return hermitian_trace_norm((b * xs[:, None, :]) @ b.conj().T)
-    tables, sym = _sym_tables(n), sym_powers(w, n)
+    tables, sym = _sym_tables(n), sym_powers(w, n) if sym is None else sym
     det2 = abs(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]) ** 2
     x = det2 ** np.arange(len(sym))[:, None] * xs[:, (1 << tables.level) - 1]
     return (hermitian_trace_norm((sym * x[..., None, :]) @ sym.conj().swapaxes(-1, -2)) * tables.mult).sum(axis=-1)

@@ -19,7 +19,7 @@ from .config import DEFAULT_TOLERANCES, derive_seed
 from .divergences import (dmax, fidelity_logdiv, kl, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import DimensionCapError, ValidationError
-from .hypotest import CopyPair, state_conversion, threshold_scan
+from .hypotest import CopyPair, threshold_scan
 from .linalg import frobenius
 from .metrics import (alpha_metric, bkm_metric, classical_fisher_scalar,
                       holevo_rld_bound, holevo_rld_minimizer,
@@ -454,13 +454,15 @@ def _suite_conversion(cfg: SuiteConfig):
     rho0, sigma0 = fixtures.CONVERSION_SOURCE
     d0 = umegaki(rho0, sigma0).value
     ns = _even_ns(cfg.n_range)
+    # one source pair per n, whose powers both targets' tests read
+    sources = {n: CopyPair(rho0, sigma0, n) for n in ns}
     for name, (rho, sigma) in (("qubit_a", fixtures.QUBIT_A), ("qubit_b", fixtures.QUBIT_B)):
         d1 = umegaki(rho, sigma).value
         c = 0.45 * (d0 - d1)
         dig = _digest(rho0.matrix, sigma0.matrix, rho.matrix, sigma.matrix)
         errs = {}
         for n in ns:
-            _, rep = state_conversion(rho0, sigma0, rho, sigma, n, c)
+            _, rep = sources[n].conversion(rho, sigma, c)
             _record(records, f"{name}-feasible-n={n}", cfg.seed, dig,
                     1.0 if rep.feasible else 0.0, 1.0, lower_is_pass=False, slack=0.0)
             if rep.feasible:

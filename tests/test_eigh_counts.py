@@ -23,8 +23,8 @@ from qdiv.metrics import (alpha_metric, bkm_metric, integral_divergence,
                           wy_metric)
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_test, reverse_estimation_1param)
-from qdiv.states import (DensityMatrix, random_cptp, random_density,
-                         random_tangent)
+from qdiv.states import (DensityMatrix, cq_apply, random_cptp,
+                         random_density, random_tangent)
 
 RHO, SIGMA = QUTRIT
 X = random_tangent(3, seed=5)
@@ -48,12 +48,17 @@ CASES = {
     "rld_operator": (0, 0, lambda: rld_operator(RHO, X)),
     "sld_optimal_measurement": (1, 1, lambda: sld_optimal_measurement(RHO, X)),
     # the compressed sigma only; rho's square root comes from rho.eigen and
-    # the frame from one SVD. The frame's pure states are built only when the
-    # preparation is read
+    # the frame from one SVD. The frame is the preparation, so no pure state
+    # is built
     "optimal_reverse_test": (1, 1, lambda: optimal_reverse_test(RHO, SIGMA)),
     "refine_reverse_test": (0, 0, lambda: refine_reverse_test(RT, splits=3)),
-    # the 3 image states only; the frame's pure states are not built
-    "pushforward_reverse_test": (3, 3, lambda: pushforward_reverse_test(RT, CHANNEL)),
+    # the Kraus images of the frame are the image preparation's frame: no
+    # image state is built (3 before, one per symbol)
+    "pushforward_reverse_test": (0, 0, lambda: pushforward_reverse_test(RT, CHANNEL)),
+    # the validated output only: the preparation is the frame with unit
+    # weights, checked without a decomposition, and cq_apply is one product
+    # (1 + 3 before, the 3 pure states validated on each read)
+    "cq_apply": (1, 1, lambda: cq_apply(RT.preparation, RT.q)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
     "reverse_estimation_1param": (1, 1, lambda: reverse_estimation_1param(RHO, X)),
     # 2 dmax bounds, then one stacked eigh of 16x16 qubit Schur-Weyl blocks

@@ -194,6 +194,26 @@ class TestCopyPair:
         pair.curve_points(np.linspace(thr - 0.3, thr + 0.3, 13))
         assert calls == [6, 6]
 
+    def test_reverse_tests_share_one_sym_power(self, monkeypatch):
+        # the six error reads of the stein-trend suite's converse witness at
+        # n = 6 read one stack sym_powers(w, 6) of the pair's frame, built
+        # with the frame (one per error read, 6, before); each error bit for
+        # bit as on a pair of its own
+        calls = []
+        for module in (hypotest, states):
+            build = module.sym_powers
+            monkeypatch.setattr(module, "sym_powers", lambda v, n, build=build: calls.append(n) or build(v, n))
+        rho, sigma = fixtures.QUBIT_A
+        pair = CopyPair(rho, sigma, 6)
+        d = umegaki(rho, sigma).value
+        errors = [pair.reverse_test(float(r)).rho_error for r in np.linspace(d + 0.05, dmax(rho, sigma) + 0.1, 6)]
+        assert calls == [6]
+        refs = []
+        for r in np.linspace(d + 0.05, dmax(rho, sigma) + 0.1, 6):
+            brt = asymptotic_reverse_test(rho, sigma, 6, float(r))
+            refs.append(power_trace_norms(brt.pair.frame.w, (brt.weights[0] - brt.pair.frame.ratios)[None], 6)[0])
+        assert [e.hex() for e in errors] == [float(e).hex() for e in refs]
+
     def test_reverse_tests_share_one_frame(self, monkeypatch):
         calls = []
         build = hypotest.support_frame
@@ -689,11 +709,13 @@ class TestPowerTraceNorm:
 class TestStatesBuiltOnRead:
     @pytest.fixture
     def built(self, monkeypatch):
-        """The states that hypotest validates, in order."""
-        states = []
-        build = hypotest.DensityMatrix
-        monkeypatch.setattr(hypotest, "DensityMatrix", lambda m: states.append(build(m)) or states[-1])
-        return states
+        """The states that hypotest, or a preparation or cq_apply in states,
+        validates, in order."""
+        validated = []
+        build = states.DensityMatrix
+        for module in (hypotest, states):
+            monkeypatch.setattr(module, "DensityMatrix", lambda m: validated.append(build(m)) or validated[-1])
+        return validated
 
     @pytest.mark.parametrize("call", ["asymptotic_reverse_test", "state_conversion", "cli"])
     def test_constructions_validate_no_state(self, call, built, tmp_path):
@@ -715,13 +737,25 @@ class TestStatesBuiltOnRead:
         assert built == []
 
     def test_each_read_builds_both_states(self, built):
+        # the preparation is B^(x n) with the two weight rows, and builds no
+        # state; each read of its states builds both
         rho, sigma = fixtures.QUBIT_A
         brt = asymptotic_reverse_test(rho, sigma, 4, umegaki(rho, sigma).value + 0.05)
-        first, second = brt.preparation, brt.preparation
+        prep = brt.preparation
+        assert built == []
+        first, second = prep.states, prep.states
         assert len(built) == 4
-        assert list(first.states) + list(second.states) == built
-        assert all(a is not b for a, b in zip(first.states, second.states))
-        assert np.abs(first.states[0].matrix - brt.output(1.0)).max() <= 1e-12
+        assert list(first) + list(second) == built
+        assert all(a is not b for a, b in zip(first, second))
+        assert np.abs(first[0].matrix - (brt.frame * brt.weights[0]) @ brt.frame.conj().T).max() <= 1e-12
+
+    def test_capped_state_is_the_dense_output_bit_for_bit(self):
+        # the mixture B^(x n) diag(p0 g + (1 - p0) h) B^(x n dag) at p0 = 1,
+        # validated, is the preparation's first state bit for bit
+        rho, sigma = fixtures.QUBIT_A
+        brt = asymptotic_reverse_test(rho, sigma, 6, (umegaki(rho, sigma).value + dmax(rho, sigma)) / 2)
+        output = (brt.frame * (1.0 * brt.weights[0] + 0.0 * brt.weights[1])) @ brt.frame.conj().T
+        assert brt.preparation.states[0].matrix.tobytes() == DensityMatrix(output).matrix.tobytes()
 
 
 def _conversion_gap(rho, sigma):

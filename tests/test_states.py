@@ -96,7 +96,30 @@ class TestConstructors:
         a = DensityMatrix(np.eye(2, dtype=complex) / 2)
         b = DensityMatrix(np.eye(3, dtype=complex) / 3)
         with pytest.raises(ValidationError, match="dimension"):
-            Preparation((a, b))
+            Preparation.of_states((a, b))
+
+    @pytest.mark.parametrize("frame,weights,match", [
+        (np.eye(2), [[1.0, -0.5]], "negative preparation weight"),
+        (np.eye(2), [[0.5, 0.5 + 2e-10]], "row 0 has trace"),
+        (np.eye(2), [[0.5, 0.5], [0.7, 0.3 - 2e-10]], "row 1 has trace"),
+        (np.eye(2), [[0.5, 0.5, 0.0]], "do not agree"),
+        (np.eye(2), [0.5, 0.5], "do not agree"),
+        (np.eye(2), np.zeros((0, 2)), "do not agree"),
+        (np.eye(2), [[np.nan, 1.0]], "negative preparation weight"),
+    ], ids=["negative", "trace", "second-row-trace", "shape", "vector-weights", "no-symbol", "nan"])
+    def test_preparation_rejects_bad_frames(self, frame, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            Preparation(frame, weights)
+
+    def test_preparation_accepts_a_trace_within_tolerance(self):
+        # row traces off by at most TRACE_TOL (1e-10) pass, and the frame's
+        # column norms weigh them: 2 * (1/4 + 1/4)
+        prep = Preparation(np.eye(2) * np.sqrt(2), [[0.25, 0.25 + 2.5e-11]])
+        assert (len(prep), prep.dim) == (1, 2)
+
+    def test_preparation_rejects_no_states(self):
+        with pytest.raises(ValidationError, match="at least one state"):
+            Preparation.of_states(())
 
     def test_fuzz_generators_never_violate(self):
         # 1000 seeded instances per type construct without a validation error
@@ -112,7 +135,7 @@ class TestConstructors:
             gram = sum(b.conj().T @ b for b in blocks)
             isq = np.linalg.inv(np.linalg.cholesky(gram)).conj().T
             Measurement(tuple((b @ isq).conj().T @ (b @ isq) for b in blocks))
-            Preparation((rho, random_density(dim, seed=derive_seed(5, k))))
+            Preparation.of_states((rho, random_density(dim, seed=derive_seed(5, k))))
 
 
 class TestChannelOps:
@@ -164,13 +187,26 @@ class TestChannelOps:
 class TestClassicalQuantum:
     def test_point_mass(self):
         states = tuple(random_density(2, seed=s) for s in (1, 2, 3))
-        prep = Preparation(states)
+        prep = Preparation.of_states(states)
         p = ClassicalDistribution(np.array([0.0, 1.0, 0.0]))
         np.testing.assert_allclose(cq_apply(prep, p).matrix, states[1].matrix, atol=1e-14)
 
+    def test_of_states_reads_each_state_off_its_eigensystem(self, monkeypatch):
+        # no decomposition: the frame is the states' eigenvectors, each
+        # state's row its eigenvalues
+        states = tuple(random_density(3, rank=1 + k, seed=k) for k in range(3))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+        prep = Preparation.of_states(states)
+        assert calls == [] and prep.frame.shape == (3, 9) and prep.weights.shape == (3, 9)
+        monkeypatch.undo()
+        for s, rebuilt in zip(states, prep.states):
+            assert np.abs(rebuilt.matrix - s.matrix).max() <= 1e-14
+
     def test_uniform_over_identical(self):
         s = random_density(2, seed=5)
-        prep = Preparation((s, s))
+        prep = Preparation.of_states((s, s))
         p = ClassicalDistribution(np.array([0.5, 0.5]))
         np.testing.assert_allclose(cq_apply(prep, p).matrix, s.matrix, atol=1e-14)
 

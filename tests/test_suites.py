@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from qdiv import hypotest, suites
+from qdiv import hypotest, states, suites
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.errors import ValidationError
 from qdiv.suites import (ALL_SUITES, SuiteConfig, report_from_json,
@@ -148,6 +148,29 @@ class TestRunSuite:
                                 lambda *args, name=name, build=build: calls.update([name]) or build(*args))
         suites._suite_stein_trend(SuiteConfig())
         assert calls == {"power_blocks": 8, "support_frame": 1}
+
+    def test_stein_trend_builds_each_block_stack_once(self, monkeypatch):
+        # sym_powers of rho's and sigma's eigenbases in each of the 8
+        # power_blocks calls, and of the frame at n = 6 once, with the frame,
+        # for all six reverse tests' error reads (6 before, one per read)
+        calls = []
+        for module in (hypotest, states):
+            build = module.sym_powers
+            monkeypatch.setattr(module, "sym_powers", lambda v, n, build=build: calls.append(n) or build(v, n))
+        suites._suite_stein_trend(SuiteConfig())
+        assert len(calls) == 9
+
+    def test_conversion_builds_each_source_power_once(self, monkeypatch):
+        # one source pair per n = 2, 4, 6, shared by both targets: its two
+        # powers at each n (12 before, once per target), and one frame per
+        # target and n
+        calls = collections.Counter()
+        for name in ("power_blocks", "support_frame"):
+            build = getattr(hypotest, name)
+            monkeypatch.setattr(hypotest, name,
+                                lambda *args, name=name, build=build: calls.update([name]) or build(*args))
+        suites._suite_conversion(SuiteConfig())
+        assert calls == {"power_blocks": 6, "support_frame": 6}
 
     def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
         # every trace record reads curve_points on the Schur-Weyl blocks
