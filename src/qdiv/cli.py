@@ -43,9 +43,10 @@ def _cmd_divergence(args) -> int:
     elif args.kind == "fidelity":
         out = {"kind": args.kind, "value": fidelity_logdiv(rho, sigma)}
     else:
-        val, _ = measured_div_lower(rho, sigma, budget=args.budget, seed=args.seed)
-        out = {"kind": args.kind, "value": val, "budget": args.budget, "seed": args.seed,
-               "note": "heuristic lower bound over rank-1 projective measurements"}
+        val, _ = measured_div_lower(rho, sigma, budget=args.budget)
+        out = {"kind": args.kind, "value": val, "budget": args.budget,
+               "note": "lower bound from a deterministic ascent over projective measurements; "
+                       "inf when supp rho escapes supp sigma"}
     _emit(out)
     return 0
 
@@ -134,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
     p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_divergence)
 
     p = sub.add_parser("metric", help="evaluate a monotone metric in a tangent direction")

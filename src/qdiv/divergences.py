@@ -1,8 +1,8 @@
 """Scalar divergences on classical and quantum pairs.
 
-Conventions: natural logarithm throughout. Support-violating pairs are
-reported through an explicit flag on the report rather than fed onward as
-float infinities.
+Conventions: natural logarithm throughout. `umegaki` and `rld_entropy`
+report a support-violating pair through the flag on their report; `dmax`
+and `measured_div_lower` return +inf when supp rho escapes supp sigma.
 """
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import SUPPORT_TOL
 from .errors import ConvergenceError
-from .linalg import (STACK_BYTES, eigh, eigh_hermitian, frobenius,
+from .linalg import (eigh, eigh_hermitian, frobenius,
                      logm_support, matrix_function, off_support_residual,
                      pinv_psd, sqrtm_psd, support_projector, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
@@ -138,10 +138,9 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _projective_kls(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """KL of rho's outcome weights from sigma's in each basis of the stack v
     (k, d, d); +inf where rho weighs an outcome that sigma does not. Weights
-    below 1e-300 count as zero."""
-    p = basis_weights(v, rho)
-    p = np.where(p > 1e-300, p, 0.0)
-    q = np.maximum(basis_weights(v, sigma), 0.0)
+    at or below 1e-300 count as zero."""
+    p, q = basis_weights(v, rho), basis_weights(v, sigma)
+    p, q = np.where(p > 1e-300, p, 0.0), np.where(q > 1e-300, q, 0.0)
     full = (p > 0).all(axis=1)
     ok = full & (q > 0).all(axis=1)
     if ok.all():
@@ -154,91 +153,133 @@ def _projective_kls(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> np.nda
     return vals
 
 
-def _stacks(bases: list, n_random: int, block: int, rng: np.random.Generator):
-    """The given bases, then n_random Haar unitaries drawn from rng as
-    n_random calls of random_unitary would draw them, in stacks of at most
-    block bases."""
-    for i in range(0, len(bases), block):
-        yield np.stack(bases[i:i + block])
-    d = bases[0].shape[0]
-    for i in range(0, n_random, block):
-        z = rng.standard_normal((min(block, n_random - i), 2, d, d))
-        q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        yield q * (diag / np.abs(diag))[:, None, :]
+def _kl_gradient(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray):
+    """The KL in the basis v, and its gradient along v e^{tA}: the
+    anti-Hermitian A of steepest ascent, (b_k - b_m) S_km - (a_k - a_m) R_km
+    for R = v^dag rho v, S = v^dag sigma v with diagonals p, q, b = p/q and
+    a = ln b, both 0 where p is (R's row is 0 there too). Weights at or below
+    1e-300 count as zero; (-inf, None) where rho weighs an outcome that
+    sigma does not."""
+    rv = v.conj().T @ rho @ v
+    sv = v.conj().T @ sigma @ v
+    p, q = np.diagonal(rv).real, np.diagonal(sv).real
+    pos = p > 1e-300
+    if np.any(q[pos] <= 1e-300):
+        return -math.inf, None
+    b = np.divide(p, q, out=np.zeros_like(p), where=pos)
+    a = np.log(b, out=np.zeros_like(p), where=pos)
+    return float(p @ a), (b[:, None] - b) * sv - (a[:, None] - a) * rv
+
+
+# The line search's sufficient-gain fraction (Armijo), the fraction of the
+# starting slope under which a trial's slope ends it, and its trials per
+# direction once one is accepted
+_ARMIJO = 1e-4
+_CURVATURE = 0.1
+_LINE_TRIALS = 8
 
 
 def measured_div_lower(rho: DensityMatrix, sigma: DensityMatrix,
                        budget: int = 500, seed: int = 0) -> tuple[float, np.ndarray]:
     """Best KL found over rank-1 projective measurements, and the unitary
-    whose columns are the best basis found.
+    whose columns are that basis: a lower bound on the measured divergence.
 
-    Seeded random restarts plus a local unitary perturbation search, spending
-    at most `budget` KL evaluations. A heuristic lower bound for the measured
-    divergence, not a certified optimum. Bases scoring +inf are skipped,
-    since roundoff on sigma's kernel can produce them; raises ConvergenceError
-    if no evaluated basis scores finite.
-
-    Each phase draws, decomposes and scores its bases in stacks of bounded
-    size, so memory does not grow with `budget`; the result is the
-    one-basis-at-a-time search's, bit for bit.
+    (+inf, sigma's eigenbasis) at once when supp rho escapes supp sigma, as
+    that basis puts rho's weight on sigma's kernel. Otherwise the eigenbases
+    of rho, sigma, rho - sigma and rho + sqrt(2) sigma (a common eigenbasis
+    of a commuting pair even when one spectrum is degenerate) are scored in
+    one stack, and `_ascend` climbs from the best. Starts and trials are one
+    KL evaluation each, at most `budget` in all. A basis scoring +inf is
+    skipped, since roundoff on sigma's kernel can produce one;
+    ConvergenceError when every start does. `seed` is unused: nothing is
+    drawn.
     """
     check_dims(rho, sigma)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    rng = np.random.default_rng(seed)
-    d = rho.dim
+    if support_escapes(rho, sigma):
+        return math.inf, sigma.eigen.eigenvectors
     r, s = rho.matrix, sigma.matrix
-    block = max(1, STACK_BYTES // (16 * d * d))
+    starts = np.stack([rho.eigen.eigenvectors, sigma.eigen.eigenvectors,
+                       eigh(r - s).eigenvectors, eigh(r + np.sqrt(2.0) * s).eigenvectors][:budget])
+    vals = _projective_kls(starts, r, s)
+    vals = np.where(np.isfinite(vals), vals, -math.inf)
+    j = int(np.argmax(vals))
+    if not math.isfinite(vals[j]):
+        raise ConvergenceError(f"no basis of the {len(starts)} starts gave a finite KL")
+    return _ascend(starts[j], float(vals[j]), r, s, budget - len(starts))
 
-    # Starts: the eigenbases of rho, sigma, their difference, and a generic
-    # combination (recovers a common eigenbasis on commuting pairs even when
-    # one spectrum is degenerate), then Haar-random bases. Each start that
-    # beats every earlier one becomes the best.
-    starts = [rho.eigen.eigenvectors, sigma.eigen.eigenvectors,
-              eigh(r - s).eigenvectors, eigh(r + np.sqrt(2.0) * s).eigenvectors][:budget]
-    n_random = max(min(max(budget // 4, 8), budget) - len(starts), 0)
-    evals = len(starts) + n_random
-    best_v, best = None, -math.inf
-    for v in _stacks(starts, n_random, block, rng):
-        vals = _projective_kls(v, r, s)
-        vals = np.where(np.isfinite(vals), vals, -math.inf)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best, best_v = float(vals[j]), v[j]
-    if best_v is None:
-        raise ConvergenceError(f"no basis of the {evals} evaluated gave a finite KL")
 
-    # Local search: rotate the best basis by exp(i step H), H from a Ginibre
-    # draw, one draw per evaluation; the step halves after 12 rejections in
-    # a row. A window scores the next 12 - stale rotations of the current
-    # best basis together and keeps the first that improves; the rotations
-    # after it were drawn for later evaluations and are rebuilt from the new
-    # best basis.
-    step, stale = 0.3, 0
-    while evals < budget:
-        k = min(budget - evals, block)
-        z = rng.standard_normal((k, 2, d, d))
-        g = z[:, 0] + 1j * z[:, 1]
-        w, u = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
-        i = 0
-        while i < k:
-            m = min(12 - stale, k - i)
-            uw = u[i:i + m]
-            cand = ((uw * np.exp(1j * step * w[i:i + m])[:, None, :])
-                    @ uw.conj().transpose(0, 2, 1)) @ best_v
-            vals = _projective_kls(cand, r, s)
-            better = np.flatnonzero((vals > best) & np.isfinite(vals))
-            if better.size:
-                j = int(better[0])
-                best, best_v = float(vals[j]), cand[j]
-                stale = 0
-                i += j + 1
+def _ascend(v: np.ndarray, best: float, r: np.ndarray, s: np.ndarray, evals: int):
+    """Riemannian conjugate-gradient ascent of the KL from the basis v, of
+    KL best, in at most `evals` evaluations; returns the best (KL, basis).
+    It stops early when a step gains under 1e-12 (1 + |KL|).
+
+    Directions D are the gradient plus Polak-Ribiere+ times the last one.
+    One eigh of -iD = W diag(mu) W^dag per direction gives the unitary
+    trials v W e^{it mu} W^dag; the first turns v by one radian at most,
+    later ones start from the last step times the ratio of slopes. The line
+    search keeps its best trial. It backs off by a parabola from a trial that
+    gains under _ARMIJO of the predicted gain, else steps by the secant of
+    the slopes, and stops once a slope falls under _CURVATURE of the first.
+    """
+    _, grad = _kl_gradient(v, r, s)
+    grad_old = direction = None
+    t = 0.0
+    while evals > 0:
+        if direction is not None:
+            beta = np.vdot(grad - grad_old, grad).real / np.vdot(grad_old, grad_old).real
+            direction = grad + max(0.0, beta) * direction
+        if direction is None or np.vdot(grad, direction).real <= 0:
+            direction = grad
+        slope = np.vdot(grad, direction).real
+        if slope == 0:
+            break
+        tol = 1e-12 * (1 + abs(best))
+        mu, w = np.linalg.eigh(-1j * direction)
+        t = 1 / np.abs(mu).max() if t == 0 else t * min(slope_old / slope, 4.0)
+        vw = v @ w
+        lo, f_lo, s_lo, hi, s_hi = 0.0, best, slope, math.inf, None
+        found, trials = None, 0
+        while evals and t * slope >= tol and (found is None or trials < _LINE_TRIALS):
+            cand = (vw * np.exp(1j * t * mu)) @ w.conj().T
+            val, g = _kl_gradient(cand, r, s)
+            evals, trials = evals - 1, trials + 1
+            if val > (best if found is None else found[0]):
+                found = (val, cand, g, t)
+            if not val >= best + _ARMIJO * t * slope:
+                span, curv = t - lo, f_lo + s_lo * (t - lo) - val
+                vertex = s_lo * span * span / (2 * curv) if curv > 0 else span
+                hi, s_hi, t = t, None, lo + min(max(vertex, 0.1 * span), 0.5 * span)
+                continue
+            st = np.vdot(g, direction).real
+            if abs(st) <= _CURVATURE * slope:
+                break
+            if st > 0:
+                t_prev, s_prev = lo, s_lo
+                lo, f_lo, s_lo = t, val, st
             else:
-                stale += m
-                if stale >= 12:
-                    step = max(step * 0.5, 1e-4)
-                    stale = 0
-                i += m
-        evals += k
-    return best, best_v
+                hi, s_hi = t, st
+            if hi == math.inf:
+                t = _secant(t_prev, s_prev, lo, s_lo, 1.1 * lo, 4 * lo)
+            else:
+                t = _secant(lo, s_lo, hi, s_hi, lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+        if found is None:
+            break
+        val, v, g, t = found
+        gain, best = val - best, val
+        grad_old, grad, slope_old = grad, g, slope
+        if gain < tol:
+            break
+    return best, v
+
+
+def _secant(t0: float, s0: float, t1: float, s1, lo: float, hi: float) -> float:
+    """Where the line through the slopes (t0, s0) and (t1, s1) crosses zero,
+    clipped to [lo, hi]: hi when the slope does not fall, the midpoint when
+    s1 is unknown."""
+    if s1 is None:
+        return (lo + hi) / 2
+    if s0 <= s1:
+        return hi
+    return min(max(t1 - s1 * (t1 - t0) / (s1 - s0), lo), hi)

@@ -61,6 +61,8 @@ def load_hermitian(path: str) -> np.ndarray:
 
 
 def dump(obj: dict, path: str) -> None:
+    """Write obj as indented, key-sorted JSON and a newline, in one write:
+    json.dump would write each chunk of the encoding separately."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -279,23 +279,28 @@ def convolution_sym_powers(v: np.ndarray, n: int) -> list[np.ndarray]:
     return blocks
 
 
+def projective_kl(v, r, s) -> float:
+    """KL of r's outcome weights from s's in the basis that the columns of v
+    form, one basis at a time; +inf where r weighs an outcome that s does
+    not."""
+    p = np.sum(v.conj() * (r @ v), axis=0).real
+    q = np.sum(v.conj() * (s @ v), axis=0).real
+    p, q = np.where(p > 1e-300, p, 0.0), np.maximum(q, 0.0)
+    mask = p > 0
+    if np.any(q[mask] <= 0):
+        return math.inf
+    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
 def sequential_measured_search(rho, sigma, budget: int = 500, seed: int = 0):
-    """The measured-divergence search one basis at a time: the deterministic
-    starts (the eigenbases of rho, sigma, rho - sigma and rho + sqrt(2) sigma),
+    """The seeded random search that measured_div_lower used before its
+    deterministic ascent, one basis at a time: the deterministic starts (the
+    eigenbases of rho, sigma, rho - sigma and rho + sqrt(2) sigma),
     Haar-random starts up to max(budget // 4, 8) evaluations, then one local
     rotation exp(i step H) of the best basis per evaluation, the step halving
     after 12 rejections in a row. Returns (best KL, best basis) or raises
-    ValueError when nothing scores finite. The reference that the stacked
-    search must reproduce bit for bit."""
-
-    def projective_kl(v, r, s):
-        p = np.sum(v.conj() * (r @ v), axis=0).real
-        q = np.sum(v.conj() * (s @ v), axis=0).real
-        p, q = np.where(p > 1e-300, p, 0.0), np.maximum(q, 0.0)
-        mask = p > 0
-        if np.any(q[mask] <= 0):
-            return math.inf
-        return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    ValueError when nothing scores finite. The reference that the ascent
+    must never fall below."""
 
     def random_unitary(rng):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

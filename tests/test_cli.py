@@ -58,6 +58,25 @@ class TestDivergenceCommand:
         assert code == 0
         data = json.loads(out)
         assert data["value"] <= fixtures.VALUES["qubit_a"]["umegaki"] + 1e-8
+        # the search draws nothing, so there is no seed to report
+        assert set(data) == {"kind", "value", "budget", "note"}
+        assert data["note"] == ("lower bound from a deterministic ascent over projective "
+                                "measurements; inf when supp rho escapes supp sigma")
+
+    def test_measured_takes_no_seed(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["divergence", "--kind", "measured", "--seed", "7",
+                  "--rho", files["rho"], "--sigma", files["sigma"]])
+        assert exc.value.code == 2
+
+    def test_measured_escaping_support_is_inf(self, capsys, tmp_path):
+        paths = {}
+        for name, m in (("rho", np.eye(2) / 2), ("sigma", np.diag([1.0, 0.0]))):
+            paths[name] = str(tmp_path / f"{name}.json")
+            dump(state_to_dict(DensityMatrix(m.astype(complex))), paths[name])
+        code, out = run_cli(capsys, "divergence", "--kind", "measured",
+                            "--rho", paths["rho"], "--sigma", paths["sigma"])
+        assert code == 0 and json.loads(out)["value"] == "inf"
 
     def test_measured_rejects_empty_budget(self, capsys, files):
         code = main(["divergence", "--kind", "measured", "--budget", "0",

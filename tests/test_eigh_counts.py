@@ -83,8 +83,10 @@ CASES = {
     # is read
     "asymptotic_reverse_test": (1, 1, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # the eigenbases of rho - sigma and rho + sqrt(2) sigma for the starts,
-    # and one Ginibre draw per local evaluation: 20 - 8 starts, in one stack
-    "measured_div_lower": (14, 3, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
+    # then one eigh of -iD per ascent direction D: 8 directions for the 16
+    # trials after the 4 starts. The random search it replaced made (14, 3):
+    # one Ginibre draw per local evaluation, in one stack
+    "measured_div_lower": (10, 10, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
     # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level,
     # one stacked eigh per level. No node rounds to rho or sigma bit for bit
     # here: rho's (0, 2) entry is an exact 0 and sigma's is not
@@ -189,25 +191,28 @@ def test_svd_count(name, counts):
     assert counts["svd"] == expected
 
 
-def test_measured_div_lower_stacks_its_lapack_calls(monkeypatch):
-    # the two start eighs, then one stacked eigh of the 12 local draws and one
-    # stacked QR of the 4 Haar-random starts; one call per basis would make
-    # 14 eigh and 4 QR calls
-    calls = {"eigh": 0, "qr": 0}
+def test_measured_div_lower_lapack_calls(monkeypatch):
+    # the two start eighs, then one eigh per ascent direction, each followed
+    # by its line search's trials, and no QR, since nothing is drawn. The
+    # random search it replaced made 3 eigh calls and one stacked QR of its
+    # 4 Haar-random starts
+    events = []
 
-    def counting(name):
-        original = getattr(np.linalg, name)
-
+    def logged(name, original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            events.append(name)
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in ("eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, logged(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(divergences, "_kl_gradient", logged("trial", divergences._kl_gradient))
     measured_div_lower(RHO, SIGMA, 20, 0)
-    assert calls["eigh"] <= 3
-    assert calls["qr"] == 1
+    assert "qr" not in events
+    # the gradient at the best start comes after the two start eighs
+    assert events[:3] == ["eigh", "eigh", "trial"]
+    ascent = "".join(name[0] for name in events[3:])
+    assert ascent.startswith("e") and "ee" not in ascent and ascent.count("t") == 20 - 4
 
 
 # support projectors built from eigensystems the states already carry: only

@@ -59,6 +59,12 @@ class TestStateFormat:
         again = load_state(str(path))
         np.testing.assert_allclose(again.matrix, rho.matrix, atol=1e-15)
 
+    def test_dump_writes_the_json_text(self, tmp_path):
+        data = {"b": [1.5, float("inf")], "a": {"z": None, "y": "text"}}
+        path = tmp_path / "out.json"
+        dump(data, str(path))
+        assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
 
 class TestReverseTestFormat:
     def test_schema(self):
