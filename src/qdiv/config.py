@@ -18,8 +18,8 @@ PSD_CLIP_RTOL = 1e-10
 HERMITICITY_RTOL = 1e-12
 
 # Fixed validation tolerances: unit trace or sum, Kraus and POVM completeness,
-# support and off-support residuals, the tanh-sinh stopping step, and the
-# slack on CopyPair.smooth's gentle-measurement distance bound.
+# support and off-support residuals, the metric quadrature's stopping step,
+# and the slack on CopyPair.smooth's gentle-measurement distance bound.
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 SUPPORT_TOL = 1e-10

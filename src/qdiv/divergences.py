@@ -12,9 +12,8 @@ import numpy as np
 
 from .config import SUPPORT_TOL
 from .errors import ConvergenceError
-from .linalg import (eigh, eigh_hermitian, frobenius,
-                     logm_support, matrix_function, off_support_residual,
-                     pinv_psd, sqrtm_psd, support_projector, trace_norm)
+from .linalg import (eigh, frobenius, logm_support, matrix_function,
+                     off_support_residual, pinv_psd, sqrtm_psd, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
                      check_dims)
 
@@ -46,11 +45,9 @@ def support_relation(rho: DensityMatrix, sigma: DensityMatrix) -> str:
     check_dims(rho, sigma)
     if sigma.full_rank:
         return SUPPORT_EQUAL if rho.full_rank else SUPPORT_CONTAINED
-    proj_s = support_projector(sigma.eigen)
-    if off_support_residual(proj_s, rho.matrix) > SUPPORT_TOL:
+    if off_support_residual(sigma.support_projector, rho.matrix) > SUPPORT_TOL:
         return SUPPORT_VIOLATED
-    proj_r = support_projector(rho.eigen)
-    if frobenius(proj_r - proj_s) <= SUPPORT_TOL:
+    if frobenius(rho.support_projector - sigma.support_projector) <= SUPPORT_TOL:
         return SUPPORT_EQUAL
     return SUPPORT_CONTAINED
 
@@ -59,7 +56,7 @@ def support_escapes(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
     """Whether supp rho escapes supp sigma: rho's part off sigma's support
     projector exceeds SUPPORT_TOL. A full-rank sigma supports every state,
     so its projector is not built."""
-    return not sigma.full_rank and off_support_residual(support_projector(sigma.eigen), rho.matrix) > SUPPORT_TOL
+    return not sigma.full_rank and off_support_residual(sigma.support_projector, rho.matrix) > SUPPORT_TOL
 
 
 def kl(p: ClassicalDistribution, q: ClassicalDistribution) -> float:
@@ -113,8 +110,17 @@ def fidelity_logdiv(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(np.log(tn))
 
 
+def ratio_spectrum(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """The ascending eigenvalues of sigma^-1/2 rho sigma^-1/2, the inverse
+    taken on sigma's support, from one eigvalsh."""
+    check_dims(rho, sigma)
+    isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
+    return np.linalg.eigvalsh(isq @ rho.matrix @ isq)
+
+
 def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Max-relative entropy ln lambda_max(sigma^-1/2 rho sigma^-1/2).
+    """Max-relative entropy ln lambda_max(sigma^-1/2 rho sigma^-1/2), the top
+    of `ratio_spectrum`.
 
     The smallest a with rho <= e^a sigma; +inf when sigma's support does not
     carry rho.
@@ -122,10 +128,7 @@ def dmax(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     check_dims(rho, sigma)
     if support_escapes(rho, sigma):
         return math.inf
-    isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
-    inner = isq @ rho.matrix @ isq
-    w, _ = eigh_hermitian((inner + inner.conj().T) / 2)
-    top = float(w[-1])
+    top = float(ratio_spectrum(rho, sigma)[-1])
     if top <= 0.0:
         return -math.inf
     return float(np.log(top))

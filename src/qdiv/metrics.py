@@ -6,16 +6,18 @@ with f(1) = 1 and f(x) = x f(1/x); the metric value in the eigenbasis of rho
 is sum over (j, k) of conj(X_jk) Y_jk / (lam_k f(lam_j / lam_k)).
 """
 
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import OPERATOR_RESIDUAL_TOL, QUADRATURE_STEP_TOL, SUPPORT_RTOL
+from .divergences import ratio_spectrum
 from .errors import ConvergenceError, RankError, SupportViolationError
 from .linalg import (STACK_BYTES, EigenSystem, eigh, eigh_hermitian,
                      frobenius, matrix_function, off_support_residual,
-                     pinv_psd, support_projector, trace_norm)
+                     pinv_psd, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
                      basis_weights, check_dims)
 
@@ -146,7 +148,7 @@ def sld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
 def rld_operator(rho: DensityMatrix, x: TangentDirection) -> np.ndarray:
     """Right logarithmic derivative L = X rho^-1; exists iff X lives on the
     support of rho."""
-    proj = support_projector(rho.eigen)
+    proj = rho.support_projector
     # every tangent lives on the support of a full-rank rho
     resid = 0.0 if rho.full_rank else off_support_residual(proj, x.matrix)
     if resid > OPERATOR_RESIDUAL_TOL:
@@ -254,68 +256,87 @@ def holevo_rld_minimizer(g: np.ndarray, j: np.ndarray) -> np.ndarray:
 # divergences induced by integrating a metric along the mixture path
 
 
-_TS_SPAN = 4                # tanh-sinh nodes t in [-4, 4], step 1 halved at
-_TS_HALVINGS = 10           # most 10 times; nodes decomposed in stacks of at most STACK_BYTES
+# Clenshaw-Curtis rules of N = 6 * 2^k intervals: the first batch holds the
+# points of N = 24, and N doubles at most 8 times past 6
+_CC_FIRST = 6
+_CC_DOUBLINGS = 8
+
+
+@functools.cache
+def _cc_weights(n: int) -> np.ndarray:
+    """Clenshaw-Curtis weights on [-1, 1] of the n + 1 points cos(j pi / n),
+    j = 0..n, for even n, in closed form; they sum to 2."""
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(k == n // 2, 1.0, 2.0) / (4 * k * k - 1)
+    w = 2 / n * (1 - b @ np.cos(np.outer(2 * k, np.pi * np.arange(n + 1) / n)))
+    w[[0, n]] /= 2
+    w.flags.writeable = False   # shared by every call through the cache
+    return w
 
 
 def integral_divergences(specs: Sequence[MetricSpec], rho: DensityMatrix,
                          sigma: DensityMatrix) -> list[float]:
     """Divergence of each spec from the double integral of its metric along
-    the segment s rho + (1 - s) sigma, reduced to int_0^1 (1 - s) g(s) ds, by
-    tanh-sinh quadrature (Takahasi-Mori); each halving of the step adds only
-    new nodes. Every node is decomposed once, for all specs that have not yet
-    converged, and each spec's estimate stops at its own convergence, bit for
-    bit as integral_divergence on that spec alone. Raises ConvergenceError,
-    naming the first spec whose successive estimates never meet the
-    tolerance."""
+    the segment s rho + (1 - s) sigma, reduced to int_0^1 (1 - s) g(s) ds.
+
+    The segment is singular at s = 1/(1 - t) for t in ratio_spectrum(rho,
+    sigma); a < 0 and b > 1 are the nearest such points, capped at -1 and 2,
+    and u = ln((s - a)/(b - s)) sends them to infinity. The integral in u is
+    taken by nested Clenshaw-Curtis rules, each doubling adding only new
+    points; s = 0 reads sigma's eigensystem and s = 1 weighs zero. Every
+    point is decomposed once, for all specs that have not yet converged, and
+    each spec's estimate stops at its own convergence, bit for bit as
+    integral_divergence on that spec alone. Raises ConvergenceError, naming
+    the first spec whose successive estimates never meet the tolerance."""
     check_dims(rho, sigma)
     for nm, state in (("rho", rho), ("sigma", sigma)):
         if not state.full_rank:
             raise RankError(f"integral_divergence needs full-rank states; {nm} is singular")
     diff = rho.matrix - sigma.matrix
     chunk = max(1, STACK_BYTES // (16 * rho.dim ** 2))
+    t = ratio_spectrum(rho, sigma)
+    # -a and b - 1; t_min is at least lambda_min(rho) / lambda_max(sigma) > 0
+    t_min = max(float(t[0]), rho.eigen.eigenvalues[0] / sigma.eigen.eigenvalues[-1])
+    am, bm = 1 / max(1.0, float(t[-1]) - 1), t_min / max(t_min, 1 - t_min)
+    u0, u1 = np.log(am / (1 + bm)), np.log((1 + am) / bm)
 
-    ends = np.stack((rho.matrix, sigma.matrix)).reshape(2, 1, -1).view(np.uint64)
-    end_w, end_v = (np.stack(parts) for parts in zip(rho.eigen, sigma.eigen))
+    def values(x: np.ndarray, todo: list) -> np.ndarray:
+        """(1 - s) g(s) ds/du at the points x of [-1, 1], one row per spec."""
+        u = (u1 + u0) / 2 + (u1 - u0) / 2 * x
+        # s and 1 - s from expm1, neither by cancellation
+        s, sc = am * np.expm1(u - u0) / (1 + np.exp(u)), -(1 + am) * np.expm1(u - u1) / (1 + np.exp(u))
+        out = np.empty((len(todo), x.size))
+        for c in range(0, x.size, chunk):
+            nodes = s[c:c + chunk, None, None] * rho.matrix + sc[c:c + chunk, None, None] * sigma.matrix
+            for row, form in zip(out, _petz_forms(todo, np.linalg.eigh(nodes), diff, diff)):
+                row[c:c + chunk] = form.real
+        return out * sc * (s + am) * (sc + bm) / (1 + am + bm)
 
-    def node_sums(t: np.ndarray, todo: list) -> list:
-        totals = [0.0] * len(todo)
-        for tc in np.split(t, range(chunk, t.size, chunk)):
-            e = np.exp(np.pi * np.sinh(tc))
-            s, sc = 1 / (1 + 1 / e), 1 / (1 + e)   # s and 1 - s, neither by cancellation
-            nodes = s[:, None, None] * rho.matrix + sc[:, None, None] * sigma.matrix
-            # (1 - s) g(s) ds, with ds = pi cosh(t) s (1 - s) dt
-            ds = np.pi * np.cosh(tc) * s * sc * sc
-            # far out (|t| >= 3.15) a node rounds to rho or sigma bit for bit;
-            # it is not decomposed, and its ds weighs the eigensystem that
-            # state carries, appended to the stack in its place, so the
-            # stack stays within STACK_BYTES
-            same = (nodes.reshape(len(nodes), -1).view(np.uint64) == ends).all(axis=-1)
-            hit = same.any(axis=1)
-            if hit.any():
-                fresh = ~same.any(axis=0)
-                w, v = np.linalg.eigh(nodes[fresh])
-                eigen = EigenSystem(np.concatenate((w, end_w[hit])), np.concatenate((v, end_v[hit])))
-                weights = np.concatenate((ds[fresh], same[hit] @ ds))
-            else:
-                eigen, weights = np.linalg.eigh(nodes), ds
-            for i, form in enumerate(_petz_forms(todo, eigen, diff, diff)):
-                totals[i] += np.sum(weights * form.real)
-        return totals
+    def estimate(k: int, m: int) -> float:
+        return (u1 - u0) / 2 * float(np.sum(_cc_weights(m) * f[k, ::n // m]))
 
-    est = node_sums(np.arange(-_TS_SPAN, _TS_SPAN + 1.0), list(specs))
-    active, steps = list(range(len(specs))), [0.0] * len(specs)
-    for h in 0.5 ** np.arange(1, _TS_HALVINGS + 1):
-        totals = node_sums(h * np.arange(1 - _TS_SPAN / h, _TS_SPAN / h, 2), [specs[k] for k in active])
-        for k, total in zip(active, totals):
-            prev, est[k] = est[k], est[k] / 2 + h * total
+    n = 4 * _CC_FIRST
+    f = np.zeros((len(specs), n + 1))   # at x = cos(j pi / n); s = 1 at j = 0, s = 0 at j = n
+    f[:, 1:n] = values(np.cos(np.pi * np.arange(1, n) / n), list(specs))
+    f[:, n] = [form.real * am * (1 + bm) / (1 + am + bm) for form in _petz_forms(specs, sigma.eigen, diff, diff)]
+    est = [estimate(k, _CC_FIRST) for k in range(len(specs))]
+    active, steps, m = list(range(len(specs))), [0.0] * len(specs), _CC_FIRST
+    while m < _CC_FIRST << _CC_DOUBLINGS:
+        m *= 2
+        if m > n:   # the new points are the odd j of the doubled rule
+            g = np.zeros((len(specs), m + 1))
+            g[:, ::2] = f
+            g[active, 1::2] = values(np.cos(np.pi * np.arange(1, m, 2) / m), [specs[k] for k in active])
+            n, f = m, g
+        for k in active:
+            prev, est[k] = est[k], estimate(k, m)
             steps[k] = abs(est[k] - prev)
         active = [k for k in active if not steps[k] < QUADRATURE_STEP_TOL]
         if not active:
-            return [float(v) for v in est]
+            return est
     k = active[0]
     raise ConvergenceError(f"integral_divergence did not converge for {specs[k].name}: step {steps[k]:.3e} "
-                           f"at {round(2 * _TS_SPAN / h) + 1} nodes exceeds {QUADRATURE_STEP_TOL:.0e}")
+                           f"at {m + 1} points exceeds {QUADRATURE_STEP_TOL:.0e}")
 
 
 def integral_divergence(spec: MetricSpec, rho: DensityMatrix, sigma: DensityMatrix) -> float:

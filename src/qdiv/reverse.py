@@ -145,7 +145,7 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
     keep = lam > support_cutoff(lam)
     lam, e = lam[keep], e[:, keep]
     # every tangent lives on the support of a full-rank rho
-    leak = 0.0 if rho.full_rank else off_support_residual(e @ e.conj().T, x.matrix)
+    leak = 0.0 if rho.full_rank else off_support_residual(rho.support_projector, x.matrix)
     if leak > OPERATOR_RESIDUAL_TOL:
         raise SupportViolationError(
             f"tangent leaks off the support (residual {leak:.3e}): no reverse derivative exists")

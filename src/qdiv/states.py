@@ -16,7 +16,8 @@ import numpy as np
 from .config import COMPLETENESS_TOL, TRACE_TOL, dimension_cap
 from .errors import DimensionCapError, PSDViolationError, ValidationError
 from .linalg import (EigenSystem, check_hermitian, clip_psd_eigenvalues,
-                     eigh_hermitian, hermitian_trace_norm, support_cutoff)
+                     eigh_hermitian, hermitian_trace_norm, support_cutoff,
+                     support_projector)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +29,7 @@ class DensityMatrix:
     validation computed, with the clipped eigenvalues, so that
     (v * w) @ v^dag is `matrix`; `full_rank` says whether every eigenvalue
     is above the support cutoff, so that the support is the whole space.
+    `support_projector` is built from `eigen` when first read, then kept.
     """
 
     matrix: np.ndarray
@@ -49,6 +51,10 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigen", EigenSystem(w, v))
         object.__setattr__(self, "full_rank", bool(w[0] > support_cutoff(w)))
+
+    @functools.cached_property
+    def support_projector(self) -> np.ndarray:
+        return support_projector(self.eigen)
 
     @property
     def dim(self) -> int:

@@ -13,9 +13,10 @@ from qdiv.errors import ConvergenceError
 from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL,
                               SUPPORT_VIOLATED, _projective_kls, dmax,
                               fidelity_logdiv, kl, measured_div_lower,
-                              rld_entropy, support_escapes, support_relation,
-                              umegaki)
-from qdiv.linalg import frobenius, off_support_residual, support_projector
+                              ratio_spectrum, rld_entropy, support_escapes,
+                              support_relation, umegaki)
+from qdiv.linalg import (eigh, frobenius, matrix_function,
+                         off_support_residual, support_projector)
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
                          random_commuting_pair, random_density)
 
@@ -126,6 +127,17 @@ class TestFidelityLogDiv:
         assert fidelity_logdiv(rho, sigma) == pytest.approx(fixtures.VALUES[name]["fidelity"], abs=1e-12)
 
 
+def _inside(sigma, seed):
+    """A state inside the support of sigma."""
+    proj = support_projector(sigma.eigen)
+    inner = proj @ random_density(sigma.dim, seed=seed).matrix @ proj
+    return DensityMatrix(inner / np.trace(inner).real)
+
+
+_RANK2 = random_density(3, rank=2, seed=71)
+RATIO_PAIRS = {**fixtures.PAIRS, "inside-rank2": (_inside(_RANK2, 79), _RANK2)}
+
+
 class TestDmax:
     def test_self_zero(self):
         rho = random_density(3, seed=11)
@@ -157,15 +169,33 @@ class TestDmax:
         sigma = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         assert dmax(rho, sigma) == math.inf
 
+    @pytest.mark.parametrize("name", list(RATIO_PAIRS))
+    def test_ratio_spectrum_matches_dense_reference(self, name):
+        # the eigenvalues of sigma^-1 rho on sigma's support, by a general
+        # eigensolver in sigma's support basis, and zeros on its kernel
+        rho, sigma = RATIO_PAIRS[name]
+        lam, v = np.linalg.eigh(sigma.matrix)
+        keep = lam > 1e-12 * lam[-1]
+        vs = v[:, keep]
+        inside = np.linalg.eigvals(np.linalg.solve(vs.conj().T @ sigma.matrix @ vs, vs.conj().T @ rho.matrix @ vs))
+        ref = np.sort(np.concatenate((inside.real, np.zeros(rho.dim - keep.sum()))))
+        np.testing.assert_allclose(ratio_spectrum(rho, sigma), ref, rtol=1e-10, atol=1e-12 * ref[-1])
 
-def _inside(sigma, seed):
-    """A state inside the support of sigma."""
-    proj = support_projector(sigma.eigen)
-    inner = proj @ random_density(sigma.dim, seed=seed).matrix @ proj
-    return DensityMatrix(inner / np.trace(inner).real)
+    @pytest.mark.parametrize("name", list(RATIO_PAIRS))
+    def test_matches_the_eigh_path(self, name):
+        # ln of the top eigenvalue of sigma^-1/2 rho sigma^-1/2 from a full
+        # eigh, as dmax read it before it read the ratio spectrum
+        rho, sigma = RATIO_PAIRS[name]
+        isq = matrix_function(sigma.eigen, lambda x: x ** -0.5, support_only=True)
+        inner = isq @ rho.matrix @ isq
+        ref = float(np.log(eigh((inner + inner.conj().T) / 2).eigenvalues[-1]))
+        assert dmax(rho, sigma) == pytest.approx(ref, rel=1e-14)
+
+    def test_ratio_spectrum_checks_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ratio_spectrum(fixtures.QUBIT_A[0], fixtures.QUTRIT[1])
 
 
-_RANK2 = random_density(3, rank=2, seed=71)
 _TOP = _RANK2.eigen.eigenvectors[:, -1]
 SUPPORT_PAIRS = {
     "full-full": (random_density(3, seed=72), random_density(3, seed=73)),

@@ -6,10 +6,12 @@ decomposed again. A stacked call counts each matrix of the stack, of any
 number of stack dimensions, and the eigh and eigvalsh pins also count the
 calls: a call count that rises means a stack was split."""
 
+import collections
+
 import numpy as np
 import pytest
 
-from qdiv import divergences, metrics
+from qdiv import divergences, states
 from qdiv.divergences import (dmax, fidelity_logdiv, measured_div_lower,
                               rld_entropy, umegaki)
 from qdiv.errors import SupportViolationError
@@ -42,7 +44,9 @@ FIVE_SPECS = (sld_metric(), wy_metric(), BKM, rld_metric(), alpha_metric(2.0))
 CASES = {
     "umegaki": (0, 0, lambda: umegaki(RHO, SIGMA)),
     "rld_entropy": (1, 1, lambda: rld_entropy(RHO, SIGMA)),
-    "dmax": (1, 1, lambda: dmax(RHO, SIGMA)),
+    # the ratio spectrum is one eigvalsh: the eigh whose vectors were
+    # thrown away is gone (1, 1 before)
+    "dmax": (0, 0, lambda: dmax(RHO, SIGMA)),
     "fidelity_logdiv": (0, 0, lambda: fidelity_logdiv(RHO, SIGMA)),
     "petz_metric": (0, 0, lambda: petz_metric(BKM, RHO, X)),
     "rld_operator": (0, 0, lambda: rld_operator(RHO, X)),
@@ -61,16 +65,17 @@ CASES = {
     "cq_apply": (1, 1, lambda: cq_apply(RT.preparation, RT.q)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
     "reverse_estimation_1param": (1, 1, lambda: reverse_estimation_1param(RHO, X)),
-    # 2 dmax bounds, then one stacked eigh of 16x16 qubit Schur-Weyl blocks
-    # per grid level: 17 + 15 + 15 rates, the 2 ends of a refined level
-    # being known. A level is decomposed whole, though a rate-at-a-time
-    # scan would stop at its first hit (32 rates); the blocks come from
-    # rho.eigen and sigma.eigen
-    "stein_threshold": (49, 5, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
-    # 2 dmax bounds of 3x3 and 33 grid points of 81x81, one per call since
-    # two 81x81 matrices pass STACK_BYTES: the scan stops at each level's
-    # first hit. The dense powers are built by kron and not validated again
-    "stein_threshold-qutrit": (35, 35, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
+    # one stacked eigh of 16x16 qubit Schur-Weyl blocks per grid level:
+    # 17 + 15 + 15 rates, the 2 ends of a refined level being known. A level
+    # is decomposed whole, though a rate-at-a-time scan would stop at its
+    # first hit (32 rates); the blocks come from rho.eigen and sigma.eigen.
+    # The 2 dmax bounds are eigvalsh calls now (49, 5 before)
+    "stein_threshold": (47, 3, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
+    # 33 grid points of 81x81, one per call since two 81x81 matrices pass
+    # STACK_BYTES: the scan stops at each level's first hit. The dense
+    # powers are built by kron and not validated again; the 2 dmax bounds
+    # are eigvalsh calls now (35, 35 before)
+    "stein_threshold-qutrit": (33, 33, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
     # all 13 rates in one stacked eigh on the qubit Schur-Weyl blocks
     "curve_points": (13, 1, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
     # the pinching's 5 type classes in sigma's eigenbasis (blocks of 1, 4, 6,
@@ -87,17 +92,16 @@ CASES = {
     # trials after the 4 starts. The random search it replaced made (14, 3):
     # one Ginibre draw per local evaluation, in one stack
     "measured_div_lower": (10, 10, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
-    # each tanh-sinh node once: 8 * 2^3 + 1 nodes at the converged level,
-    # one stacked eigh per level. No node rounds to rho or sigma bit for bit
-    # here: rho's (0, 2) entry is an exact 0 and sigma's is not
-    "integral_divergence": (65, 4, lambda: integral_divergence(BKM, *QUTRIT)),
-    # the same nodes once for all five specs, which all converge there;
-    # one call per spec would decompose them five times
-    "integral_divergences": (65, 4, lambda: integral_divergences(FIVE_SPECS, *QUTRIT)),
-    # 65 nodes again, 7 of which (t <= -3.25) round to sigma bit for bit and
-    # take the eigensystem sigma carries: 58, where every node was
-    # decomposed before
-    "integral_divergences-qubit": (58, 4, lambda: integral_divergences(FIVE_SPECS, *QUBIT_A)),
+    # the 23 interior Clenshaw-Curtis points of N = 24 in one stacked eigh,
+    # which the rules of N = 6, 12 and 24 share; s = 0 reads sigma's
+    # eigensystem and s = 1 weighs zero. Tanh-sinh took 65 nodes in 4 calls
+    "integral_divergence": (23, 1, lambda: integral_divergence(BKM, *QUTRIT)),
+    # the same points once for all five specs, which all converge there;
+    # one call per spec would decompose them five times (65, 4 before)
+    "integral_divergences": (23, 1, lambda: integral_divergences(FIVE_SPECS, *QUTRIT)),
+    # the same 23 points; tanh-sinh took 65 nodes, 7 of which rounded to
+    # sigma bit for bit and took its eigensystem (58, 4 before)
+    "integral_divergences-qubit": (23, 1, lambda: integral_divergences(FIVE_SPECS, *QUBIT_A)),
     # 1 likelihood-ratio test on the 9x9 source blocks and the target's
     # one-copy frame. The output on rho0^(x n) is read off the reverse test's
     # frame, not validated; the source's dense powers and measurement are
@@ -111,6 +115,10 @@ EIGVALSH_CASES = {
     # a basis is kept as its unitary, so no rank-1 effect is validated
     "sld_optimal_measurement": (0, 0, lambda: sld_optimal_measurement(RHO, X)),
     "measured_div_lower": (0, 0, lambda: measured_div_lower(RHO, SIGMA, 20, 0)),
+    # the top of the ratio spectrum: one eigvalsh of sigma^-1/2 rho sigma^-1/2
+    "dmax": (1, 1, lambda: dmax(RHO, SIGMA)),
+    # the ratio spectrum, whose ends place the mixture path's singular points
+    "integral_divergences": (1, 1, lambda: integral_divergences(FIVE_SPECS, *QUTRIT)),
     # no error is computed until it is read
     "asymptotic_reverse_test": (0, 0, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
     # the 4 Schur-Weyl blocks of the qubit frame's 6th power (sizes 7, 5, 3,
@@ -215,38 +223,51 @@ def test_measured_div_lower_lapack_calls(monkeypatch):
     assert ascent.startswith("e") and "ee" not in ascent and ascent.count("t") == 20 - 4
 
 
-# support projectors built from eigensystems the states already carry: only
-# sigma's, since the support checks need containment, not equality, and none
-# when sigma is full rank, since it then supports every state
-RANK2 = random_density(3, rank=2, seed=61)
-IN_RANK2 = DensityMatrix(support_projector(RANK2.eigen) @ RHO.matrix @ support_projector(RANK2.eigen) /
-                         np.trace(support_projector(RANK2.eigen) @ RHO.matrix).real)
+# support projectors, counted per state: each state builds its own once,
+# when first read, and keeps it. Only sigma's is read for containment; rho's
+# too where equal supports are required; and none when sigma is full rank,
+# since it then supports every state. Each case makes its states afresh, so
+# no projector is kept from an earlier test
+def _rank2_pair():
+    sigma = random_density(3, rank=2, seed=61)
+    proj = support_projector(sigma.eigen)
+    return DensityMatrix(proj @ RHO.matrix @ proj / np.trace(proj @ RHO.matrix).real), sigma
+
+
+def _five_functionals(rho, sigma):
+    umegaki(rho, sigma), rld_entropy(rho, sigma), dmax(rho, sigma)
+    measured_div_lower(rho, sigma, 20, 0), optimal_reverse_test(rho, sigma)
+
 
 PROJECTOR_CASES = {
-    # QUBIT_A's sigma is full rank: 0, where the support check at one copy
-    # built sigma's projector (1 before)
-    "asymptotic_reverse_test": (0, lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
-    # QUTRIT's sigma is full rank: 0 (1 before)
-    "dmax": (0, lambda: dmax(RHO, SIGMA)),
+    # QUBIT_A's sigma is full rank: none, where the support check at one
+    # copy built sigma's projector (1 before)
+    "asymptotic_reverse_test": ([], lambda: asymptotic_reverse_test(*QUBIT_A, n=6, rate=0.7)),
+    # QUTRIT's sigma is full rank: none (1 before)
+    "dmax": ([], lambda: dmax(RHO, SIGMA)),
     # a rank-2 sigma in d = 3 still builds its one projector
-    "dmax-rank-deficient": (1, lambda: dmax(IN_RANK2, RANK2)),
-    "asymptotic_reverse_test-rank-deficient": (1, lambda: asymptotic_reverse_test(IN_RANK2, RANK2, n=2, rate=0.7)),
+    "dmax-rank-deficient": ([1], lambda: dmax(*_rank2_pair())),
+    "asymptotic_reverse_test-rank-deficient": (
+        [1], lambda: asymptotic_reverse_test(*_rank2_pair(), n=2, rate=0.7)),
+    # umegaki, rld_entropy, dmax, measured_div_lower and optimal_reverse_test
+    # on one rank-deficient pair: sigma's projector once, and rho's once for
+    # the equal-support check (5 builds of sigma's and 3 of rho's before)
+    "five-functionals-rank-deficient": ([1, 1], lambda: _five_functionals(*_rank2_pair())),
 }
 
 
 @pytest.mark.parametrize("name", list(PROJECTOR_CASES))
 def test_support_projector_count(name, monkeypatch):
-    calls = []
+    builds = collections.Counter()
 
     def counting(h):
-        calls.append(h)
+        builds[id(h)] += 1
         return support_projector(h)
 
-    for module in (divergences, metrics):
-        monkeypatch.setattr(module, "support_projector", counting)
+    monkeypatch.setattr(states, "support_projector", counting)
     expected, call = PROJECTOR_CASES[name]
     call()
-    assert len(calls) == expected
+    assert sorted(builds.values()) == expected
 
 
 ESCAPING = (DensityMatrix(np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)),

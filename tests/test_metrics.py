@@ -9,7 +9,7 @@ import pytest
 
 from qdiv import fixtures
 from qdiv.config import derive_seed
-from qdiv.divergences import rld_entropy, umegaki
+from qdiv.divergences import ratio_spectrum, rld_entropy, umegaki
 from qdiv.errors import ConvergenceError, RankError, SupportViolationError
 from qdiv import metrics
 from qdiv.metrics import (MetricSpec, alpha_metric, bkm_metric, classical_fisher,
@@ -195,46 +195,6 @@ class TestPetzMetric:
         op_form = float(np.trace(rho.matrix @ l.conj().T @ l).real)
         assert metric_scalar(rld_metric(), rho, x) == pytest.approx(op_form, abs=1e-9)
 
-    @pytest.mark.parametrize("pair", [
-        fixtures.QUTRIT,
-        random_commuting_pair(3, seed=20)[:2],
-        (random_density(4, seed=1), random_density(4, seed=2)),
-        # rld converges one halving after the other four specs
-        (random_density(2, seed=1009), random_density(2, seed=2009)),
-    ], ids=["qutrit", "commuting", "d4", "rld-converges-later"])
-    def test_several_specs_equal_one_spec_calls_bitwise(self, pair):
-        specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
-        together = integral_divergences(specs, *pair)
-        alone = [integral_divergence(spec, *pair) for spec in specs]
-        assert [v.hex() for v in together] == [v.hex() for v in alone]
-
-    @pytest.mark.parametrize("pair", [
-        fixtures.QUBIT_A,
-        _random_pair(3, 18394453892175749232),
-        random_commuting_pair(3, seed=20)[:2],
-    ], ids=["qubit_a", "verify-seed-pair", "commuting"])
-    def test_nodes_that_round_to_a_state_are_not_decomposed(self, pair, monkeypatch):
-        # far out, s rho + (1 - s) sigma rounds to rho or sigma bit for bit;
-        # such a node takes the eigensystem that state carries
-        decomposed = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a, *args, **kw: decomposed.extend(a.reshape(-1, *a.shape[-2:]))
-                            or eigh(a, *args, **kw))
-        specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
-        integral_divergences(specs, *pair)
-        states = {state.matrix.tobytes() for state in pair}
-        assert decomposed and not any(m.tobytes() in states for m in decomposed)
-
-    def test_convergence_error_names_the_spec(self):
-        # a metric function with fresh noise on every call never settles;
-        # bkm beside it converges and is not named
-        rng = np.random.default_rng(0)
-        noisy = MetricSpec("noisy", lambda x: bkm_metric().f(x) * rng.uniform(0.5, 1.5, np.shape(x)))
-        with pytest.raises(ConvergenceError, match="did not converge for noisy") as err:
-            integral_divergences((bkm_metric(), noisy), *fixtures.QUBIT_A)
-        assert "bkm" not in str(err.value)
-
     def test_singular_rejected(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         x = TangentDirection(np.array([[0, 0.1], [0.1, 0]], dtype=complex))
@@ -337,6 +297,17 @@ def _conditioned(rng, d: int, ratio: float) -> DensityMatrix:
     return DensityMatrix((q * (lam / lam.sum())) @ q.conj().T)
 
 
+def _floored(d, seed, floor):
+    """random_density(d, seed), its smallest eigenvalue set to floor and
+    the rest rescaled to unit trace; unchanged for floor None."""
+    state = random_density(d, seed=seed)
+    if floor is None:
+        return state
+    lam, v = state.eigen
+    lam = np.concatenate(([floor], lam[1:] * (1 - floor) / lam[1:].sum()))
+    return DensityMatrix((v * lam) @ v.conj().T)
+
+
 class TestIntegralDivergence:
     def test_equal_pair_zero(self):
         rho = random_density(2, seed=19)
@@ -388,6 +359,44 @@ class TestIntegralDivergence:
                 assert bkm == pytest.approx(ref_bkm, abs=1e-6), (d, ratio)
                 assert rld == pytest.approx(ref_rld, abs=1e-6), (d, ratio)
 
+    @pytest.mark.parametrize("n", [6 * 2 ** k for k in range(9)])
+    def test_clenshaw_curtis_weights(self, n):
+        # every rule up to the cap sums to 2 and integrates x^(2j) exactly
+        # for 2j <= N
+        w = metrics._cc_weights(n)
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        assert w.sum() == pytest.approx(2.0, abs=1e-14)
+        for j in range(n // 2 + 1):
+            assert w @ x ** (2 * j) == pytest.approx(2 / (2 * j + 1), abs=1e-14), j
+
+    @pytest.mark.parametrize("floor", [1e-4, 1e-6])
+    @pytest.mark.parametrize("where", ["sigma", "rho", "both"])
+    @pytest.mark.parametrize("d", [3, 16])
+    def test_floored_spectra(self, d, where, floor, monkeypatch):
+        # the smallest eigenvalue of sigma, rho or both set to the floor:
+        # the rule's point count follows the distance to the singular points
+        # next to [0, 1], and stays within 97 points (tanh-sinh took 102-213)
+        rho = _floored(d, 31, floor if where != "sigma" else None)
+        sigma = _floored(d, 32, floor if where != "rho" else None)
+        nodes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: nodes.append(len(a)) or eigh(a, *args, **kw))
+        for spec, ref in ((bkm_metric(), umegaki(rho, sigma)), (rld_metric(), rld_entropy(rho, sigma))):
+            nodes.clear()
+            assert integral_divergence(spec, rho, sigma) == pytest.approx(ref.value, abs=1e-9)
+            # the decomposed points, all in stacks, and the two ends
+            assert sum(nodes) + 2 <= 97
+
+    def test_ratio_spectrum_rounded_below_zero(self):
+        # rho's floor 3e-12 is above the support cut, but sigma's 1e-9 makes
+        # the bottom of the ratio spectrum round to -4.6e-8; the rule then
+        # places b by lambda_min(rho) / lambda_max(sigma), a lower bound
+        rho, sigma = _floored(3, 100, 3e-12), _floored(3, 200, 1e-9)
+        assert ratio_spectrum(rho, sigma)[0] < 0
+        assert integral_divergence(bkm_metric(), rho, sigma) == pytest.approx(umegaki(rho, sigma).value, abs=1e-6)
+        assert integral_divergence(rld_metric(), rho, sigma) == pytest.approx(
+            rld_entropy(rho, sigma).value, abs=1e-6)
+
     def test_unconverged_rule_raises(self, monkeypatch):
         monkeypatch.setattr(metrics, "QUADRATURE_STEP_TOL", 0.0)
         rho, sigma = fixtures.QUBIT_A
@@ -398,8 +407,8 @@ class TestIntegralDivergence:
         fixtures.QUTRIT,
         random_commuting_pair(3, seed=20)[:2],
         (random_density(4, seed=1), random_density(4, seed=2)),
-        # rld converges one halving after the other four specs
-        (random_density(2, seed=1009), random_density(2, seed=2009)),
+        # rld converges one doubling after the other four specs
+        (random_density(3, seed=1009), random_density(3, seed=2009)),
     ], ids=["qutrit", "commuting", "d4", "rld-converges-later"])
     def test_several_specs_equal_one_spec_calls_bitwise(self, pair):
         specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
@@ -413,17 +422,20 @@ class TestIntegralDivergence:
         random_commuting_pair(3, seed=20)[:2],
     ], ids=["qubit_a", "verify-seed-pair", "commuting"])
     def test_nodes_that_round_to_a_state_are_not_decomposed(self, pair, monkeypatch):
-        # far out, s rho + (1 - s) sigma rounds to rho or sigma bit for bit;
-        # such a node takes the eigensystem that state carries
-        decomposed = []
-        eigh = np.linalg.eigh
+        # no decomposed point is rho or sigma: s = 1 weighs zero and is
+        # skipped, and s = 0 reads the eigensystem sigma carries
+        decomposed, read = [], []
+        eigh, forms = np.linalg.eigh, metrics._petz_forms
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a, *args, **kw: decomposed.extend(a.reshape(-1, *a.shape[-2:]))
                             or eigh(a, *args, **kw))
+        monkeypatch.setattr(metrics, "_petz_forms",
+                            lambda specs, eigen, x, y: read.append(eigen) or forms(specs, eigen, x, y))
         specs = (sld_metric(), wy_metric(), bkm_metric(), rld_metric(), alpha_metric(2.0))
         integral_divergences(specs, *pair)
         states = {state.matrix.tobytes() for state in pair}
         assert decomposed and not any(m.tobytes() in states for m in decomposed)
+        assert sum(eigen is pair[1].eigen for eigen in read) == 1
 
     def test_convergence_error_names_the_spec(self):
         # a metric function with fresh noise on every call never settles;
