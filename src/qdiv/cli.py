@@ -6,6 +6,7 @@ environment overrides the tensor-power dimension cap.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -126,6 +127,7 @@ def _cmd_verify(args) -> int:
     return 0 if payload["failed"] == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

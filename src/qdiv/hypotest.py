@@ -37,7 +37,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, SMOOTHING_SLACK
 from .divergences import dmax, support_escapes, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
-from .linalg import STACK_BYTES, EigenSystem, eigh, hermitian_trace_norm, support_cutoff
+from .linalg import STACK_BYTES, EigenSystem, eigh_unphased, hermitian_trace_norm, support_cutoff
 from .reverse import support_frame
 from .states import (ClassicalDistribution, DensityMatrix, Measurement,
                      Preparation, basis_weights, check_dims, check_power,
@@ -88,7 +88,7 @@ def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequen
         # a lone matrix is checked and decomposed as a matrix, which takes
         # fewer numpy calls than a stack of one
         m = r - stack[0] * s if len(stack) == 1 else r - np.array(stack)[:, None, None] * s
-        w, v = eigh(m)
+        w, v = eigh_unphased(m)
         w, v = w.reshape(-1, d), v.reshape(-1, d, d)
         # eigenvalues ascend, so the largest magnitude sits at an end
         accepted = w <= 1e-12 * np.maximum(np.maximum(-w[:, :1], w[:, -1:]), 1e-300)
@@ -226,7 +226,8 @@ class BinaryReverseTest:
 class CopyPair:
     """The n-copy pair (rho^{x n}, sigma^{x n}), checked once: the dimensions
     agree, then n is an integer, at least 1, with d^n within the dimension cap.
-    What its constructions share, `powers` and `frame`, is built on first read."""
+    What its constructions share, `powers`, `frame` and the threshold scan's
+    interval, is built on first read."""
 
     rho: DensityMatrix
     sigma: DensityMatrix
@@ -265,15 +266,19 @@ class CopyPair:
 
     def threshold(self, eps: float) -> float:
         """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
-        the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5, at the
-        fixed grid resolution stein_grid_width (1e-3). Each grid level is tested
+        the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5 (computed at
+        the pair's first threshold, then kept), at the fixed grid resolution
+        stein_grid_width (1e-3). Each grid level is tested
         in stacks of at most STACK_BYTES, up to the stack that holds its first
         hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
         rate on an 81x81 dense power, each acceptance read off its stack's row.
         The powers are read at the first level, after threshold_scan's checks."""
-        lo, hi = -dmax(self.sigma, self.rho) - 0.5, dmax(self.rho, self.sigma) + 0.5
         return threshold_scan(lambda rates: (t for _, _, t1, _ in _ratio_test(*self.powers, rates, self.n) for t in t1),
-                              lo, hi, self.n, eps)
+                              *self._scan_interval, self.n, eps)
+
+    @functools.cached_property
+    def _scan_interval(self) -> tuple[float, float]:
+        return -dmax(self.sigma, self.rho) - 0.5, dmax(self.rho, self.sigma) + 0.5
 
     def curve_points(self, rates) -> list[TestCurvePoint]:
         """projector's traces at each rate, on the powers compressed by
@@ -306,7 +311,7 @@ class CopyPair:
         proj = np.zeros_like(r)
         for c in np.flatnonzero((rep == np.arange(len(rep))) & (qn > 0.0)):
             idx = np.flatnonzero(rep == c)
-            w, u = eigh(r[np.ix_(idx, idx)])
+            w, u = eigh_unphased(r[np.ix_(idx, idx)])
             cols = u[:, w <= scale * qn[c]]
             proj[np.ix_(idx, idx)] = cols @ cols.conj().T
         prp = proj @ r @ proj

@@ -3,8 +3,11 @@
 All functions accept and return plain complex ndarrays; the matrix functions
 and the support projector also accept an EigenSystem, so a matrix that is
 already decomposed is not decomposed again. Eigendecompositions are
-deterministic: ascending eigenvalues with each eigenvector's phase fixed so
-its largest-magnitude component is real positive.
+deterministic, with ascending eigenvalues. `eigh` and `eigh_hermitian` (so
+`DensityMatrix.eigen`) fix each eigenvector's phase, its largest-magnitude
+component real positive. `eigh_unphased` keeps LAPACK's phases, for reads that
+no phase changes (|v|^2, projectors, V f(w) V^dag) such as the matrix
+functions of a raw matrix. `eigh` and `eigh_unphased` check their input.
 """
 
 from typing import Callable, NamedTuple
@@ -33,15 +36,17 @@ def check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{what} must be square and nonempty, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError(f"{what} contains non-finite entries")
     mh = m.conj().swapaxes(-1, -2)
-    # max |m[j,k] - conj(m[k,j])| against max(max |m[j,k]|, 1), per matrix
+    # max |m[j,k] - conj(m[k,j])| against max(max |m[j,k]|, 1), per matrix;
+    # a NaN or infinite entry fails the test, and only then is m scanned
     scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
-    defect = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
-    bad = defect > HERMITICITY_RTOL * scale
-    if bad.any():
-        i = int(np.argmax(bad))
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    ok = (defect <= HERMITICITY_RTOL * scale) & (scale < np.inf)
+    if not ok.all():
+        if not np.all(np.isfinite(m.view(float))):
+            raise ValueError(f"{what} contains non-finite entries")
+        i = int(np.argmin(ok))
         where = f" (matrix {i} of the stack)" if m.ndim > 2 else ""
         raise ValueError(f"{what} is not Hermitian{where}: defect {np.ravel(defect)[i]:.3e} "
                          f"exceeds {HERMITICITY_RTOL:.0e} * {np.ravel(scale)[i]:.3e}")
@@ -59,20 +64,31 @@ def canonical_phases(v: np.ndarray) -> np.ndarray:
 
 
 def eigh(h: np.ndarray) -> EigenSystem:
-    """Deterministic Hermitian eigendecomposition, eigenvalues ascending; a
-    stack (..., d, d) is decomposed in one numpy.linalg.eigh call, each
-    matrix bit for bit as on its own."""
-    return eigh_hermitian(check_hermitian(h, what="eigh input"))
+    """Deterministic Hermitian eigendecomposition, eigenvalues ascending and
+    phases canonical; a stack (..., d, d) is decomposed in one
+    numpy.linalg.eigh call, each matrix bit for bit as on its own."""
+    w, v = eigh_unphased(h)
+    return EigenSystem(w, canonical_phases(v))
 
 
 def eigh_hermitian(h: np.ndarray) -> EigenSystem:
     """eigh of a matrix that check_hermitian has already returned, without
     checking it again."""
+    w, v = _lapack_eigh(h)
+    return EigenSystem(w, canonical_phases(v))
+
+
+def eigh_unphased(h: np.ndarray) -> EigenSystem:
+    """eigh, checked the same, with LAPACK's eigenvector phases: for reads
+    that no phase changes, such as |v|^2, projectors and V f(w) V^dag."""
+    return _lapack_eigh(check_hermitian(h, what="eigh input"))
+
+
+def _lapack_eigh(h: np.ndarray) -> EigenSystem:
     try:
-        w, v = np.linalg.eigh(h)
+        return EigenSystem(*np.linalg.eigh(h))
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigh failed to converge on a {h.shape[-1]}x{h.shape[-1]} matrix") from exc
-    return EigenSystem(w, canonical_phases(v))
 
 
 def support_cutoff(eigenvalues: np.ndarray) -> float:
@@ -91,7 +107,7 @@ def clip_psd_eigenvalues(w: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def _eigen(h: np.ndarray | EigenSystem) -> EigenSystem:
-    return h if isinstance(h, EigenSystem) else eigh(h)
+    return h if isinstance(h, EigenSystem) else eigh_unphased(h)
 
 
 def matrix_function(h: np.ndarray | EigenSystem, fn: Callable[[np.ndarray], np.ndarray],
@@ -101,9 +117,10 @@ def matrix_function(h: np.ndarray | EigenSystem, fn: Callable[[np.ndarray], np.n
     w, v = _eigen(h)
     if support_only:
         cut = support_cutoff(w)
-        keep = w > cut
+        # eigenvalues ascend: when the lowest is kept, fn takes w unmasked
+        keep = w > cut if w[0] <= cut else slice(None)
         fw = np.zeros_like(w)
-        if keep.any():
+        if w[-1] > cut:
             vals = fn(w[keep])
             if not np.all(np.isfinite(vals)):
                 bad = w[keep][~np.isfinite(np.atleast_1d(vals))][0]

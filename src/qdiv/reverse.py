@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL
 from .errors import SupportViolationError
 from .divergences import SUPPORT_EQUAL, kl, support_relation
-from .linalg import (canonical_phases, eigh, eigh_hermitian, frobenius,
+from .linalg import (canonical_phases, eigh_hermitian, eigh_unphased, frobenius,
                      matrix_function, off_support_residual, sqrtm_psd,
                      support_cutoff)
 from .metrics import classical_fisher_scalar
@@ -71,7 +71,7 @@ def support_frame(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[np.ndarray,
     iso = vs[:, ws > support_cutoff(ws)]
     s = iso.conj().T @ sigma.matrix @ iso
     # decomposed again, not read off sigma.eigen: keeps small q(x) accurate on ill-conditioned sigma
-    es = eigh(s)
+    es = eigh_unphased(s)
     sqrt_r = iso.conj().T @ sqrtm_psd(rho.eigen) @ iso
     left, d, _ = np.linalg.svd(matrix_function(es, lambda v: v ** -0.5, support_only=True) @ sqrt_r)
     d = d[::-1]                 # ascending, like eigh

@@ -3,8 +3,11 @@ dimension-cap environment override."""
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from qdiv.cli import main
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.serialize import dump, state_to_dict
 from qdiv.states import DensityMatrix
+from qdiv.suites import ALL_SUITES
 
 
 @pytest.fixture
@@ -314,6 +318,31 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "--config", str(cfg_path), "--trials", "1")
         assert code == 0
         assert out.splitlines()[-1].endswith(" 0 failed")
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        # main parses with one parser per process: a --suite of one call does
+        # not carry into the next, and each call exits and reports as a call
+        # in a process of its own does
+        assert cli.build_parser() is cli.build_parser()
+        argvs = [["verify", "--suite", "sandwich", "--trials", "1", "--seed", "5"],
+                 ["verify", "--trials", "1", "--seed", "5"]]
+        codes = [main([*argv, "--report", str(tmp_path / f"{k}.json")]) for k, argv in enumerate(argvs)]
+        capsys.readouterr()
+
+        def timeless(name):
+            rep = json.loads((tmp_path / name).read_text())
+            for suite in rep["suites"]:
+                suite.pop("wall_time")
+            return rep
+        assert [s["suite"] for s in timeless("0.json")["suites"]] == ["sandwich"]
+        assert [s["suite"] for s in timeless("1.json")["suites"]] == list(ALL_SUITES)
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for k, argv in enumerate(argvs):
+            done = subprocess.run([sys.executable, "-m", "qdiv.cli", *argv, "--report", str(tmp_path / f"fresh{k}.json")],
+                                  env=env, capture_output=True, timeout=300)
+            assert done.returncode == codes[k] == 0
+        assert timeless("0.json") == timeless("fresh0.json")
 
     def test_default_run_passes(self, capsys):
         # seed 20240, 40 trials, all nine suites

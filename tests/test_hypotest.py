@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from qdiv import fixtures, hypotest, states
+from qdiv import divergences, fixtures, hypotest, states
 from qdiv.cli import main
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.divergences import dmax, umegaki
@@ -193,6 +193,19 @@ class TestCopyPair:
         thr = pair.threshold(0.5)
         pair.curve_points(np.linspace(thr - 0.3, thr + 0.3, 13))
         assert calls == [6, 6]
+
+    @pytest.mark.parametrize("name", ["QUBIT_A", "QUTRIT"])
+    def test_thresholds_share_one_scan_interval(self, monkeypatch, name):
+        # the interval's two dmax reads are made at the first threshold and
+        # kept; every threshold equals the one on a pair of its own bit for bit
+        calls = []
+        spectrum = divergences.ratio_spectrum
+        monkeypatch.setattr(divergences, "ratio_spectrum", lambda r, s: calls.append(1) or spectrum(r, s))
+        pair = CopyPair(*getattr(fixtures, name), 2)
+        thresholds = [pair.threshold(eps) for eps in (0.5, 0.1)]
+        assert len(calls) == 2
+        assert [t.hex() for t in thresholds] == [stein_threshold(*getattr(fixtures, name), 2, eps).hex()
+                                                 for eps in (0.5, 0.1)]
 
     def test_reverse_tests_share_one_sym_power(self, monkeypatch):
         # the six error reads of the stein-trend suite's converse witness at

@@ -1,14 +1,20 @@
 """Core dense linear algebra: eigendecomposition, matrix functions on the
 support, the off-support residual, and trace norm."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qdiv import fixtures, hypotest, linalg, reverse
+from qdiv.divergences import rld_entropy, umegaki
 from qdiv.errors import MatrixDomainError
-from qdiv.linalg import (check_hermitian, eigh, logm_support,
-                         matrix_function, off_support_residual, pinv_psd,
-                         sqrtm_psd, support_projector, trace_norm)
-from qdiv.states import ginibre
+from qdiv.hypotest import CopyPair
+from qdiv.linalg import (EigenSystem, canonical_phases, check_hermitian, eigh,
+                         logm_support, matrix_function, off_support_residual,
+                         pinv_psd, sqrtm_psd, support_projector, trace_norm)
+from qdiv.reverse import support_frame
+from qdiv.states import DensityMatrix, TangentDirection, ginibre, random_density
 
 from oracles import eig2_closed_form
 
@@ -54,6 +60,12 @@ class TestEigh:
         lead = v1[np.abs(v1).argmax(axis=0), np.arange(4)]
         assert np.all(np.abs(lead.imag) <= 1e-12)
         assert np.all(lead.real > 0)
+        # a state keeps the phases of the decomposition its validation made
+        rho = DensityMatrix(h @ h.conj().T / np.trace(h @ h.conj().T).real)
+        v3 = rho.eigen.eigenvectors
+        np.testing.assert_array_equal(v3, eigh(rho.matrix).eigenvectors)
+        lead = v3[np.abs(v3).argmax(axis=0), np.arange(4)]
+        assert np.all(np.abs(lead.imag) <= 1e-12) and np.all(lead.real > 0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -90,6 +102,83 @@ class TestEigh:
         with pytest.raises(ValueError, match="not Hermitian"):
             eigh(np.stack([big, bad, big]))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("stack", [False, True], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("check", [eigh, check_hermitian, DensityMatrix, TangentDirection],
+                             ids=["eigh", "check_hermitian", "DensityMatrix", "TangentDirection"])
+    def test_rejects_non_finite_entries(self, check, stack, bad, entry):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[entry] = bad
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            check(np.stack([np.eye(2) / 2, np.eye(2) / 2, m]) if stack else m)
+
+    def test_non_finite_entries_are_named_before_another_matrix_of_the_stack(self):
+        ok, skew, bad = np.eye(2, dtype=complex), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2, dtype=complex)
+        bad[1, 0] = math.nan
+        with pytest.raises(ValueError, match=r"not Hermitian \(matrix 1 of the stack\): defect 1\.000e\+00"):
+            check_hermitian(np.stack([ok, skew, ok]))
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            check_hermitian(np.stack([skew, ok, bad]))
+
+
+def _rephased(rule):
+    """eigh_unphased with its eigenvectors rotated by rule: canonical phases,
+    or unit phases drawn from a fixed seed."""
+    unphased, rng = linalg.eigh_unphased, np.random.default_rng(17)
+
+    def rephased(h):
+        w, v = unphased(h)
+        if rule == "canonical":
+            return EigenSystem(w, canonical_phases(v))
+        return EigenSystem(w, v * np.exp(1j * rng.uniform(0, 2 * np.pi, v.shape[:-2] + (1, v.shape[-1]))))
+    return rephased
+
+
+def _rank2_inside_pair():
+    sigma = random_density(3, rank=2, seed=71)
+    iso = sigma.eigen.eigenvectors[:, 1:]
+    return DensityMatrix(iso @ random_density(2, seed=72).matrix @ iso.conj().T), sigma
+
+
+class TestUnphasedReads:
+    """Each read that takes LAPACK's eigenvector phases gives, to 1e-14, what
+    it gives from canonical or from arbitrary phases."""
+
+    @staticmethod
+    def _reads(name, n):
+        rho, sigma = getattr(fixtures, name)
+        pair = CopyPair(rho, sigma, n)
+        a = umegaki(rho, sigma).value
+        proj, pt = pair.projector(a)
+        sm = pair.smooth(a + 0.1)
+        curve = [(p.type1_accept, p.type2) for p in pair.curve_points([a - 0.2, a, a + 0.2])]
+        return [pair.threshold(0.5), pair.threshold(0.1), curve, proj, pt.type1_accept, pt.type2,
+                sm.epsilon, sm.rate_certificate]
+
+    @staticmethod
+    def _frame_reads():
+        rho, sigma = _rank2_inside_pair()
+        return [*support_frame(rho, sigma), rld_entropy(rho, sigma).value]
+
+    @pytest.mark.parametrize("rule", ["canonical", "random"])
+    @pytest.mark.parametrize("name,n", [("QUBIT_A", 4), ("QUTRIT", 2)])
+    def test_copy_pair_reads(self, monkeypatch, rule, name, n):
+        ref = self._reads(name, n)
+        for module in (linalg, hypotest, reverse):
+            monkeypatch.setattr(module, "eigh_unphased", _rephased(rule))
+        for got, want in zip(self._reads(name, n), ref, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rule", ["canonical", "random"])
+    def test_support_frame_and_rld_on_a_rank_deficient_sigma(self, monkeypatch, rule):
+        ref = self._frame_reads()
+        assert ref[0].shape == (3, 2) and math.isfinite(ref[-1])
+        for module in (linalg, reverse):
+            monkeypatch.setattr(module, "eigh_unphased", _rephased(rule))
+        for got, want in zip(self._frame_reads(), ref, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
 
 class TestMatrixFunction:
     def test_sqrt_diagonal(self):
@@ -120,6 +209,12 @@ class TestMatrixFunction:
             h = g @ g.conj().T
             s = sqrtm_psd(h)
             assert np.linalg.norm(s @ s - h) <= 1e-9 * (1 + np.linalg.norm(h))
+
+    def test_full_support_takes_every_eigenvalue_unmasked(self):
+        # on a full-rank matrix the support path is the plain one, bit for bit
+        es = random_density(4, seed=5).eigen
+        for fn in (np.sqrt, np.log, lambda x: x ** -0.5):
+            assert np.array_equal(matrix_function(es, fn, support_only=True), matrix_function(es, fn))
 
     def test_logm_support_ignores_kernel(self):
         h = np.diag([0.5, 0.0]).astype(complex)
