@@ -4,8 +4,8 @@ finite-n hypothesis-testing machinery, with a randomized verification harness.
 
 from .divergences import (DivergenceReport, dmax, fidelity_logdiv, kl,
                           measured_div_lower, rld_entropy, umegaki)
-from .hypotest import (CopyPair, asymptotic_reverse_test, state_conversion,
-                       stein_threshold)
+from .hypotest import (CopyPair, OneCopyPair, asymptotic_reverse_test,
+                       state_conversion, stein_threshold)
 from .linalg import EigenSystem, eigh, matrix_function, trace_norm
 from .metrics import (MetricSpec, alpha_metric, bkm_metric, classical_fisher,
                       f_alpha, holevo_rld_bound, holevo_rld_minimizer,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import SUPPORT_TOL
 from .errors import ConvergenceError
-from .linalg import (eigh, frobenius, logm_support, matrix_function,
+from .linalg import (eigh, eigh_unphased, frobenius, logm_support, matrix_function,
                      off_support_residual, pinv_psd, sqrtm_psd, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, basis_weights,
                      check_dims)
@@ -239,7 +239,12 @@ def _ascend(v: np.ndarray, best: float, r: np.ndarray, s: np.ndarray, evals: int
         if slope == 0:
             break
         tol = 1e-12 * (1 + abs(best))
-        mu, w = np.linalg.eigh(-1j * direction)
+        # -iD is Hermitian only up to the roundoff of R and S times |b|, which
+        # can exceed check_hermitian's tolerance; eigh reads its lower
+        # triangle, so the Hermitian matrix of that triangle is checked and
+        # decomposed
+        m = -1j * direction
+        mu, w = eigh_unphased(np.where(np.tri(len(m), dtype=bool), m, m.conj().T))
         t = 1 / np.abs(mu).max() if t == 0 else t * min(slope_old / slope, 4.0)
         vw = v @ w
         lo, f_lo, s_lo, hi, s_hi = 0.0, best, slope, math.inf, None

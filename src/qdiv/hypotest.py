@@ -2,21 +2,26 @@
 projectors, the acceptance-threshold scan, certified smoothing, the binary
 asymptotic reverse test, and the measure-and-prepare state conversion channel.
 
-CopyPair(rho, sigma, n) is checked once when made (the dimensions, then n and
-the cap). Its methods are the constructions, the conversion toward a target
-pair included, and what they share is built on first read and kept: the
-powers that states.power_blocks compresses, and the one-copy frame of
-reverse.support_frame with its n-fold ratios and weights and, for a 2x2
-frame, the Schur-Weyl blocks that every error read takes.
+OneCopyPair(rho, sigma) keeps what does not depend on n, each part computed
+on first read: the one-copy frame of reverse.support_frame, with its support
+check, the two dmax reads of the threshold scan's interval, and the Umegaki
+value. CopyPair(rho, sigma, n) is checked once when made (the dimensions,
+then n and the cap), and its pairs of one OneCopyPair, at every n, share it
+(OneCopyPair.copies). Its methods are the constructions, the conversion
+toward a target OneCopyPair included, and what they share is built on first
+read and kept: the powers that states.power_blocks compresses, and the
+frame's n-fold ratios and weights and, for a 2x2 frame, the Schur-Weyl
+blocks that every error read takes.
 One kernel, _ratio_test, runs every likelihood-ratio test, at a sequence of
 rates whose matrices r - e^{na} s it decomposes in stacked eigh calls, and
 whose traces it reads per stack from two products and masked sums: on the
-compressed powers (threshold a grid level at a time, curve_points all its
-rates at once), on dense krons where the projector is returned. It yields
-per stack the eigen arrays, acceptance mask and trace rows, which it
-range-checks. The smoothing pinches rho^{x n} in sigma's eigenbasis, where
-sigma^{x n} is diagonal. The reverse test is the n-fold power of the frame,
-kept in support coordinates. Its errors, and the conversion's, are trace
+compressed powers (threshold a grid level at a time, only the rates whose
+acceptance no bound decides; curve_points all its rates at once), on dense
+krons where the projector is returned. It yields per stack the eigen arrays,
+acceptance mask and trace rows, which it range-checks. The smoothing pinches
+rho^{x n} in sigma's eigenbasis, where sigma^{x n} is diagonal, and builds
+the smoothed state only when it is read. The reverse test is the n-fold
+power of the frame, kept in support coordinates. Its errors, and the conversion's, are trace
 norms of w^{x n} diag(x) w^{x n dag} with x a function of the type: one
 eigvalsh call on the zero-padded qubit Schur-Weyl blocks of states.sym_powers
 when the frame is 2x2, and dense otherwise. Its preparation is B^{x n} with
@@ -29,13 +34,13 @@ import csv
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, SMOOTHING_SLACK
-from .divergences import dmax, support_escapes, umegaki
+from .divergences import DivergenceReport, dmax, support_escapes, umegaki
 from .errors import InfeasibleRateError, QdivError, SupportViolationError
 from .linalg import STACK_BYTES, EigenSystem, eigh_unphased, hermitian_trace_norm, support_cutoff
 from .reverse import support_frame
@@ -113,7 +118,10 @@ def threshold_scan(accept: Callable[[Sequence[float]], Iterable[float]], lo: flo
     assumed.
 
     accept maps a sequence of rates to their acceptances, in order; it may
-    yield them lazily. Each level asks for its rates not evaluated before and
+    yield them lazily, and for a rate it may yield a bound that decides the
+    rate against 1 - eps in place of the acceptance (a value below 1 - eps
+    for one that cannot reach it, at least 1 - eps for one that must).
+    Each level asks for its rates not evaluated before and
     reads them in grid order until the first hit, so each rate is evaluated
     at most once and a lazy accept stops at the stack that holds the hit.
 
@@ -163,11 +171,20 @@ def write_curve_csv(path: str, rows) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SmoothedState:
-    state: DensityMatrix
+    """The smoothed state s in sigma's eigenbasis, with what is read off s;
+    the state v^{x n} s v^{x n dag} is built and validated on first read."""
+
+    pair: "CopyPair"
+    smoothed: np.ndarray        # s, in the eigenbasis v of the pair's sigma
     epsilon: float              # trace distance to the target power state
     rate_certificate: float     # least a' with state <= e^{n a'} sigma_n; at most a + (ln #classes - ln T)/n
     accept_shortfall: float     # 1 - T, with T = tr rho_n P the weight the projection keeps
     distance_bound: float       # 2 sqrt(1 - T) + (1 - T) + slack, by gentle measurement
+
+    @functools.cached_property
+    def state(self) -> DensityMatrix:
+        vn = kron_power(self.pair.sigma.eigen.eigenvectors, self.pair.n)
+        return DensityMatrix(vn @ self.smoothed @ vn.conj().T)
 
 
 class PowerFrame(NamedTuple):   # reverse.support_frame's one-copy frame and its n-fold diagonals
@@ -223,18 +240,63 @@ class BinaryReverseTest:
 
 
 @dataclass(frozen=True, eq=False)
+class OneCopyPair:
+    """The one-copy pair (rho, sigma), its dimensions checked once, and what
+    its n-copy pairs share at every n, each computed on first read and kept:
+    reverse.support_frame's frame, the two dmax reads of the threshold scan's
+    interval, and the Umegaki value. copies(n) makes the n-copy pair that
+    reads them."""
+
+    rho: DensityMatrix
+    sigma: DensityMatrix
+
+    def __post_init__(self):
+        check_dims(self.rho, self.sigma)
+
+    def copies(self, n: int) -> "CopyPair":
+        return CopyPair(self.rho, self.sigma, n, self)
+
+    @functools.cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """reverse.support_frame's (V, w, t), sigma = V w w^dag V^dag and rho = V w diag(t) w^dag V^dag.
+        Raises SupportViolationError if supp rho escapes supp sigma."""
+        if support_escapes(self.rho, self.sigma):
+            raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
+        return support_frame(self.rho, self.sigma)
+
+    @functools.cached_property
+    def dmax(self) -> float:
+        """dmax(rho, sigma), at and above which rho^{x n} <= e^{na} sigma^{x n}."""
+        return dmax(self.rho, self.sigma)
+
+    @functools.cached_property
+    def scan_interval(self) -> tuple[float, float]:
+        """(-dmax(sigma, rho) - 0.5, dmax(rho, sigma) + 0.5), where every threshold is scanned."""
+        return -dmax(self.sigma, self.rho) - 0.5, self.dmax + 0.5
+
+    @functools.cached_property
+    def umegaki(self) -> DivergenceReport:
+        return umegaki(self.rho, self.sigma)
+
+
+@dataclass(frozen=True, eq=False)
 class CopyPair:
     """The n-copy pair (rho^{x n}, sigma^{x n}), checked once: the dimensions
     agree, then n is an integer, at least 1, with d^n within the dimension cap.
-    What its constructions share, `powers`, `frame` and the threshold scan's
-    interval, is built on first read."""
+    What its constructions share, `powers` and `frame`, is built on first
+    read; what does not depend on n is read from `one`, the OneCopyPair of
+    (rho, sigma), made here unless it is given (OneCopyPair.copies)."""
 
     rho: DensityMatrix
     sigma: DensityMatrix
     n: int
+    one: OneCopyPair | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        check_dims(self.rho, self.sigma)
+        if self.one is None:
+            object.__setattr__(self, "one", OneCopyPair(self.rho, self.sigma))
+        elif (self.one.rho, self.one.sigma) != (self.rho, self.sigma):
+            raise ValueError("the one-copy pair holds other states")
         check_power(self.rho.dim, self.n)
 
     @functools.cached_property
@@ -249,9 +311,7 @@ class CopyPair:
         """reverse.support_frame's one-copy frame, sigma = B B^dag and rho = B diag(t) B^dag
         with B = V w, with t^{x n} and q^{x n}, the squared column norms of B^{x n}.
         Raises SupportViolationError, at one copy, if supp rho escapes supp sigma."""
-        if support_escapes(self.rho, self.sigma):
-            raise SupportViolationError("supp rho escapes supp sigma: no state below e^{n rate} sigma is near rho")
-        iso, w, t = support_frame(self.rho, self.sigma)
+        iso, w, t = self.one.frame
         return PowerFrame(iso, w, kron_power(t, self.n), kron_power(np.sum(np.abs(w) ** 2, axis=0), self.n),
                           sym_powers(w, self.n) if len(w) == 2 else None)
 
@@ -265,20 +325,28 @@ class CopyPair:
         return cols @ cols.conj().T, TestCurvePoint(a, float(t1[0]), float(t2[0]))
 
     def threshold(self, eps: float) -> float:
-        """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a between
-        the rates -dmax(sigma, rho) - 0.5 and dmax(rho, sigma) + 0.5 (computed at
-        the pair's first threshold, then kept), at the fixed grid resolution
-        stein_grid_width (1e-3). Each grid level is tested
-        in stacks of at most STACK_BYTES, up to the stack that holds its first
+        """threshold_scan of the likelihood-ratio acceptance tr rho_n P_a over
+        the one-copy pair's scan_interval, at the fixed grid resolution
+        stein_grid_width (1e-3).
+
+        Only the rates whose acceptance is open against 1 - eps are tested. One
+        below ln(1 - eps)/n, by 1e-9 in n a, accepts at most e^{na} < 1 - eps,
+        which is yielded in its place; at or above dmax(rho, sigma), P_a is the
+        identity and accepts 1. The open rates of a grid level are tested in
+        stacks of at most STACK_BYTES, up to the stack that holds its first
         hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
         rate on an 81x81 dense power, each acceptance read off its stack's row.
         The powers are read at the first level, after threshold_scan's checks."""
-        return threshold_scan(lambda rates: (t for _, _, t1, _ in _ratio_test(*self.powers, rates, self.n) for t in t1),
-                              *self._scan_interval, self.n, eps)
+        n = self.n
 
-    @functools.cached_property
-    def _scan_interval(self) -> tuple[float, float]:
-        return -dmax(self.sigma, self.rho) - 0.5, dmax(self.rho, self.sigma) + 0.5
+        def accept(rates):
+            floor, top = (math.log(1 - eps) - 1e-9) / n, self.one.dmax
+            tested = (t for _, _, t1, _ in _ratio_test(*self.powers, [a for a in rates if floor <= a < top], n)
+                      for t in t1)
+            for a in rates:
+                yield _exp(n * a) if a < floor else 1.0 if a >= top else next(tested)
+
+        return threshold_scan(accept, *self.one.scan_interval, n, eps)
 
     def curve_points(self, rates) -> list[TestCurvePoint]:
         """projector's traces at each rate, on the powers compressed by
@@ -320,8 +388,8 @@ class CopyPair:
         # s is zero on the indices of weight 0, which any scale there keeps
         s, root = prp / t, np.where(qn > 0.0, qn, 1.0) ** -0.5
         cert = math.log(float(np.linalg.eigvalsh(s * root[:, None] * root)[-1])) / n
-        shortfall, vn = max(1.0 - t, 0.0), kron_power(v, n)
-        return SmoothedState(DensityMatrix(vn @ s @ vn.conj().T), float(hermitian_trace_norm(s - r)), cert, shortfall,
+        shortfall = max(1.0 - t, 0.0)
+        return SmoothedState(self, s, float(hermitian_trace_norm(s - r)), cert, shortfall,
                              2 * math.sqrt(shortfall) + shortfall + SMOOTHING_SLACK)
 
     def reverse_test(self, rate: float) -> BinaryReverseTest:
@@ -359,18 +427,19 @@ class CopyPair:
         return BinaryReverseTest(self, np.stack((g, h / float(h @ q_n))),
                                  ClassicalDistribution(np.array([q0, 1 - q0])), rate, cert)
 
-    def conversion(self, rho: DensityMatrix, sigma: DensityMatrix,
-                   c: float) -> tuple["ConversionChannel | None", "ConversionReport"]:
-        """Channel taking this pair toward (rho, sigma)^{x n}: likelihood-ratio
-        test at rate umegaki(rho, sigma) + c, on this pair's powers, then the
-        binary reverse test at the measured type-2 exponent.
+    def conversion(self, target: OneCopyPair, c: float) -> tuple["ConversionChannel | None", "ConversionReport"]:
+        """Channel taking this pair toward the target (rho, sigma)^{x n}:
+        likelihood-ratio test at rate umegaki(rho, sigma) + c, on this pair's
+        powers, then the binary reverse test of target.copies(n) at the
+        measured type-2 exponent. Both Umegaki values and the target's frame
+        are read from the one-copy pairs.
 
         Requires the strict gap umegaki(self.rho, self.sigma) > umegaki(rho, sigma) + 2c;
         a reverse-test rate that is infeasible at small n is reported, not raised.
         """
         if not 0 < c < math.inf:
             raise ValueError(f"c must be positive and finite, got {c}")
-        d_src, d_tgt = umegaki(self.rho, self.sigma), umegaki(rho, sigma)
+        d_src, d_tgt = self.one.umegaki, target.umegaki
         if not (d_src.finite and d_tgt.finite):
             raise ValueError("conversion needs finite divergences on both pairs")
         if d_src.value <= d_tgt.value + 2 * c:
@@ -386,7 +455,7 @@ class CopyPair:
                                           "type-2 error vanished; rate unbounded")
         rate = -math.log(q0) / n
         try:
-            brt = CopyPair(rho, sigma, n).reverse_test(rate)
+            brt = target.copies(n).reverse_test(rate)
         except InfeasibleRateError as exc:
             return None, ConversionReport(n, False, rate, accept, math.nan, math.nan,
                                           f"not yet feasible at this n: {exc}")
@@ -411,7 +480,7 @@ def asymptotic_reverse_test(rho: DensityMatrix, sigma: DensityMatrix, n: int, ra
 
 def state_conversion(rho0: DensityMatrix, sigma0: DensityMatrix, rho: DensityMatrix, sigma: DensityMatrix,
                      n: int, c: float) -> tuple["ConversionChannel | None", "ConversionReport"]:
-    return CopyPair(rho0, sigma0, n).conversion(rho, sigma, c)
+    return CopyPair(rho0, sigma0, n).conversion(OneCopyPair(rho, sigma), c)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from .config import OPERATOR_RESIDUAL_TOL, QUADRATURE_STEP_TOL, SUPPORT_RTOL
 from .divergences import ratio_spectrum
 from .errors import ConvergenceError, RankError, SupportViolationError
-from .linalg import (STACK_BYTES, EigenSystem, eigh, eigh_hermitian,
+from .linalg import (STACK_BYTES, EigenSystem, eigh, eigh_hermitian, eigh_unphased,
                      frobenius, matrix_function, off_support_residual,
                      pinv_psd, trace_norm)
 from .states import (ClassicalDistribution, DensityMatrix, TangentDirection,
@@ -308,7 +308,7 @@ def integral_divergences(specs: Sequence[MetricSpec], rho: DensityMatrix,
         out = np.empty((len(todo), x.size))
         for c in range(0, x.size, chunk):
             nodes = s[c:c + chunk, None, None] * rho.matrix + sc[c:c + chunk, None, None] * sigma.matrix
-            for row, form in zip(out, _petz_forms(todo, np.linalg.eigh(nodes), diff, diff)):
+            for row, form in zip(out, _petz_forms(todo, eigh_unphased(nodes), diff, diff)):
                 row[c:c + chunk] = form.real
         return out * sc * (s + am) * (sc + bm) / (1 + am + bm)
 

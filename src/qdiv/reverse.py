@@ -16,7 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, OPERATOR_RESIDUAL_TOL
 from .errors import SupportViolationError
 from .divergences import SUPPORT_EQUAL, kl, support_relation
-from .linalg import (canonical_phases, eigh_hermitian, eigh_unphased, frobenius,
+from .linalg import (canonical_phases, eigh, eigh_unphased, frobenius,
                      matrix_function, off_support_residual, sqrtm_psd,
                      support_cutoff)
 from .metrics import classical_fisher_scalar
@@ -152,7 +152,7 @@ def reverse_estimation_1param(rho: DensityMatrix, x: TangentDirection) -> Revers
 
     scale = 1.0 / np.sqrt(lam)
     a = (e.conj().T @ x.matrix @ e) * np.outer(scale, scale)
-    avals, rot = eigh_hermitian((a + a.conj().T) / 2)
+    avals, rot = eigh(a)
     w = (e * np.sqrt(lam)) @ rot
 
     pv = np.sum(np.abs(w) ** 2, axis=0)

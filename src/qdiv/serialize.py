@@ -61,8 +61,9 @@ def load_hermitian(path: str) -> np.ndarray:
 
 
 def dump(obj: dict, path: str) -> None:
-    """Write obj as indented, key-sorted JSON and a newline, in one write:
-    json.dump would write each chunk of the encoding separately."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write obj as compact, key-sorted JSON on one line and a newline, in one
+    write: json.dump would write each chunk of the encoding separately, and
+    any indent would take json's pure-Python encoder."""
+    text = json.dumps(obj, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

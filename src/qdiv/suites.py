@@ -19,7 +19,7 @@ from .config import DEFAULT_TOLERANCES, derive_seed
 from .divergences import (dmax, fidelity_logdiv, kl, measured_div_lower,
                           rld_entropy, umegaki)
 from .errors import DimensionCapError, ValidationError
-from .hypotest import CopyPair, threshold_scan
+from .hypotest import CopyPair, OneCopyPair, threshold_scan
 from .linalg import frobenius
 from .metrics import (alpha_metric, bkm_metric, classical_fisher_scalar,
                       holevo_rld_bound, holevo_rld_minimizer,
@@ -357,12 +357,14 @@ def _suite_metric_ordering(cfg: SuiteConfig):
 def _suite_stein_trend(cfg: SuiteConfig):
     records = []
     rho, sigma = fixtures.QUBIT_A
-    d = umegaki(rho, sigma).value
+    one = OneCopyPair(rho, sigma)
+    d = one.umegaki.value
     ns = _even_ns(cfg.n_range)
     dig = _digest(rho.matrix, sigma.matrix)
     # one n-copy pair per n, shared by the threshold, the curve points, the
-    # smoothing and the reverse tests at that n
-    pairs = {n: CopyPair(rho, sigma, n) for n in ns}
+    # smoothing and the reverse tests at that n; all of them share the
+    # one-copy scan interval and frame
+    pairs = {n: one.copies(n) for n in ns}
     gaps = [abs(pairs[n].threshold(0.5) - d) for n in ns]
     for i in range(len(ns) - 1):
         _record(records, f"gap-decreases-{ns[i]}->{ns[i + 1]}", cfg.seed, dig,
@@ -404,7 +406,7 @@ def _suite_stein_trend(cfg: SuiteConfig):
             _record(records, f"binary-kl-floor-n={n}", cfg.seed, dig,
                     binary_kl / n, floor, lower_is_pass=False, slack=1e-12)
     # smoothing certificates at a mid rate
-    dm = dmax(rho, sigma)
+    dm = one.dmax
     mid = (d + dm) / 2
     for n in ns[:2]:
         sm = pairs[n].smooth(mid)
@@ -453,17 +455,20 @@ def _suite_conversion(cfg: SuiteConfig):
     records = []
     sig_tol = DEFAULT_TOLERANCES["sigma_exact"]
     rho0, sigma0 = fixtures.CONVERSION_SOURCE
-    d0 = umegaki(rho0, sigma0).value
+    source = OneCopyPair(rho0, sigma0)
+    d0 = source.umegaki.value
     ns = _even_ns(cfg.n_range)
-    # one source pair per n, whose powers both targets' tests read
-    sources = {n: CopyPair(rho0, sigma0, n) for n in ns}
+    # one source pair per n, whose powers both targets' tests read, and one
+    # one-copy pair per target, whose frame and Umegaki value every n reads
+    sources = {n: source.copies(n) for n in ns}
     for name, (rho, sigma) in (("qubit_a", fixtures.QUBIT_A), ("qubit_b", fixtures.QUBIT_B)):
-        d1 = umegaki(rho, sigma).value
+        target = OneCopyPair(rho, sigma)
+        d1 = target.umegaki.value
         c = 0.45 * (d0 - d1)
         dig = _digest(rho0.matrix, sigma0.matrix, rho.matrix, sigma.matrix)
         errs = {}
         for n in ns:
-            _, rep = sources[n].conversion(rho, sigma, c)
+            _, rep = sources[n].conversion(target, c)
             _record(records, f"{name}-feasible-n={n}", cfg.seed, dig,
                     1.0 if rep.feasible else 0.0, 1.0, lower_is_pass=False, slack=0.0)
             if rep.feasible:

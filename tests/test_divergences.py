@@ -254,6 +254,19 @@ class TestMeasuredLowerBound:
         val, _ = measured_div_lower(rho, rho, budget=50, seed=1)
         assert val == pytest.approx(0.0, abs=1e-10)
 
+    def test_non_finite_direction_is_named(self, monkeypatch):
+        # a NaN gradient at the best start reaches the first ascent
+        # direction, whose eigh names it rather than ending the search
+        gradient = divergences._kl_gradient
+
+        def poisoned(v, r, s):
+            val, g = gradient(v, r, s)
+            return val, g * np.nan
+
+        monkeypatch.setattr(divergences, "_kl_gradient", poisoned)
+        with pytest.raises(ValueError, match="eigh input contains non-finite entries"):
+            measured_div_lower(*fixtures.QUTRIT, budget=20)
+
     def test_commuting_pair_finds_eigenbasis(self):
         rho, sigma, p, q = random_commuting_pair(2, seed=71)
         val, m = measured_div_lower(rho, sigma, budget=60, seed=2)

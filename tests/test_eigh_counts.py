@@ -65,23 +65,28 @@ CASES = {
     "cq_apply": (1, 1, lambda: cq_apply(RT.preparation, RT.q)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
     "reverse_estimation_1param": (1, 1, lambda: reverse_estimation_1param(RHO, X)),
-    # one stacked eigh of 16x16 qubit Schur-Weyl blocks per grid level:
-    # 17 + 15 + 15 rates, the 2 ends of a refined level being known. A level
-    # is decomposed whole, though a rate-at-a-time scan would stop at its
-    # first hit (32 rates); the blocks come from rho.eigen and sigma.eigen.
-    # The 2 dmax bounds are eigvalsh calls now (49, 5 before)
-    "stein_threshold": (47, 3, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
-    # 33 grid points of 81x81, one per call since two 81x81 matrices pass
-    # STACK_BYTES: the scan stops at each level's first hit. The dense
-    # powers are built by kron and not validated again; the 2 dmax bounds
-    # are eigvalsh calls now (35, 35 before)
-    "stein_threshold-qutrit": (33, 33, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
+    # one stacked eigh of 16x16 qubit Schur-Weyl blocks per grid level, of
+    # the rates whose acceptance is open: the first level's 17 rates over
+    # [-1.755, 1.418] step by 0.198, so 9 lie below ln(1/2)/6 = -0.116 and 3
+    # at or above dmax = 0.918, leaving 5; then 15 + 15, the 2 ends of a
+    # refined level being known and every refined rate open. A level is
+    # decomposed whole, though a rate-at-a-time scan would stop at its first
+    # hit; the blocks come from rho.eigen and sigma.eigen, and the 2 dmax
+    # bounds are eigvalsh calls (47 = 17 + 15 + 15 before, 49 before that)
+    "stein_threshold": (35, 3, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
+    # grid points of 81x81, one per call since two 81x81 matrices pass
+    # STACK_BYTES, the scan stopping at each level's first hit: the first
+    # level reads 10 rates over [-1.120, 1.283] by 0.150, of which 7 lie below
+    # ln(1/2)/4 = -0.173, so 3 are decomposed; the refined levels read 13 and
+    # 10, all open. The dense powers are built by kron and not validated
+    # again (33 = 10 + 13 + 10 before, 35 before that)
+    "stein_threshold-qutrit": (26, 26, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
     # all 13 rates in one stacked eigh on the qubit Schur-Weyl blocks
     "curve_points": (13, 1, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
     # the pinching's 5 type classes in sigma's eigenbasis (blocks of 1, 4, 6,
-    # 4, 1), one call each, and the smoothed state's validation. sigma^(x 4)
-    # is neither built nor decomposed: (5, 5), all 16x16, before
-    "smooth_state": (6, 6, lambda: CopyPair(*QUBIT_A, 4).smooth(MID)),
+    # 4, 1), one call each. The smoothed state is validated only when read
+    # (6, 6 before), and sigma^(x 4) is neither built nor decomposed
+    "smooth_state": (5, 5, lambda: CopyPair(*QUBIT_A, 4).smooth(MID)),
     # the one-copy frame's compressed sigma only; the powers are krons of the
     # frame, the ratios and the states, the certificate is read off the
     # capped ratios, and no 64x64 state is validated until the preparation
@@ -339,7 +344,7 @@ def test_stacks_stay_within_stack_bytes(call, monkeypatch):
 
 
 def test_qutrit_powers_are_not_validated(eigh_dims):
-    # one 81x81 eigh per grid rate; validating the two dense powers as
-    # states would add two more
+    # one 81x81 eigh per open grid rate, 3 + 13 + 10 as in CASES; validating
+    # the two dense powers as states would add two more
     stein_threshold(*QUTRIT, n=4, eps=0.5)
-    assert eigh_dims.count(81) == 33
+    assert eigh_dims.count(81) == 26

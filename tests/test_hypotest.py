@@ -14,9 +14,9 @@ from qdiv.cli import main
 from qdiv.config import DEFAULT_TOLERANCES
 from qdiv.divergences import dmax, umegaki
 from qdiv.errors import DimensionCapError, QdivError, SupportViolationError
-from qdiv.hypotest import (CopyPair, asymptotic_reverse_test, state_conversion,
-                           stein_threshold, threshold_scan, curve_points,
-                           write_curve_csv)
+from qdiv.hypotest import (CopyPair, OneCopyPair, asymptotic_reverse_test,
+                           state_conversion, stein_threshold, threshold_scan,
+                           curve_points, write_curve_csv)
 from qdiv.linalg import support_projector, trace_norm
 from qdiv.reverse import support_frame
 from qdiv.serialize import dump, state_to_dict
@@ -131,6 +131,11 @@ class TestSteinThreshold:
 QUBIT_PAIRS = {name: getattr(fixtures, name) for name in ("QUBIT_A", "QUBIT_B", "COMMUTING")}
 
 
+# at 0.01 the rates at or above dmax(rho, sigma) decide the hit, at 0.99 the
+# bound below ln(1 - eps)/n decides a wide band of misses
+EPSS = (0.01, 0.1, 0.5, 0.9, 0.99)
+
+
 def _dense_thresholds(rho, sigma, n, epss):
     """stein_threshold's scan at each eps, over CopyPair.projector on the dense
     tensor powers, each rate evaluated once."""
@@ -185,6 +190,12 @@ class TestCopyPair:
         with pytest.raises(error, match=match):
             call(CopyPair(*_escaping_pair(), 2))
 
+    def test_one_copy_pair_must_hold_the_same_states(self):
+        one = OneCopyPair(*fixtures.QUBIT_A)
+        assert one.copies(3).one is one
+        with pytest.raises(ValueError, match="other states"):
+            CopyPair(*fixtures.QUBIT_B, 3, one)
+
     def test_threshold_and_curve_build_the_powers_once(self, monkeypatch):
         calls = []
         build = hypotest.power_blocks
@@ -206,6 +217,22 @@ class TestCopyPair:
         assert len(calls) == 2
         assert [t.hex() for t in thresholds] == [stein_threshold(*getattr(fixtures, name), 2, eps).hex()
                                                  for eps in (0.5, 0.1)]
+
+    @pytest.mark.parametrize("name,n", [("QUBIT_A", 6), ("QUBIT_B", 3), ("COMMUTING", 8), ("QUTRIT", 3)])
+    def test_threshold_tests_only_open_rates(self, monkeypatch, name, n):
+        # no rate below ln(1 - eps)/n, where the acceptance is at most
+        # e^{na} < 1 - eps, and none at or above dmax(rho, sigma), where it is 1
+        rates = []
+        ratio_test = hypotest._ratio_test
+        monkeypatch.setattr(hypotest, "_ratio_test",
+                            lambda r, s, w, a, n: rates.append(list(a)) or ratio_test(r, s, w, a, n))
+        rho, sigma = getattr(fixtures, name)
+        pair = CopyPair(rho, sigma, n)
+        for eps in EPSS:
+            rates.clear()
+            pair.threshold(eps)
+            tested = [a for level in rates for a in level]
+            assert tested and min(tested) >= math.log(1 - eps) / n and max(tested) < dmax(rho, sigma)
 
     def test_reverse_tests_share_one_sym_power(self, monkeypatch):
         # the six error reads of the stein-trend suite's converse witness at
@@ -373,8 +400,7 @@ class TestSchurWeylBlocks:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_threshold_equals_dense_bitwise(self, name, n):
         rho, sigma = QUBIT_PAIRS[name]
-        epss = (0.1, 0.5, 0.9)
-        assert [stein_threshold(rho, sigma, n, eps) for eps in epss] == _dense_thresholds(rho, sigma, n, epss)
+        assert [stein_threshold(rho, sigma, n, eps) for eps in EPSS] == _dense_thresholds(rho, sigma, n, EPSS)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_qutrit_stays_dense(self, n):
@@ -383,7 +409,7 @@ class TestSchurWeylBlocks:
             ref = CopyPair(rho, sigma, n).projector(pt.a)[1]
             assert pt.type1_accept == pytest.approx(ref.type1_accept, abs=1e-12)
             assert pt.type2 == pytest.approx(ref.type2, abs=1e-12)
-        assert [stein_threshold(rho, sigma, n, 0.5)] == _dense_thresholds(rho, sigma, n, [0.5])
+        assert [stein_threshold(rho, sigma, n, eps) for eps in EPSS] == _dense_thresholds(rho, sigma, n, EPSS)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

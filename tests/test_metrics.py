@@ -329,6 +329,14 @@ class TestIntegralDivergence:
         val = integral_divergence(rld_metric(), rho, sigma)
         assert val == pytest.approx(fixtures.VALUES["qutrit"]["rld"], abs=1e-6)
 
+    def test_non_finite_point_is_named(self, monkeypatch):
+        # a NaN ratio spectrum places NaN points on the segment, which their
+        # stacked eigh names rather than integrating
+        spectrum = metrics.ratio_spectrum
+        monkeypatch.setattr(metrics, "ratio_spectrum", lambda rho, sigma: spectrum(rho, sigma) * np.nan)
+        with pytest.raises(ValueError, match="eigh input contains non-finite entries"):
+            integral_divergence(bkm_metric(), *fixtures.QUTRIT)
+
     def test_single_integral_matches_double_quadrature(self):
         rho, sigma = fixtures.QUBIT_B
         ref = oracles.double_integral_divergence(bkm_metric().f, rho.matrix, sigma.matrix, nodes=48)

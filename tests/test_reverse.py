@@ -11,6 +11,7 @@ from qdiv.config import derive_seed
 from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL, kl, rld_entropy,
                                support_relation)
 from qdiv.errors import SupportViolationError
+from qdiv.linalg import EigenSystem
 from qdiv.metrics import classical_fisher_scalar, metric_scalar, rld_metric
 from qdiv.reverse import (optimal_reverse_test, pushforward_reverse_test,
                           refine_reverse_estimation, refine_reverse_test,
@@ -258,6 +259,17 @@ class TestReverseEstimation:
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         x = TangentDirection(np.diag([0.1, -0.1]).astype(complex))
         with pytest.raises(SupportViolationError, match="support"):
+            reverse_estimation_1param(rho, x)
+
+    def test_non_finite_derivative_is_named(self, monkeypatch):
+        # a NaN in rho's eigenbasis reaches the reverse derivative, whose
+        # eigh names it rather than returning NaN weights
+        rho, x = random_density(3, seed=13), random_tangent(3, seed=14)
+        w, v = rho.eigen
+        v = v.copy()
+        v[0, 0] = np.nan
+        monkeypatch.setitem(rho.__dict__, "eigen", EigenSystem(w, v))
+        with pytest.raises(ValueError, match="eigh input contains non-finite entries"):
             reverse_estimation_1param(rho, x)
 
     def test_rank_deficient_supported_tangent(self):

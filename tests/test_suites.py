@@ -131,23 +131,35 @@ class TestRunSuite:
         # the threshold, the commuting control included, works on
         # Schur-Weyl blocks, the reverse tests at n = 6 on the one-copy frame,
         # and the smoothing on krons in sigma's eigenbasis, whose certificate
-        # reads sigma^(x n) as a diagonal. The only states validated above
-        # one copy are the two smoothed states, at n = 2 and 4
+        # reads sigma^(x n) as a diagonal. No state above one copy is
+        # validated: the smoothed states at n = 2 and 4 ([4, 16] before) are
+        # built only when read, and the suite reads their bounds alone
         suites._suite_stein_trend(SuiteConfig())
-        assert [d for d in validated_dims if d > 2] == [4, 16]
+        assert [d for d in validated_dims if d > 2] == []
         assert not hasattr(suites, "tensor_power")
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        """Calls of each name, as hypotest and suites read it."""
+        calls = collections.Counter()
+        for module in (hypotest, suites):
+            for name in names:
+                if hasattr(module, name):
+                    build = getattr(module, name)
+                    monkeypatch.setattr(module, name,
+                                        lambda *args, name=name, build=build: calls.update([name]) or build(*args))
+        return calls
 
     def test_stein_trend_builds_each_pair_once(self, monkeypatch):
         # one n-copy pair per n: the threshold and the curve points share its
         # powers, and the six reverse tests at n = 6 its one-copy frame; the
-        # commuting control is one more pair
-        calls = collections.Counter()
-        for name in ("power_blocks", "support_frame"):
-            build = getattr(hypotest, name)
-            monkeypatch.setattr(hypotest, name,
-                                lambda *args, name=name, build=build: calls.update([name]) or build(*args))
+        # commuting control is one more pair. The one-copy pair reads the
+        # Umegaki value once and dmax twice, for the scan interval of every n
+        # and the smoothing's mid rate; the commuting pair reads dmax twice
+        # (9 dmax reads before: 2 per pair and 1 for the mid rate)
+        calls = self._count(monkeypatch, ("power_blocks", "support_frame", "dmax", "umegaki"))
         suites._suite_stein_trend(SuiteConfig())
-        assert calls == {"power_blocks": 8, "support_frame": 1}
+        assert calls == {"power_blocks": 8, "support_frame": 1, "dmax": 4, "umegaki": 1}
 
     def test_stein_trend_builds_each_block_stack_once(self, monkeypatch):
         # sym_powers of rho's and sigma's eigenbases in each of the 8
@@ -163,14 +175,12 @@ class TestRunSuite:
     def test_conversion_builds_each_source_power_once(self, monkeypatch):
         # one source pair per n = 2, 4, 6, shared by both targets: its two
         # powers at each n (12 before, once per target), and one frame per
-        # target and n
-        calls = collections.Counter()
-        for name in ("power_blocks", "support_frame"):
-            build = getattr(hypotest, name)
-            monkeypatch.setattr(hypotest, name,
-                                lambda *args, name=name, build=build: calls.update([name]) or build(*args))
+        # target, which its one-copy pair keeps for every n (6 before, one
+        # per target and n). The source's and each target's Umegaki value
+        # are read once (15 before: 3 in the suite and 2 per conversion)
+        calls = self._count(monkeypatch, ("power_blocks", "support_frame", "umegaki"))
         suites._suite_conversion(SuiteConfig())
-        assert calls == {"power_blocks": 6, "support_frame": 6}
+        assert calls == {"power_blocks": 6, "support_frame": 2, "umegaki": 3}
 
     def test_stein_trend_uses_no_dense_ratio_test(self, monkeypatch):
         # every trace record reads curve_points on the Schur-Weyl blocks
