@@ -160,9 +160,10 @@ def _kl_gradient(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray):
     """The KL in the basis v, and its gradient along v e^{tA}: the
     anti-Hermitian A of steepest ascent, (b_k - b_m) S_km - (a_k - a_m) R_km
     for R = v^dag rho v, S = v^dag sigma v with diagonals p, q, b = p/q and
-    a = ln b, both 0 where p is (R's row is 0 there too). Weights at or below
-    1e-300 count as zero; (-inf, None) where rho weighs an outcome that
-    sigma does not."""
+    a = ln b, both 0 where p is (R's row is 0 there too), built as C - C^dag
+    with C_km = b_k S_km - a_k R_km, so exactly anti-Hermitian. Weights at
+    or below 1e-300 count as zero; (-inf, None) where rho weighs an outcome
+    that sigma does not."""
     rv = v.conj().T @ rho @ v
     sv = v.conj().T @ sigma @ v
     p, q = np.diagonal(rv).real, np.diagonal(sv).real
@@ -171,7 +172,8 @@ def _kl_gradient(v: np.ndarray, rho: np.ndarray, sigma: np.ndarray):
         return -math.inf, None
     b = np.divide(p, q, out=np.zeros_like(p), where=pos)
     a = np.log(b, out=np.zeros_like(p), where=pos)
-    return float(p @ a), (b[:, None] - b) * sv - (a[:, None] - a) * rv
+    c = b[:, None] * sv - a[:, None] * rv
+    return float(p @ a), c - c.conj().T
 
 
 # The line search's sufficient-gain fraction (Armijo), the fraction of the
@@ -239,12 +241,7 @@ def _ascend(v: np.ndarray, best: float, r: np.ndarray, s: np.ndarray, evals: int
         if slope == 0:
             break
         tol = 1e-12 * (1 + abs(best))
-        # -iD is Hermitian only up to the roundoff of R and S times |b|, which
-        # can exceed check_hermitian's tolerance; eigh reads its lower
-        # triangle, so the Hermitian matrix of that triangle is checked and
-        # decomposed
-        m = -1j * direction
-        mu, w = eigh_unphased(np.where(np.tri(len(m), dtype=bool), m, m.conj().T))
+        mu, w = eigh_unphased(-1j * direction)
         t = 1 / np.abs(mu).max() if t == 0 else t * min(slope_old / slope, 4.0)
         vw = v @ w
         lo, f_lo, s_lo, hi, s_hi = 0.0, best, slope, math.inf, None

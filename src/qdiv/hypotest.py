@@ -9,16 +9,17 @@ value. CopyPair(rho, sigma, n) is checked once when made (the dimensions,
 then n and the cap), and its pairs of one OneCopyPair, at every n, share it
 (OneCopyPair.copies). Its methods are the constructions, the conversion
 toward a target OneCopyPair included, and what they share is built on first
-read and kept: the powers that states.power_blocks compresses, and the
-frame's n-fold ratios and weights and, for a 2x2 frame, the Schur-Weyl
-blocks that every error read takes.
+read and kept: the block stacks of the powers from states.power_blocks,
+and the frame's n-fold ratios and weights and, for a 2x2 frame, the
+Schur-Weyl blocks that every error read takes.
 One kernel, _ratio_test, runs every likelihood-ratio test, at a sequence of
-rates whose matrices r - e^{na} s it decomposes in stacked eigh calls, and
-whose traces it reads per stack from two products and masked sums: on the
-compressed powers (threshold a grid level at a time, only the rates whose
-acceptance no bound decides; curve_points all its rates at once), on dense
-krons where the projector is returned. It yields per stack the eigen arrays,
-acceptance mask and trace rows, which it range-checks. The smoothing pinches
+rates, on the powers' block stacks (threshold a grid level at a time, only
+the rates whose acceptance no bound decides; curve_points all its rates at
+once) or on dense krons as one block where the projector is returned: it
+decomposes the (rates x blocks) matrices r_k - e^{na} s_k in stacked eigh
+calls, reads their traces per stack from two products and masked sums, and
+yields per stack the eigen arrays, acceptance mask and trace rows, which it
+range-checks. The smoothing pinches
 rho^{x n} in sigma's eigenbasis, where sigma^{x n} is diagonal, and builds
 the smoothed state only when it is read. The reverse test is the n-fold
 power of the frame, kept in support coordinates. Its errors, and the conversion's, are trace
@@ -64,42 +65,39 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _ratio_test(r: np.ndarray, s: np.ndarray, weights: np.ndarray, rates: Sequence[float],
+def _ratio_test(r: np.ndarray, s: np.ndarray, mult: np.ndarray, rates: Sequence[float],
                 n: int) -> Iterator[tuple[EigenSystem, np.ndarray, np.ndarray, np.ndarray]]:
     """The likelihood-ratio test at each rate a of rates, where e^{na} is a
-    finite double, in order and lazily, one stack of rates at a time: the
-    eigensystems of r - e^{na} s as (b, d) and (b, d, d) arrays, the (b, d)
-    mask of the eigenvectors each accepts on (eigenvalues at most 1e-12 of
-    the largest magnitude), and the (b,) rows of the traces t1 = tr(W r P),
-    t2 = tr(W s) - tr(W s P) for the projector P onto them and the row
-    weights W of power_blocks, which commute with r, s and P. Raises
-    QdivError if a trace escapes [0, 1] by more than 1e-10.
+    finite double, in order and lazily, one stack of rates at a time, on the
+    (K, D, D) block stacks r, s of power_blocks, block k occurring mult[k]
+    times: the eigensystems of the blocks of r - e^{na} s as (b, K, D) and
+    (b, K, D, D) arrays, the (b, K, D) mask of the eigenvectors each rate
+    accepts on (eigenvalues at most 1e-12 of the largest magnitude over all
+    of that rate's blocks; zero padding adds only accepted zero eigenvalues
+    of weight 0), and the (b,) rows of the traces t1 = sum_k mult[k]
+    tr(r_k P_k), t2 = sum_k mult[k] tr(s_k (1 - P_k)) for the projectors P_k
+    onto them. Raises QdivError if a trace escapes [0, 1] by more than 1e-10.
 
-    The matrices r - e^{na} s are checked and decomposed in stacks of at
+    The (rates x blocks) matrices are checked and decomposed in stacks of at
     most STACK_BYTES, one numpy.linalg.eigh call per stack, each matrix bit
-    for bit as on its own. Each stack's traces come from one product of its
-    eigenvectors with W r, one with W s, and masked sums over the accepted
-    eigenvectors; a lone rate runs the same code as a stack of one, so its
-    results are the stacked ones bit for bit."""
-    wrs = weights[:, None] * np.array((r, s))
-    trace_ws = float(wrs[1].trace().real)
-    d = len(r)
-    chunk = max(1, STACK_BYTES // (16 * d * d))
+    for bit as on its own, so a rate's results do not depend on its stack.
+    Each stack's traces come from one product of its eigenvectors with the
+    weighted r, one with the weighted s, and masked sums over the accepted
+    eigenvectors."""
+    wrs = mult[:, None, None] * np.array((r, s))
+    trace_ws = float(np.trace(wrs[1], axis1=-2, axis2=-1).real.sum())
+    chunk = max(1, STACK_BYTES // (16 * r.size))
     scales = [_exp(n * a) for a in rates]
     # the rates before the first one past double range are still tested
     good = next((j for j, x in enumerate(scales) if not math.isfinite(x)), len(rates))
     for start in range(0, good, chunk):
-        stack = scales[start:min(start + chunk, good)]
-        # a lone matrix is checked and decomposed as a matrix, which takes
-        # fewer numpy calls than a stack of one
-        m = r - stack[0] * s if len(stack) == 1 else r - np.array(stack)[:, None, None] * s
-        w, v = eigh_unphased(m)
-        w, v = w.reshape(-1, d), v.reshape(-1, d, d)
-        # eigenvalues ascend, so the largest magnitude sits at an end
-        accepted = w <= 1e-12 * np.maximum(np.maximum(-w[:, :1], w[:, -1:]), 1e-300)
-        # each eigenvector's weight under W r, then under W s, summed over
+        w, v = eigh_unphased(r - np.array(scales[start:min(start + chunk, good)])[:, None, None, None] * s)
+        # eigenvalues ascend, so each block's largest magnitude sits at an end
+        top = np.maximum(-w[..., :1], w[..., -1:]).max(axis=1, keepdims=True)
+        accepted = w <= 1e-12 * np.maximum(top, 1e-300)
+        # each eigenvector's weight under the weighted r, then s, summed over
         # the accepted ones; each product is one stack's size
-        t1, t2_in = (np.where(accepted, basis_weights(v, wm), 0.0).sum(axis=-1) for wm in wrs)
+        t1, t2_in = (np.where(accepted, basis_weights(v, wm), 0.0).sum(axis=(-2, -1)) for wm in wrs)
         t2 = trace_ws - t2_in
         for name, val in (("type1_accept", t1), ("type2", t2)):
             escapes = ~((val >= -1e-10) & (val <= 1 + 1e-10))   # NaN-safe
@@ -301,10 +299,12 @@ class CopyPair:
 
     @functools.cached_property
     def powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r, s, weights): rho^{x n} and sigma^{x n} compressed by
-        states.power_blocks, and their shared row weights."""
-        (r, weights), (s, _) = power_blocks(self.rho, self.n), power_blocks(self.sigma, self.n)
-        return r, s, weights
+        """(r, s, mult): the block stacks of rho^{x n} and sigma^{x n} from
+        states.power_blocks, and the multiplicities of their blocks: for a
+        qubit the (n//2 + 1, n + 1, n + 1) Schur-Weyl stacks, else the dense
+        powers as stacks of one block."""
+        (r, mult), (s, _) = power_blocks(self.rho, self.n), power_blocks(self.sigma, self.n)
+        return r, s, mult
 
     @functools.cached_property
     def frame(self) -> PowerFrame:
@@ -319,9 +319,9 @@ class CopyPair:
         """Projector onto the non-positive eigenspace of rho^{x n} - e^{na} sigma^{x n}, on
         their dense krons, with the exact acceptance/error traces at threshold a."""
         n = self.n
-        ((_, v), accepted, t1, t2), = _ratio_test(kron_power(self.rho.matrix, n), kron_power(self.sigma.matrix, n),
-                                                  np.ones(self.rho.dim ** n), [a], n)
-        cols = v[0][:, accepted[0]]
+        ((_, v), accepted, t1, t2), = _ratio_test(kron_power(self.rho.matrix, n)[None],
+                                                  kron_power(self.sigma.matrix, n)[None], np.ones(1), [a], n)
+        cols = v[0, 0][:, accepted[0, 0]]
         return cols @ cols.conj().T, TestCurvePoint(a, float(t1[0]), float(t2[0]))
 
     def threshold(self, eps: float) -> float:
@@ -334,8 +334,9 @@ class CopyPair:
         which is yielded in its place; at or above dmax(rho, sigma), P_a is the
         identity and accepts 1. The open rates of a grid level are tested in
         stacks of at most STACK_BYTES, up to the stack that holds its first
-        hit: one eigh call per level on the 16x16 qubit blocks at n = 6, one per
-        rate on an 81x81 dense power, each acceptance read off its stack's row.
+        hit: one eigh call per level on the (rates x 4, 7, 7) qubit block stack
+        at n = 6, one per rate on an 81x81 dense power, each acceptance read
+        off its stack's row.
         The powers are read at the first level, after threshold_scan's checks."""
         n = self.n
 
@@ -349,9 +350,9 @@ class CopyPair:
         return threshold_scan(accept, *self.one.scan_interval, n, eps)
 
     def curve_points(self, rates) -> list[TestCurvePoint]:
-        """projector's traces at each rate, on the powers compressed by
+        """projector's traces at each rate, on the block stacks of
         power_blocks, from stacked eighs of at most STACK_BYTES: one call for
-        all 13 rates on the 16x16 qubit blocks at n = 6."""
+        all 13 rates on the (13 x 4, 7, 7) qubit block stack at n = 6."""
         rates = [float(a) for a in rates]
         rows = [row for _, _, t1, t2 in _ratio_test(*self.powers, rates, self.n)
                 for row in zip(t1.tolist(), t2.tolist())]

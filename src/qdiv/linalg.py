@@ -37,30 +37,31 @@ def check_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{what} must be square and nonempty, got shape {m.shape}")
     mh = m.conj().swapaxes(-1, -2)
-    # max |m[j,k] - conj(m[k,j])| against max(max |m[j,k]|, 1), per matrix;
-    # a NaN or infinite entry fails the test, and only then is m scanned
-    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    # max |m[j,k] - conj(m[k,j])| against max(max |m[j,k]|, 1), per matrix.
+    # The scale is at least 1, so a defect within HERMITICITY_RTOL passes
+    # without it. A NaN or infinite entry gives a NaN or infinite defect, so
+    # only a matrix that fails that test is scanned, then scaled
     with np.errstate(invalid="ignore"):
         defect = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
-    ok = (defect <= HERMITICITY_RTOL * scale) & (scale < np.inf)
-    if not ok.all():
+    if not defect.max() <= HERMITICITY_RTOL:   # NaN-safe
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError(f"{what} contains non-finite entries")
-        i = int(np.argmin(ok))
-        where = f" (matrix {i} of the stack)" if m.ndim > 2 else ""
-        raise ValueError(f"{what} is not Hermitian{where}: defect {np.ravel(defect)[i]:.3e} "
-                         f"exceeds {HERMITICITY_RTOL:.0e} * {np.ravel(scale)[i]:.3e}")
+        scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+        ok = defect <= HERMITICITY_RTOL * scale
+        if not ok.all():
+            i = int(np.argmin(ok))
+            where = f" (matrix {i} of the stack)" if m.ndim > 2 else ""
+            raise ValueError(f"{what} is not Hermitian{where}: defect {np.ravel(defect)[i]:.3e} "
+                             f"exceeds {HERMITICITY_RTOL:.0e} * {np.ravel(scale)[i]:.3e}")
     return (m + mh) / 2
 
 
 def canonical_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column of v, or of each matrix of a stack v (k, d, m), so
-    its largest-magnitude component is real positive. The columns have unit
-    norm (an isometry's), so that component is not zero."""
-    idx = np.abs(v).argmax(axis=-2)
-    cols = np.arange(v.shape[-1])
-    lead = v[idx, cols] if v.ndim == 2 else v[np.arange(len(v))[:, None], idx, cols]
-    return v / (lead / np.abs(lead))[..., None, :]
+    """Rotate each column of v, or of each matrix of a stack v (..., d, m),
+    so its largest-magnitude component is real positive. The columns have
+    unit norm (an isometry's), so that component is not zero."""
+    lead = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    return v / (lead / np.abs(lead))
 
 
 def eigh(h: np.ndarray) -> EigenSystem:

@@ -282,7 +282,6 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
 class _SymTables(NamedTuple):   # the index tables of sym_powers at n, which depend on n only
     mult: np.ndarray     # (K,) C(n,k) - C(n,k-1), the multiplicity of block k
     level: np.ndarray    # (K, n+1) k + i, the weight of vector i of block k; n in the padding
-    direct: np.ndarray   # flat stack index of each direct-sum entry; K (n+1)^2, an appended zero, between blocks
     coef: np.ndarray     # (T,) the coefficient of each term of the stack's entries
     powers: np.ndarray   # (4, T) flat indices of its powers of v00, v10, v01, v11 in a (4, n+1) table
     entry: np.ndarray    # (T,) the flat index of its entry in the (K, n+1, n+1) stack
@@ -297,11 +296,8 @@ def _sym_tables(n: int) -> _SymTables:
     k, i, j, p = np.nonzero((p <= n - 2 * k - j) & (p <= i) & (i - p <= j))   # so i, j <= n - 2k
     m = n - 2 * k
     binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
-    kr, ir = np.divmod(np.flatnonzero(np.arange(n + 1) <= n - 2 * np.arange(blocks)[:, None]), n + 1)
     tables = _SymTables(np.diff(binom[n, :blocks], prepend=0.0),
                         np.minimum(np.arange(blocks)[:, None] + np.arange(n + 1), n),
-                        np.where(kr[:, None] == kr, (kr * (n + 1) + ir)[:, None] * (n + 1) + ir,
-                                 blocks * (n + 1) ** 2),
                         binom[m - j, p] * binom[j, i - p] * np.sqrt(binom[m, j]) / np.sqrt(binom[m, i]),
                         np.stack((m - j - p, p, j - i + p, i - p)) + (n + 1) * np.arange(4)[:, None],
                         (k * (n + 1) + i) * (n + 1) + j)
@@ -328,25 +324,24 @@ def sym_powers(v: np.ndarray, n: int) -> np.ndarray:
 
 
 def power_blocks(rho: DensityMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """rho^{(x)n} compressed by its permutation symmetry, as (matrix, weights):
-    the trace of an operator built from such powers by sums, products and
-    spectral projections is sum_i weights[i] X[i, i], with X built the same
-    way from the compressed matrices.
+    """rho^{(x)n} compressed by its permutation symmetry, as a (K, D, D)
+    stack of blocks and their multiplicities mult: the trace of an operator
+    built from such powers by sums, products and spectral projections is
+    sum_k mult[k] tr X_k, with X_k built the same way from block k.
 
-    For a qubit the matrix is the Schur-Weyl direct sum over k = 0..n//2 of
-    det(rho)^k Sym^{n-2k}(rho), taken from rho.eigen and the stack of
-    sym_powers without a new eigendecomposition, all blocks from one batched
-    product, and the rows of block k weigh its multiplicity; its size is 16
-    at n = 6. For d >= 3 it is the dense power, not validated again, with
-    unit weights. Both obey the tensor-power dimension cap."""
+    For a qubit the stack is det(rho)^k Sym^{n-2k}(rho), k = 0..n//2, in the
+    zero-padded layout of sym_powers, (4, 7, 7) at n = 6, from rho.eigen and
+    one batched product, and mult[k] = C(n,k) - C(n,k-1). For d >= 3 it is
+    the dense power, not validated again, as one block of multiplicity 1.
+    Both obey the tensor-power dimension cap."""
     check_power(rho.dim, n)
     if rho.dim != 2:
-        return kron_power(rho.matrix, n), np.ones(rho.dim ** n)
+        return kron_power(rho.matrix, n)[None], np.ones(1)
     (l0, l1), v = rho.eigen
     tables, sym = _sym_tables(n), sym_powers(v, n)
     # det^k times Sym's eigenvalues; the padding's columns of sym are zero
     blocks = (sym * (l0 ** (n - tables.level) * l1 ** tables.level)[:, None, :]) @ sym.conj().swapaxes(-1, -2)
-    return np.append(blocks, 0.0)[tables.direct], np.repeat(tables.mult, n + 1 - 2 * np.arange(len(sym)))
+    return blocks, tables.mult
 
 
 def power_trace_norms(w: np.ndarray, xs: np.ndarray, n: int, sym: np.ndarray | None = None) -> np.ndarray:

@@ -18,7 +18,8 @@ from qdiv.divergences import (SUPPORT_CONTAINED, SUPPORT_EQUAL,
 from qdiv.linalg import (eigh, frobenius, matrix_function,
                          off_support_residual, support_projector)
 from qdiv.states import (ClassicalDistribution, DensityMatrix,
-                         random_commuting_pair, random_density)
+                         random_commuting_pair, random_density,
+                         random_unitary)
 
 import oracles
 
@@ -363,6 +364,14 @@ class TestMeasuredLowerBound:
         _, v = measured_div_lower(rho, sigma, budget=500)
         assert len(calls) == 1 + 496   # the start's gradient, then one per trial
         np.testing.assert_allclose(v.conj().T @ v, np.eye(8), rtol=0, atol=1e-12)
+
+    def test_d64_gradient_is_exactly_anti_hermitian(self):
+        # so -iD is Hermitian bit for bit, and the ascent's trial curve and
+        # its slopes read one direction D
+        rho, sigma = random_density(64, seed=65), random_density(64, seed=66)
+        v = random_unitary(64, np.random.default_rng(67))
+        _, g = divergences._kl_gradient(v, rho.matrix, sigma.matrix)
+        assert np.array_equal(g, -g.conj().T)
 
     def test_d64_budget16_not_below_best_start(self):
         rho, sigma = random_density(64, seed=65), random_density(64, seed=66)

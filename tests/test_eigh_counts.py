@@ -65,15 +65,17 @@ CASES = {
     "cq_apply": (1, 1, lambda: cq_apply(RT.preparation, RT.q)),
     # the reverse derivative's eigenbasis; the frame is not re-validated
     "reverse_estimation_1param": (1, 1, lambda: reverse_estimation_1param(RHO, X)),
-    # one stacked eigh of 16x16 qubit Schur-Weyl blocks per grid level, of
-    # the rates whose acceptance is open: the first level's 17 rates over
-    # [-1.755, 1.418] step by 0.198, so 9 lie below ln(1/2)/6 = -0.116 and 3
-    # at or above dmax = 0.918, leaving 5; then 15 + 15, the 2 ends of a
-    # refined level being known and every refined rate open. A level is
-    # decomposed whole, though a rate-at-a-time scan would stop at its first
-    # hit; the blocks come from rho.eigen and sigma.eigen, and the 2 dmax
-    # bounds are eigvalsh calls (47 = 17 + 15 + 15 before, 49 before that)
-    "stein_threshold": (35, 3, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
+    # one stacked eigh per grid level of the rates whose acceptance is open,
+    # times the 4 qubit Schur-Weyl blocks of n = 6, zero-padded to 7x7: the
+    # first level's 17 rates over [-1.755, 1.418] step by 0.198, so 9 lie
+    # below ln(1/2)/6 = -0.116 and 3 at or above dmax = 0.918, leaving 5;
+    # then 15 + 15, the 2 ends of a refined level being known and every
+    # refined rate open, so 35 rates x 4 blocks. A level is decomposed
+    # whole, though a rate-at-a-time scan would stop at its first hit; the
+    # blocks come from rho.eigen and sigma.eigen, and the 2 dmax bounds are
+    # eigvalsh calls (35 matrices of 16x16, their direct sum, in 3 calls
+    # before; 47 = 17 + 15 + 15 before that)
+    "stein_threshold": (140, 3, lambda: stein_threshold(*QUBIT_A, n=6, eps=0.5)),
     # grid points of 81x81, one per call since two 81x81 matrices pass
     # STACK_BYTES, the scan stopping at each level's first hit: the first
     # level reads 10 rates over [-1.120, 1.283] by 0.150, of which 7 lie below
@@ -81,8 +83,9 @@ CASES = {
     # 10, all open. The dense powers are built by kron and not validated
     # again (33 = 10 + 13 + 10 before, 35 before that)
     "stein_threshold-qutrit": (26, 26, lambda: stein_threshold(*QUTRIT, n=4, eps=0.5)),
-    # all 13 rates in one stacked eigh on the qubit Schur-Weyl blocks
-    "curve_points": (13, 1, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
+    # all 13 rates x the 4 qubit Schur-Weyl blocks of n = 6 in one stacked
+    # eigh (13 matrices of 16x16, their direct sum, before)
+    "curve_points": (52, 1, lambda: curve_points(*QUBIT_A, 6, np.linspace(0.2, 0.8, 13))),
     # the pinching's 5 type classes in sigma's eigenbasis (blocks of 1, 4, 6,
     # 4, 1), one call each. The smoothed state is validated only when read
     # (6, 6 before), and sigma^(x 4) is neither built nor decomposed
@@ -107,11 +110,12 @@ CASES = {
     # the same 23 points; tanh-sinh took 65 nodes, 7 of which rounded to
     # sigma bit for bit and took its eigensystem (58, 4 before)
     "integral_divergences-qubit": (23, 1, lambda: integral_divergences(FIVE_SPECS, *QUBIT_A)),
-    # 1 likelihood-ratio test on the 9x9 source blocks and the target's
-    # one-copy frame. The output on rho0^(x n) is read off the reverse test's
-    # frame, not validated; the source's dense powers and measurement are
-    # built only when the channel is first applied
-    "state_conversion": (2, 2, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
+    # 1 likelihood-ratio test on the 3 source blocks of n = 4, zero-padded
+    # to 5x5 (one 9x9 direct sum before), and the target's one-copy frame.
+    # The output on rho0^(x n) is read off the reverse test's frame, not
+    # validated; the source's dense powers and measurement are built only
+    # when the channel is first applied
+    "state_conversion": (4, 2, lambda: state_conversion(*CONVERSION_SOURCE, *QUBIT_A, 4, C)),
 }
 
 
@@ -318,9 +322,10 @@ def test_error_path_decomposes_no_power(name, eigh_dims):
 
 
 def test_stein_threshold_decomposes_blocks_only(eigh_dims):
-    # the qubit block direct sum at n = 6 is 16x16; the dense powers are 64x64
+    # the qubit Schur-Weyl blocks at n = 6 are zero-padded to 7x7 (their
+    # direct sum was 16x16); the dense powers are 64x64
     stein_threshold(*QUBIT_A, n=6, eps=0.5)
-    assert max(eigh_dims) == 16
+    assert max(eigh_dims) == 7
 
 
 @pytest.mark.parametrize("call", [
@@ -334,7 +339,7 @@ def test_stacks_stay_within_stack_bytes(call, monkeypatch):
     original = np.linalg.eigh
 
     def recording(a, *args, **kwargs):
-        if np.ndim(a) == 3:
+        if np.ndim(a) > 2:
             stacks.append(np.asarray(a).nbytes)
         return original(a, *args, **kwargs)
 

@@ -272,28 +272,29 @@ class TestCopyPair:
 class TestStackedRatioTest:
     @pytest.mark.parametrize("name,n", STACK_CASES)
     def test_stacked_kernel_equals_one_rate_calls(self, name, n):
-        # 41 rates: one stack on the small blocks, stacks of 12 on the 25x25
-        # qubit blocks at n = 8, of 10 on the 27x27 qutrit power at n = 3
+        # 41 rates: one stack up to n = 5, stacks of 39, 30 and 18 rates on
+        # the qubit block stacks of n = 6, 7, 8 ((5, 9, 9) at n = 8), of 10 on
+        # the 27x27 qutrit power at n = 3
         rho, sigma = getattr(fixtures, name)
-        r, s, weights = CopyPair(rho, sigma, n).powers
+        r, s, mult = CopyPair(rho, sigma, n).powers
         rates = [float(a) for a in np.linspace(-1.5, 2.0, 41)]
         # each stack's rows, one per rate: eigenvalues, eigenvectors, the
         # accepted mask and the two traces
-        rows = [row for stack in hypotest._ratio_test(r, s, weights, rates, n)
+        rows = [row for stack in hypotest._ratio_test(r, s, mult, rates, n)
                 for row in zip(stack[0].eigenvalues, stack[0].eigenvectors, *stack[1:])]
         assert len(rows) == len(rates)
         for a, row in zip(rates, rows):
-            (es, accepted, t1, t2), = hypotest._ratio_test(r, s, weights, [a], n)
+            (es, accepted, t1, t2), = hypotest._ratio_test(r, s, mult, [a], n)
             one = (es.eigenvalues[0], es.eigenvectors[0], accepted[0], t1[0], t2[0])
             assert [np.asarray(x).tobytes() for x in row] == [np.asarray(y).tobytes() for y in one]
         assert [_bits(pt) for pt in curve_points(rho, sigma, n, rates)] == [
             np.array([a, t1, t2]).tobytes() for a, (*_, t1, t2) in zip(rates, rows)]
 
     def test_rates_before_one_past_double_range_are_tested(self):
-        r, s, weights = CopyPair(*fixtures.QUBIT_A, 2).powers
+        r, s, mult = CopyPair(*fixtures.QUBIT_A, 2).powers
         seen = []
         with pytest.raises(ValueError, match="rate 1000.0"):
-            for _, _, t1, _ in hypotest._ratio_test(r, s, weights, [0.1, 0.2, 1000.0, 0.3], 2):
+            for _, _, t1, _ in hypotest._ratio_test(r, s, mult, [0.1, 0.2, 1000.0, 0.3], 2):
                 seen += list(t1)
         assert len(seen) == 2
 
@@ -366,25 +367,25 @@ class TestThresholdScan:
 class TestSchurWeylBlocks:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_weights_count_the_power(self, n):
+        # block k, of size n - 2k + 1, occurs mult[k] times in the power
         rho = random_density(2, seed=n)
-        r, weights = power_blocks(rho, n)
-        assert r.shape == (weights.size, weights.size)
-        assert weights.sum() == 2 ** n
-        assert abs(float((weights * np.diag(r).real).sum()) - 1.0) <= 1e-13
+        blocks, mult = power_blocks(rho, n)
+        assert blocks.shape == (n // 2 + 1, n + 1, n + 1)
+        assert (mult * (n + 1 - 2 * np.arange(len(mult)))).sum() == 2 ** n
+        assert abs(float(mult @ np.trace(blocks, axis1=1, axis2=2).real) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_spectrum_with_multiplicities_is_the_power_spectrum(self, n):
         rho = random_density(2, seed=20 + n)
-        r, weights = power_blocks(rho, n)
-        # block k has size n - 2k + 1 and occurs weights-many times in the power
-        ends = np.cumsum([n - 2 * k + 1 for k in range(n // 2 + 1)])
-        assert ends[-1] == weights.size
-        spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(r[i:j, i:j]), int(weights[i]))
-                                   for i, j in zip(np.concatenate([[0], ends[:-1]]), ends)])
+        blocks, mult = power_blocks(rho, n)
+        sizes = n + 1 - 2 * np.arange(len(blocks))
+        spectrum = np.concatenate([np.repeat(np.linalg.eigvalsh(b[:m, :m]), int(k))
+                                   for b, m, k in zip(blocks, sizes, mult)])
         dense = np.linalg.eigvalsh(tensor_power(rho, n).matrix)
         np.testing.assert_allclose(np.sort(spectrum), dense, atol=1e-14)
-        block = np.searchsorted(ends, np.arange(weights.size), side="right")
-        assert not r[block[:, None] != block[None, :]].any()
+        # each block is exactly zero past its size
+        pad = np.arange(n + 1) >= sizes[:, None]
+        assert not blocks[pad[:, :, None] | pad[:, None, :]].any()
 
     @pytest.mark.parametrize("name", list(QUBIT_PAIRS))
     @pytest.mark.parametrize("n", range(1, 9))

@@ -113,6 +113,15 @@ class TestEigh:
         with pytest.raises(ValueError, match="contains non-finite entries"):
             check(np.stack([np.eye(2) / 2, np.eye(2) / 2, m]) if stack else m)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["+inf", "-inf"])
+    def test_rejects_mirrored_infinite_entries(self, bad):
+        # a Hermitian pattern of infinities: the defect inf - inf is NaN, so
+        # the check fails and the scan names the entries
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            check_hermitian(m)
+
     def test_non_finite_entries_are_named_before_another_matrix_of_the_stack(self):
         ok, skew, bad = np.eye(2, dtype=complex), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2, dtype=complex)
         bad[1, 0] = math.nan
